@@ -6,7 +6,7 @@ from .grammar import (format_place, format_point, format_poly, format_ratfunc,
 from .intarith import euler_phi, factorint, is_prime, multiplicative_order
 from .poly import (NEG_INF, Poly, all_polys, crt, factor, irreducibles,
                    irreducibles_stream, is_irreducible, poly_ext_gcd, poly_gcd,
-                   poly_lcm, ring_elements, squarefree_decomposition)
+                   poly_lcm, polys_of_degree, squarefree_decomposition)
 from .places import (Place, ResidueField, boundedness_probe,
                      factor_place_in_tower, place_data, valuation)
 from .ratfunc import RatFunc, is_nth_power, ratfunc_sqrt
@@ -15,7 +15,7 @@ __all__ = [
     "FF", "FieldCtx", "field_ctx",
     "NEG_INF", "Poly", "all_polys", "crt", "factor", "irreducibles",
     "irreducibles_stream", "is_irreducible", "poly_ext_gcd", "poly_gcd",
-    "poly_lcm", "ring_elements", "squarefree_decomposition",
+    "poly_lcm", "polys_of_degree", "squarefree_decomposition",
     "Place", "ResidueField", "boundedness_probe", "factor_place_in_tower",
     "place_data", "valuation",
     "RatFunc", "is_nth_power", "ratfunc_sqrt",

@@ -7,17 +7,19 @@ compared first) is the canonical element order used everywhere determinism
 matters.
 
 The field context owns p, a and the modulus.  When no modulus is supplied,
-the lexicographically least monic irreducible of degree a over F_p is
-generated (coefficients compared low-degree first), so test vectors are
-stable.  For a = 1 the modulus is the identity convention z and is unused.
+it is the first monic irreducible of degree a over F_p in the canonical
+order of poly.irreducibles (constant coefficient slowest), so test vectors
+are stable; a supplied modulus is checked with poly.is_irreducible.  For
+a = 1 the modulus is the identity convention z and is unused.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import gcd
 
 from ..errors import CompositeP, ReducibleModulus
-from .intarith import factorint, is_prime
+from .intarith import is_prime
 
 
 class FieldCtx:
@@ -36,14 +38,18 @@ class FieldCtx:
         if a == 1:
             # identity convention: modulus "z", never used in arithmetic
             self.modulus = (0, 1)
-        elif modulus is None:
-            self.modulus = _least_irreducible(p, a)
         else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != a + 1 or modulus[-1] != 1:
-                raise ReducibleModulus(f"modulus must be monic of degree {a}")
-            if not _is_irreducible_prime_field(modulus, p):
-                raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
+            from .poly import Poly, irreducibles, is_irreducible
+            prime_field = FieldCtx(p, 1)
+            if modulus is None:
+                least = next(irreducibles(prime_field, a))
+                modulus = tuple(c.coeffs[0] for c in least.coeffs)
+            else:
+                modulus = tuple(c % p for c in modulus)
+                if len(modulus) != a + 1 or modulus[-1] != 1:
+                    raise ReducibleModulus(f"modulus must be monic of degree {a}")
+                if not is_irreducible(Poly.from_ints(prime_field, modulus)):
+                    raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
         self._zero = FF(self, (0,) * a)
         self._one = FF(self, (1,) + (0,) * (a - 1))
@@ -112,18 +118,14 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of zero field element")
         if a == 1:
             return (pow(u[0], p - 2, p),)
-        # extended Euclid in F_p[z] against the modulus
-        r0, r1 = list(self.modulus), list(u)
-        t0, t1 = [0], [1]
-        while any(r1):
-            q, rem = _pf_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _pf_sub(t0, _pf_mul(q, t1, p), p)
-        lc = _pf_trim(r0)[-1]
-        scale = pow(lc, p - 2, p)
-        inv = [c * scale % p for c in t0]
-        inv += [0] * (a - len(inv))
-        return tuple(inv[:a])
+        # Fermat: u^(q-2) by square-and-multiply
+        result, n = self._one.coeffs, self.q - 2
+        while n:
+            if n & 1:
+                result = self._raw_mul(result, u)
+            u = self._raw_mul(u, u)
+            n >>= 1
+        return result
 
 
 class FF:
@@ -197,7 +199,7 @@ class FF:
         if not self:
             return True
         q = self.ctx.q
-        g = _gcd(n, q - 1)
+        g = gcd(n, q - 1)
         return self ** ((q - 1) // g) == self.ctx.one()
 
     def sqrt(self):
@@ -231,108 +233,6 @@ class FF:
             t = t * c
             e = i
         return r
-
-
-# -- prime-field polynomial helpers (raw int lists, used for ctx setup) ---------
-
-def _pf_trim(u: list[int]) -> list[int]:
-    while u and u[-1] == 0:
-        u.pop()
-    return u
-
-
-def _pf_sub(u: list[int], v: list[int], p: int) -> list[int]:
-    n = max(len(u), len(v))
-    out = [((u[i] if i < len(u) else 0) - (v[i] if i < len(v) else 0)) % p for i in range(n)]
-    return _pf_trim(out)
-
-
-def _pf_mul(u: list[int], v: list[int], p: int) -> list[int]:
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                out[i + j] = (out[i + j] + ui * vj) % p
-    return _pf_trim(out)
-
-
-def _pf_divmod(u: list[int], v: list[int], p: int) -> tuple[list[int], list[int]]:
-    v = _pf_trim(list(v))
-    if not v:
-        raise ZeroDivisionError("polynomial division by zero")
-    u = list(u)
-    inv_lc = pow(v[-1], p - 2, p)
-    dv = len(v) - 1
-    quo = [0] * max(0, len(u) - dv)
-    for k in range(len(u) - 1, dv - 1, -1):
-        c = u[k] % p
-        if c:
-            c = c * inv_lc % p
-            quo[k - dv] = c
-            for j in range(dv + 1):
-                u[k - dv + j] = (u[k - dv + j] - c * v[j]) % p
-    return _pf_trim(quo), _pf_trim(u)
-
-
-def _pf_powmod(base: list[int], n: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pf_divmod(base, mod, p)[1]
-    while n:
-        if n & 1:
-            result = _pf_divmod(_pf_mul(result, base, p), mod, p)[1]
-        base = _pf_divmod(_pf_mul(base, base, p), mod, p)[1]
-        n >>= 1
-    return result
-
-
-def _is_irreducible_prime_field(mod: tuple[int, ...], p: int) -> bool:
-    """Rabin test for a monic polynomial over F_p given as a low-to-high tuple."""
-    f = list(mod)
-    d = len(f) - 1
-    if d < 1:
-        return False
-    x = [0, 1]
-    # x^(p^d) == x mod f
-    h = x
-    for _ in range(d):
-        h = _pf_powmod(h, p, f, p)
-    if _pf_sub(h, x, p):
-        return False
-    for ell in factorint(d):
-        h = x
-        for _ in range(d // ell):
-            h = _pf_powmod(h, p, f, p)
-        g = _pf_gcd(_pf_sub(h, x, p), f, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
-def _pf_gcd(u: list[int], v: list[int], p: int) -> list[int]:
-    u, v = list(u), list(v)
-    while v:
-        u, v = v, _pf_divmod(u, v, p)[1]
-    if u:
-        inv_lc = pow(u[-1], p - 2, p)
-        u = [c * inv_lc % p for c in u]
-    return u
-
-
-def _least_irreducible(p: int, a: int) -> tuple[int, ...]:
-    """Lexicographically least monic irreducible of degree a over F_p."""
-    for tail in itertools.product(range(p), repeat=a):
-        cand = tuple(tail) + (1,)
-        if _is_irreducible_prime_field(cand, p):
-            return cand
-    raise ReducibleModulus(f"no irreducible of degree {a} over F_{p}")  # unreachable
-
-
-def _gcd(x: int, y: int) -> int:
-    while y:
-        x, y = y, x % y
-    return x
 
 
 def field_ctx(p: int, a: int, modulus=None) -> FieldCtx:

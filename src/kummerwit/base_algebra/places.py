@@ -16,7 +16,7 @@ from math import gcd
 from ..errors import BadEll, ZeroInput
 from .fields import FieldCtx
 from .intarith import is_prime
-from .poly import Poly, factor, is_irreducible
+from .poly import Poly, factor, is_irreducible, poly_valuation
 from .ratfunc import RatFunc
 
 
@@ -70,19 +70,7 @@ def valuation(x: RatFunc, place: Place) -> int:
         raise ZeroInput("valuation of zero is undefined")
     if place.is_infinite:
         return x.v_infinity()
-    return _poly_val(x.num, place.poly) - _poly_val(x.den, place.poly)
-
-
-def _poly_val(f: Poly, pi: Poly) -> int:
-    if f.is_zero():
-        raise ZeroInput("valuation of zero is undefined")
-    v = 0
-    while True:
-        q, r = divmod(f, pi)
-        if not r.is_zero():
-            return v
-        v += 1
-        f = q
+    return poly_valuation(x.num, place.poly) - poly_valuation(x.den, place.poly)
 
 
 class ResidueField:

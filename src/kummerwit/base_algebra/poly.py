@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from ..errors import BothZero, NotCoprime
+from ..errors import BothZero, NotCoprime, ZeroInput
 from .fields import FF, FieldCtx
 
 
@@ -310,6 +310,19 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return f.monic()
 
 
+def poly_valuation(f: Poly, pi: Poly) -> int:
+    """Largest v with pi^v dividing f, for f nonzero and pi nonconstant."""
+    if f.is_zero():
+        raise ZeroInput("valuation of zero is undefined")
+    v = 0
+    while True:
+        q, r = divmod(f, pi)
+        if not r.is_zero():
+            return v
+        v += 1
+        f = q
+
+
 def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     """(d, u, v) with d = gcd(f, g) monic and u*f + v*g = d exactly."""
     if f.is_zero() and g.is_zero():
@@ -354,48 +367,36 @@ def crt(pairs: list[tuple[Poly, Poly]]) -> Poly:
 # -- enumeration ----------------------------------------------------------------------
 
 
+def polys_of_degree(ctx: FieldCtx, deg: int, monic: bool = False):
+    """All polynomials of exactly this degree (monic ones only if asked), in
+    lexicographic coefficient order: constant coefficient slowest, leading
+    coefficient fastest."""
+    elems = list(ctx.elements())
+    lead = [ctx.one()] if monic else elems[1:]
+    for coeffs in itertools.product(*[elems] * deg, lead):
+        yield Poly(ctx, coeffs)
+
+
 def irreducibles(ctx: FieldCtx, deg: int):
     """All monic irreducibles of exactly this degree, lexicographic, lazily."""
     if deg < 1:
         raise ValueError("degree must be >= 1")
-    one = ctx.one()
-    for tail in itertools.product(list(ctx.elements()), repeat=deg):
-        cand = Poly(ctx, tuple(tail) + (one,))
-        if is_irreducible(cand):
-            yield cand
+    return filter(is_irreducible, polys_of_degree(ctx, deg, monic=True))
 
 
 def irreducibles_stream(ctx: FieldCtx):
     """All monic irreducibles, by increasing degree then lexicographic."""
-    deg = 1
-    while True:
+    for deg in itertools.count(1):
         yield from irreducibles(ctx, deg)
-        deg += 1
 
 
-def all_polys(ctx: FieldCtx, max_deg: int):
-    """All polynomials of degree <= max_deg: zero first, then by exact degree,
-    each degree in lexicographic coefficient order (low coordinate slowest)."""
+def all_polys(ctx: FieldCtx, max_deg: int | None = None):
+    """All polynomials of degree <= max_deg (all of F_q[s] when None): zero
+    first, then by exact degree, each degree in polys_of_degree order."""
     yield Poly.zero(ctx)
-    elems = list(ctx.elements())
-    nonzero = elems[1:]
-    for d in range(max_deg + 1):
-        for head in itertools.product(elems, repeat=d):
-            for top in nonzero:
-                yield Poly(ctx, tuple(head) + (top,))
-
-
-def ring_elements(ctx: FieldCtx):
-    """Canonical enumeration of all of F_q[s], by degree then lexicographic."""
-    d = 0
-    yield Poly.zero(ctx)
-    elems = list(ctx.elements())
-    nonzero = elems[1:]
-    while True:
-        for head in itertools.product(elems, repeat=d):
-            for top in nonzero:
-                yield Poly(ctx, tuple(head) + (top,))
-        d += 1
+    degrees = itertools.count() if max_deg is None else range(max_deg + 1)
+    for d in degrees:
+        yield from polys_of_degree(ctx, d)
 
 
 # -- irreducibility and factorization ----------------------------------------------

@@ -8,7 +8,8 @@ grammar; exit status is 0 on success, 1 when a verifier returned false,
 
 Subcommands: search-primes, rank, balanced, kummer, curve, family,
 witness, tower, verify.  The worker count for search kernels comes from
---workers or the KUMMERWIT_WORKERS environment variable.
+--workers or the KUMMERWIT_WORKERS environment variable and must lie in
+[1, os.cpu_count()].
 """
 
 from __future__ import annotations
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--format", choices=("json", "tsv"), default="json")
     top.add_argument("--seed", type=int, default=0, help="factorization seed")
     top.add_argument("--workers", type=int,
-                     default=int(os.environ.get("KUMMERWIT_WORKERS", "1")))
+                     default=os.environ.get("KUMMERWIT_WORKERS", "1"))
     sub = top.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("search-primes", help="find (r, q) pairs for a base prime")
@@ -458,6 +459,9 @@ def dispatch(argv: list[str]) -> int:
     p = getattr(args, "p", None)
     if p is not None and (p < 3 or p % 2 == 0):
         parser.error(f"-p {p}: p must be an odd prime")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        parser.error(f"--workers {args.workers}: must be between 1 and {cpus}")
     try:
         return args.func(args)
     except KummerwitError as exc:

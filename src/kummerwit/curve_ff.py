@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .base_algebra.fields import FF, FieldCtx, field_ctx
-from .base_algebra.poly import Poly, all_polys, poly_gcd
+from .base_algebra.poly import Poly, all_polys, poly_gcd, polys_of_degree
 from .base_algebra.ratfunc import RatFunc, ratfunc_sqrt
 from .errors import BadN, OffCurve
 
@@ -187,16 +187,10 @@ def is_torsion(pt: ECPoint, curve: CurveParams) -> bool:
 # -- bounded point search ------------------------------------------------------------
 
 
-def _monic_polys(ctx: FieldCtx, deg: int):
-    one = ctx.one()
-    for head in itertools.product(list(ctx.elements()), repeat=deg):
-        yield Poly(ctx, tuple(head) + (one,))
-
-
 def _search_candidates(ctx: FieldCtx, num_deg: int, den_deg: int):
     """Coprime (u, w) pairs, w monic, in deterministic order."""
     for dw in range(den_deg + 1):
-        for w in _monic_polys(ctx, dw):
+        for w in polys_of_degree(ctx, dw, monic=True):
             for u in all_polys(ctx, num_deg):
                 if u.is_zero():
                     if w.is_one():
@@ -209,15 +203,15 @@ def _search_candidates(ctx: FieldCtx, num_deg: int, den_deg: int):
 def _points_from_x(curve: CurveParams, u: Poly, w: Poly,
                    sample: list[tuple[FF, FF]]) -> list[ECPoint]:
     ctx = curve.ctx
-    # sample-point filter: a square function takes square values off its poles
+    # sample-point filter: a square function takes square values off its
+    # poles; where w(c) != 0, w*u*(u+w)*(u+w*c^N) = g(c)*w(c)^4 has the square
+    # class of g(c) and needs no field division
     for c, cN in sample:
         wc = w.evaluate(c)
         if not wc:
             continue
         uc = u.evaluate(c)
-        xv = uc / wc
-        gv = xv * (xv + ctx.one()) * (xv + cN)
-        if gv and not gv.is_square():
+        if not (wc * uc * (uc + wc) * (uc + wc * cN)).is_square():
             return []
     num = u * (u + w) * (u + w.shift(curve.N))
     den = w ** 3

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .base_algebra.fields import FF, FieldCtx
-from .base_algebra.poly import Poly, all_polys, factor, poly_lcm
+from .base_algebra.poly import (Poly, all_polys, factor, poly_lcm,
+                                poly_valuation)
 from .base_algebra.ratfunc import RatFunc, ratfunc_sqrt
 from .curve_ff import CurveParams, ECPoint, ec_add, is_torsion
 from .errors import DistinctnessFailure, TorsionPoint, ZeroInput
@@ -131,22 +132,12 @@ def polynomial_in_powers(f: Poly, n: int) -> Poly:
         qh = _minimal_poly_of_root_power(h, n)
         qh_n = qh.compose_monomial(n)
         # least k with h^mult dividing qh(s^n)^k
-        w = _poly_valuation(qh_n, h)
+        w = poly_valuation(qh_n, h)
         k = -(-mult // w)
         multiple = multiple * qh_n ** k
     quot, rem = divmod(multiple, f)
     assert rem.is_zero(), "complement construction must divide exactly"
     return quot.monic()
-
-
-def _poly_valuation(g: Poly, h: Poly) -> int:
-    v = 0
-    while True:
-        q, r = divmod(g, h)
-        if not r.is_zero():
-            return v
-        v += 1
-        g = q
 
 
 def _minimal_poly_of_root_power(h: Poly, n: int) -> Poly:

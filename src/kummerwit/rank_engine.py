@@ -18,8 +18,6 @@ from .base_algebra.intarith import (euler_phi, factorint, is_prime,
 from .characters import is_balanced, is_balanced_fast, legendre_symbol
 from .errors import BadModulus, NotCoprime, SearchExhausted
 
-legendre = legendre_symbol
-
 
 def find_r(p: int, count: int) -> list[int]:
     """First `count` primes r != p with r = 3 mod 4 and (p/r) = 1, ascending."""
@@ -29,7 +27,7 @@ def find_r(p: int, count: int) -> list[int]:
     for r in primes_from(3):
         if len(out) == count:
             break
-        if r != p and r % 4 == 3 and legendre(p, r) == 1:
+        if r != p and r % 4 == 3 and legendre_symbol(p, r) == 1:
             out.append(r)
     return out
 
@@ -41,7 +39,7 @@ def find_q(p: int, r: int, ceiling: int = 10_000) -> int:
             raise SearchExhausted(f"no valid q below {ceiling}")
         if q in (p, r):
             continue
-        if legendre(p, q) == -1 and legendre(q, r) == -1:
+        if legendre_symbol(p, q) == -1 and legendre_symbol(q, r) == -1:
             return q
     raise SearchExhausted("unreachable")
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .base_algebra.fields import FieldCtx
-from .base_algebra.poly import (Poly, irreducibles_stream, poly_ext_gcd,
-                                ring_elements)
+from .base_algebra.poly import (Poly, all_polys, irreducibles_stream,
+                                poly_ext_gcd)
 from .errors import SizeMismatch, UnitA, ZeroInA
 
 
@@ -123,7 +123,7 @@ class InjectionWitness:
 
 
 def _first_outside(exclude: set[Poly], ctx: FieldCtx) -> Poly:
-    return next(e for e in ring_elements(ctx) if e not in exclude)
+    return next(e for e in all_polys(ctx) if e not in exclude)
 
 
 def injection_witness(set_a: list[Poly], set_b: list[Poly], ctx: FieldCtx) -> InjectionWitness:
@@ -279,7 +279,7 @@ def gamma_times_witness(f1: list[Poly], f2: list[Poly], ctx: FieldCtx) -> GammaT
 
 def delta_set(ctx: FieldCtx, k: int) -> list[Poly]:
     """The canonical k-element subset: the first k ring elements."""
-    return list(islice(ring_elements(ctx), k))
+    return list(islice(all_polys(ctx), k))
 
 
 def psi_holds(set_a: list[Poly], set_b: list[Poly], ctx: FieldCtx) -> bool:

@@ -142,6 +142,24 @@ def test_workers_env_default(monkeypatch):
     assert args.workers == 1
 
 
+def test_workers_out_of_range_rejected_before_work(capsys, monkeypatch):
+    import os
+
+    from kummerwit import curve_ff
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started despite an invalid worker count")
+
+    monkeypatch.setattr(curve_ff, "point_search", no_work)
+    monkeypatch.setattr(curve_ff, "ProcessPoolExecutor", no_work)
+    for workers in (0, (os.cpu_count() or 1) + 1):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["--workers", str(workers), "curve", "search", "-p", "3",
+                      "-N", "5", "--num-deg", "2", "--den-deg", "1"])
+        assert exc.value.code == 2
+        assert f"--workers {workers}" in capsys.readouterr().err
+
+
 def test_kummer_descend_cli(capsys):
     code, recs = run_cli(capsys, "kummer", "descend", "-p", "7", "-l", "3",
                          "--place", "1*s", "--vals", "b=1,x=2", "--label", "b")

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from kummerwit.base_algebra import field_ctx
-from kummerwit.base_algebra.fields import FF, _is_irreducible_prime_field
+from kummerwit.base_algebra import Poly, field_ctx, is_irreducible
+from kummerwit.base_algebra.fields import FF
 from kummerwit.errors import CompositeP, ReducibleModulus
 
 
@@ -13,6 +13,16 @@ def brute_least_irreducible_quadratic(p):
         for c1 in range(p):
             if all((x * x + c1 * x + c0) % p != 0 for x in range(p)):
                 return (c0, c1, 1)
+    raise AssertionError
+
+
+def brute_least_irreducible_cubic(p):
+    # independent oracle: a cubic is irreducible iff it has no root, lex order
+    for c0 in range(p):
+        for c1 in range(p):
+            for c2 in range(p):
+                if all((x ** 3 + c2 * x * x + c1 * x + c0) % p for x in range(p)):
+                    return (c0, c1, c2, 1)
     raise AssertionError
 
 
@@ -32,9 +42,10 @@ def test_field_ctx_examples():
 def test_least_irreducible_matches_brute_force():
     for p in (3, 5, 7):
         assert field_ctx(p, 2).modulus == brute_least_irreducible_quadratic(p)
+        assert field_ctx(p, 3).modulus == brute_least_irreducible_cubic(p)
 
 
-@pytest.mark.parametrize("p,a", [(3, 1), (3, 2), (7, 1), (5, 2)])
+@pytest.mark.parametrize("p,a", [(3, 1), (3, 2), (7, 1), (5, 2), (3, 3)])
 def test_field_ring_axioms(p, a):
     ctx = field_ctx(p, a)
     rng = random.Random(11)
@@ -92,6 +103,10 @@ def test_canonical_element_order():
 
 def test_irreducibility_test_on_known_cases():
     # over F_3: s^2+1 irreducible, s^2+2 = (s+1)(s+2) reducible
-    assert _is_irreducible_prime_field((1, 0, 1), 3)
-    assert not _is_irreducible_prime_field((2, 0, 1), 3)
-    assert _is_irreducible_prime_field((1, 2, 0, 1), 3)  # s^3+2s+1 has no root
+    f3 = field_ctx(3, 1)
+    assert is_irreducible(Poly.from_ints(f3, (1, 0, 1)))
+    assert not is_irreducible(Poly.from_ints(f3, (2, 0, 1)))
+    assert is_irreducible(Poly.from_ints(f3, (1, 2, 0, 1)))  # s^3+2s+1 has no root
+    with pytest.raises(ReducibleModulus):
+        field_ctx(3, 2, modulus=(2, 0, 1))
+    assert field_ctx(3, 3, modulus=(1, 2, 0, 1)).modulus == (1, 2, 0, 1)

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -130,10 +131,24 @@ def test_irreducibles_enumeration(f3, f7):
     assert count == len(quad)
 
 
-def test_all_polys_order(f3):
+def test_all_polys_order(f3, f9):
     # by degree, then lexicographic comparing low-degree coefficients first
     first = [repr(p) for p in list(all_polys(f3, 1))]
     assert first == ["0", "1", "2", "1*s", "2*s", "1*s+1", "2*s+1", "1*s+2", "2*s+2"]
+    # F_9 = F_3[z]/(z^2+1); its elements order first coordinate slowest
+    first = [repr(p) for p in all_polys(f9, 1)]
+    assert len(first) == 1 + 8 + 9 * 8
+    assert first[:10] == ["0", "[0,1]", "[0,2]", "[1,0]", "[1,1]", "[1,2]",
+                          "[2,0]", "[2,1]", "[2,2]", "[0,1]*s"]
+    assert first[-1] == "[2,2]*s+[2,2]"
+
+
+def test_all_polys_unbounded_prefix(f3, f9):
+    # the unbounded enumeration is the union of the bounded ones, in order
+    for ctx, d in ((f3, 3), (f9, 2)):
+        bounded = list(all_polys(ctx, d))
+        for k in (1, 5, len(bounded)):
+            assert list(islice(all_polys(ctx), k)) == bounded[:k]
 
 
 def test_factor_roundtrip(f3, f9, f7):

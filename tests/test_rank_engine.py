@@ -1,17 +1,17 @@
 import pytest
 
-from kummerwit.characters import is_balanced
+from kummerwit.characters import is_balanced, legendre_symbol
 from kummerwit.errors import BadModulus, NotCoprime, SearchExhausted
-from kummerwit.rank_engine import (BalanceRouter, find_q, find_r, legendre,
+from kummerwit.rank_engine import (BalanceRouter, find_q, find_r,
                                    rank_constancy_check, rank_formula)
 
 
 def test_legendre_examples():
-    assert legendre(3, 11) == 1
-    assert legendre(3, 7) == -1
-    assert legendre(7, 7) == 0
+    assert legendre_symbol(3, 11) == 1
+    assert legendre_symbol(3, 7) == -1
+    assert legendre_symbol(7, 7) == 0
     with pytest.raises(BadModulus):
-        legendre(1, 8)
+        legendre_symbol(1, 8)
 
 
 def test_find_r_examples():
@@ -20,7 +20,7 @@ def test_find_r_examples():
     assert find_r(3, 0) == []
     # every returned r satisfies both defining conditions
     for r in find_r(7, 4):
-        assert r % 4 == 3 and legendre(7, r) == 1 and r != 7
+        assert r % 4 == 3 and legendre_symbol(7, r) == 1 and r != 7
 
 
 def test_find_q_examples():
@@ -28,11 +28,11 @@ def test_find_q_examples():
     assert find_q(3, 23) == 5
     # derived by the modular-exponentiation oracle:
     # q = 3 fails (3/11) = 1, q = 7 passes both conditions
-    assert legendre(5, 7) == -1 and legendre(7, 11) == -1
+    assert legendre_symbol(5, 7) == -1 and legendre_symbol(7, 11) == -1
     assert find_q(5, 11) == 7
     for p, r in ((3, 11), (5, 11), (3, 23)):
         q = find_q(p, r)
-        assert legendre(p, q) == -1 and legendre(q, r) == -1
+        assert legendre_symbol(p, q) == -1 and legendre_symbol(q, r) == -1
     with pytest.raises(SearchExhausted):
         find_q(3, 11, ceiling=5)
 
