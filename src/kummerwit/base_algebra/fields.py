@@ -11,6 +11,10 @@ it is the first monic irreducible of degree a over F_p in the canonical
 order of poly.irreducibles (constant coefficient slowest), so test vectors
 are stable; a supplied modulus is checked with poly.is_irreducible.  For
 a = 1 the modulus is the identity convention z and is unused.
+
+Poly stores elements as codes (encode, decode): the vector as base-p digits,
+first coordinate most significant.  Inversion for a > 1 is extended Euclid in
+F_p[z] on poly's int-list kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .intarith import is_prime
 class FieldCtx:
     """The field F_q, q = p^a, with an explicit monic irreducible modulus."""
 
-    __slots__ = ("p", "a", "q", "modulus", "_one", "_zero")
+    __slots__ = ("p", "a", "q", "modulus", "unit", "_weights", "_one", "_zero")
 
     def __init__(self, p: int, a: int, modulus: tuple[int, ...] | None = None):
         if p < 3 or p % 2 == 0 or not is_prime(p):
@@ -35,6 +39,8 @@ class FieldCtx:
         self.p = p
         self.a = a
         self.q = p ** a
+        self._weights = [p ** (a - 1 - i) for i in range(a)]  # of a code's digits
+        self.unit = self._weights[0]  # the code of 1
         if a == 1:
             # identity convention: modulus "z", never used in arithmetic
             self.modulus = (0, 1)
@@ -42,8 +48,7 @@ class FieldCtx:
             from .poly import Poly, irreducibles, is_irreducible
             prime_field = FieldCtx(p, 1)
             if modulus is None:
-                least = next(irreducibles(prime_field, a))
-                modulus = tuple(c.coeffs[0] for c in least.coeffs)
+                modulus = next(irreducibles(prime_field, a)).coeffs
             else:
                 modulus = tuple(c % p for c in modulus)
                 if len(modulus) != a + 1 or modulus[-1] != 1:
@@ -86,6 +91,23 @@ class FieldCtx:
         vec += (0,) * (self.a - len(vec))
         return FF(self, vec)
 
+    def encode(self, x: "FF") -> int:
+        """The code of x: its vector read as base-p digits, first most significant."""
+        return self._code(x.coeffs)
+
+    def decode(self, n: int) -> "FF":
+        """The element with code n."""
+        return FF(self, self._vec(n))
+
+    def _code(self, vec) -> int:
+        n = 0
+        for c in vec:
+            n = n * self.p + c
+        return n
+
+    def _vec(self, n: int) -> tuple[int, ...]:
+        return tuple([n // w % self.p for w in self._weights])
+
     def elements(self):
         """All field elements in canonical order (first coordinate slowest)."""
         for vec in itertools.product(range(self.p), repeat=self.a):
@@ -102,14 +124,17 @@ class FieldCtx:
             if ui:
                 for j, vj in enumerate(v):
                     prod[i + j] += ui * vj
-        # reduce modulo the monic modulus
-        mod = self.modulus
-        for k in range(2 * a - 2, a - 1, -1):
+        return self._reduce(prod)
+
+    def _reduce(self, prod: list[int]) -> tuple[int, ...]:
+        """The vector of a z-polynomial of degree < 2a - 1 (a list of ints,
+        overwritten) reduced by the monic modulus and mod p."""
+        p, a, mod = self.p, self.a, self.modulus
+        for k in range(len(prod) - 1, a - 1, -1):
             c = prod[k] % p
             if c:
                 for j in range(a):
                     prod[k - a + j] -= c * mod[j]
-            prod[k] = 0
         return tuple(c % p for c in prod[:a])
 
     def _raw_inv(self, u: tuple[int, ...]) -> tuple[int, ...]:
@@ -118,14 +143,10 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of zero field element")
         if a == 1:
             return (pow(u[0], p - 2, p),)
-        # Fermat: u^(q-2) by square-and-multiply
-        result, n = self._one.coeffs, self.q - 2
-        while n:
-            if n & 1:
-                result = self._raw_mul(result, u)
-            u = self._raw_mul(u, u)
-            n >>= 1
-        return result
+        # s*u + t*modulus = 1 in F_p[z]; the modulus is irreducible
+        from .poly import _ext_gcd, _trim
+        _, s = _ext_gcd(FieldCtx(p, 1), _trim(list(u)), list(self.modulus))
+        return tuple(s) + (0,) * (a - len(s))
 
 
 class FF:
@@ -159,16 +180,7 @@ class FF:
         return self * other.inv()
 
     def __pow__(self, n: int) -> "FF":
-        if n < 0:
-            return self.inv() ** (-n)
-        result = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return self.inv() ** (-n) if n < 0 else power(self, n, self.ctx.one())
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -235,12 +247,21 @@ class FF:
         return r
 
 
+def power(x, n: int, one):
+    """x^n for n >= 0 by square-and-multiply (shared by FF and Poly)."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x
+        n >>= 1
+    return result
+
+
 def field_ctx(p: int, a: int, modulus=None) -> FieldCtx:
     """Validated field context; accepts a modulus as Poly or coefficient tuple."""
-    if modulus is not None and hasattr(modulus, "coeff_vectors"):
-        # a Poly over the prime field: take the integer coefficient vectors
-        vecs = modulus.coeff_vectors()
-        if any(len(v) != 1 for v in vecs):
+    if hasattr(modulus, "coeffs"):  # a Poly: its codes are residues over F_p
+        if modulus.ctx.a != 1:
             raise ReducibleModulus("modulus must have prime-field coefficients")
-        modulus = tuple(v[0] for v in vecs)
+        modulus = modulus.coeffs
     return FieldCtx(p, a, modulus)

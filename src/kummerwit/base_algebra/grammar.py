@@ -17,10 +17,11 @@ from .poly import Poly
 from .ratfunc import RatFunc
 
 
-def format_coeff(c: FF) -> str:
-    if c.ctx.a == 1:
-        return str(c.coeffs[0])
-    return "[" + ",".join(str(v) for v in c.coeffs) + "]"
+def format_coeff(ctx: FieldCtx, c: int) -> str:
+    """Literal of the coefficient with code c."""
+    if ctx.a == 1:
+        return str(c)
+    return "[" + ",".join(str(v) for v in ctx._vec(c)) + "]"
 
 
 def format_poly(f: Poly) -> str:
@@ -31,7 +32,7 @@ def format_poly(f: Poly) -> str:
         c = f.coeffs[k]
         if not c:
             continue
-        cs = format_coeff(c)
+        cs = format_coeff(f.ctx, c)
         if k == 0:
             terms.append(cs)
         elif k == 1:
@@ -84,7 +85,7 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
         if m.group("coeff2") is not None:
             if m.group("coeff") is not None:
                 raise ValueError(f"bad polynomial term {term!r}")
-            acc = acc + Poly(ctx, (parse_coeff(m.group("coeff2"), ctx),))
+            acc = acc + Poly.const(ctx, parse_coeff(m.group("coeff2"), ctx))
             continue
         coeff = ctx.one() if m.group("coeff") is None else parse_coeff(m.group("coeff"), ctx)
         exp = 1 if m.group("exp") is None else int(m.group("exp"))

@@ -128,7 +128,7 @@ class ResidueField:
 
     def pow(self, x: Poly, n: int) -> Poly:
         if self.place.is_infinite:
-            c = x.coeffs[0] if x.coeffs else self.ctx.zero()
+            c = x.lc() if x else self.ctx.zero()
             return Poly.const(self.ctx, c ** n)
         return x.powmod(n, self.place.poly)
 

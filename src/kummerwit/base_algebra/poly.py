@@ -1,9 +1,19 @@
 """Polynomials over F_q in the indeterminate s, with exact factorization.
 
-A Poly stores its coefficients low-to-high as a tuple of field elements with
-no trailing zero; the zero polynomial is the empty tuple and its degree is
-the NEG_INF sentinel, which compares below every integer.  All operations
-are exact.
+A Poly stores its coefficients low-to-high as a tuple of ints with no
+trailing zero; the zero polynomial is the empty tuple and its degree is
+NEG_INF, float minus infinity.  A coefficient is its element's code
+(FieldCtx.encode): the residue in [0, p) for a = 1, else the int whose
+base-p digits are the element's vector, first coordinate most significant,
+so int order is element order.  FF is the scalar at the API edges (lc,
+evaluate, scale, const, monomial, coeff_vectors, the grammar).
+
+One int-list kernel serves every field.  _mul is Kronecker substitution: the
+operands are packed into ints with byte slots wide enough for any product
+slot, multiplied once, unpacked and reduced.  _divmod takes the quotient from
+the power-series inverse of the reversed divisor (Newton iteration on _mul),
+which powmod computes once per call (Barrett reduction).  gcd, extended gcd
+and CRT run on int lists and box a Poly only when they return.
 
 Factorization is squarefree decomposition (characteristic-p aware), then
 distinct-degree splitting, then randomized equal-degree splitting with a
@@ -14,68 +24,35 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
+from itertools import zip_longest
 
 from ..errors import BothZero, NotCoprime, ZeroInput
-from .fields import FF, FieldCtx
+from .fields import FF, FieldCtx, power
 
 
-class _NegInf:
-    """Degree of the zero polynomial: less than every integer."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInf)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInf)
-
-    def __eq__(self, other):
-        return isinstance(other, _NegInf)
-
-    def __hash__(self):
-        return hash("kummerwit-neg-inf")
-
-    def __neg__(self):
-        raise ArithmeticError("cannot negate -inf")
-
-    def __repr__(self):
-        return "-inf"
-
-
-NEG_INF = _NegInf()
+NEG_INF = float("-inf")  # degree of the zero polynomial, below every integer
 
 
 class Poly:
-    """Element of F_q[s]."""
+    """Element of F_q[s]; coefficients are codes (see the module docstring)."""
 
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs=()):
         self.ctx = ctx
         cs = tuple(coeffs)
-        while cs and not cs[-1]:
-            cs = cs[:-1]
-        self.coeffs = cs
+        n = len(cs)
+        while n and not cs[n - 1]:
+            n -= 1
+        self.coeffs = cs[:n]
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
     def from_ints(cls, ctx: FieldCtx, ints) -> "Poly":
         """Poly with prime-subfield coefficients given as plain ints."""
-        return cls(ctx, tuple(ctx.elem(c) for c in ints))
+        return cls(ctx, [c % ctx.p * ctx.unit for c in ints])
 
     @classmethod
     def zero(cls, ctx: FieldCtx) -> "Poly":
@@ -83,20 +60,20 @@ class Poly:
 
     @classmethod
     def one(cls, ctx: FieldCtx) -> "Poly":
-        return cls(ctx, (ctx.one(),))
+        return cls(ctx, (ctx.unit,))
 
     @classmethod
     def const(cls, ctx: FieldCtx, c) -> "Poly":
-        return cls(ctx, (ctx.elem(c),))
+        return cls(ctx, (ctx.encode(ctx.elem(c)),))
 
     @classmethod
     def gen(cls, ctx: FieldCtx) -> "Poly":
         """The indeterminate s."""
-        return cls(ctx, (ctx.zero(), ctx.one()))
+        return cls(ctx, (0, ctx.unit))
 
     @classmethod
     def monomial(cls, ctx: FieldCtx, k: int, c=1) -> "Poly":
-        return cls(ctx, (ctx.zero(),) * k + (ctx.elem(c),))
+        return cls(ctx, (0,) * k + (ctx.encode(ctx.elem(c)),))
 
     # -- structure ----------------------------------------------------------------
 
@@ -106,33 +83,36 @@ class Poly:
     def lc(self) -> FF:
         if not self.coeffs:
             raise ValueError("leading coefficient of zero")
-        return self.coeffs[-1]
+        return self.ctx.decode(self.coeffs[-1])
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.ctx.one()
+        return self.coeffs == (self.ctx.unit,)
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one()
+        return bool(self.coeffs) and self.coeffs[-1] == self.ctx.unit
 
     def coeff_vectors(self) -> list[tuple[int, ...]]:
         """Raw integer coefficient vectors, low-to-high (for serialization)."""
-        return [c.coeffs for c in self.coeffs]
+        return [self.ctx._vec(c) for c in self.coeffs]
 
     def sort_key(self):
-        """(degree, coefficient vectors low-to-high); total order on F_q[s]."""
-        return (len(self.coeffs), tuple(c.coeffs for c in self.coeffs))
+        """(degree, coefficients low-to-high); total order on F_q[s]."""
+        return (len(self.coeffs), self.coeffs)
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        if not isinstance(other, Poly) or self.coeffs != other.coeffs:
+            return False
+        f, g = self.ctx, other.ctx
+        return f is g or (f.p == g.p and f.modulus == g.modulus)
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -144,99 +124,31 @@ class Poly:
     # -- ring operations ------------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.ctx, out)
+        return Poly(self.ctx, _addsub(self.ctx, self.coeffs, other.coeffs, 1))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        zero = self.ctx.zero()
-        out = [(a[i] if i < len(a) else zero) - (b[i] if i < len(b) else zero)
-               for i in range(n)]
-        return Poly(self.ctx, out)
+        return Poly(self.ctx, _addsub(self.ctx, self.coeffs, other.coeffs, -1))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ctx, tuple(-c for c in self.coeffs))
+        return Poly(self.ctx, _addsub(self.ctx, (), self.coeffs, -1))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(self.ctx)
-        ctx = self.ctx
-        raw_mul = ctx._raw_mul
-        p, ext = ctx.p, ctx.a
-        if ext == 1:
-            av = [c.coeffs[0] for c in a]
-            bv = [c.coeffs[0] for c in b]
-            out = [0] * (len(av) + len(bv) - 1)
-            for i, ai in enumerate(av):
-                if ai:
-                    for j, bj in enumerate(bv):
-                        out[i + j] += ai * bj
-            return Poly(ctx, tuple(FF(ctx, (v % p,)) for v in out))
-        zero_vec = (0,) * ext
-        out_vecs = [zero_vec] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                av = ai.coeffs
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod = raw_mul(av, bj.coeffs)
-                        cur = out_vecs[i + j]
-                        out_vecs[i + j] = tuple((x + y) % p for x, y in zip(cur, prod))
-        return Poly(ctx, tuple(FF(ctx, v) for v in out_vecs))
+        return Poly(self.ctx, _mul(self.ctx, self.coeffs, other.coeffs))
 
     def scale(self, c: FF) -> "Poly":
         if not c:
             return Poly.zero(self.ctx)
-        return Poly(self.ctx, tuple(x * c for x in self.coeffs))
+        return Poly(self.ctx, _mul(self.ctx, self.coeffs, [self.ctx.encode(c)]))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by s^k."""
-        if not self.coeffs:
-            return self
-        return Poly(self.ctx, (self.ctx.zero(),) * k + self.coeffs)
+        return Poly(self.ctx, (0,) * k + self.coeffs)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
+        if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        ctx = self.ctx
-        dv = len(other.coeffs) - 1
-        if len(self.coeffs) - 1 < dv:
-            return Poly.zero(ctx), self
-        if ctx.a == 1:
-            p = ctx.p
-            rem = [c.coeffs[0] for c in self.coeffs]
-            oc = [c.coeffs[0] for c in other.coeffs]
-            inv_lc = pow(oc[-1], p - 2, p)
-            quo = [0] * (len(rem) - dv)
-            for k in range(len(rem) - 1, dv - 1, -1):
-                c = rem[k] % p
-                if c:
-                    c = c * inv_lc % p
-                    quo[k - dv] = c
-                    for j in range(dv):
-                        rem[k - dv + j] -= c * oc[j]
-                    rem[k] = 0
-            return (Poly(ctx, tuple(FF(ctx, (v % p,)) for v in quo)),
-                    Poly(ctx, tuple(FF(ctx, (v % p,)) for v in rem[:dv])))
-        rem = list(self.coeffs)
-        inv_lc = other.lc().inv()
-        quo = [ctx.zero()] * (len(rem) - dv)
-        oc = other.coeffs
-        for k in range(len(rem) - 1, dv - 1, -1):
-            c = rem[k]
-            if c:
-                c = c * inv_lc
-                quo[k - dv] = c
-                for j in range(dv + 1):
-                    rem[k - dv + j] = rem[k - dv + j] - c * oc[j]
-        return Poly(ctx, quo), Poly(ctx, rem[:dv])
+        quo, rem = _divmod(self.ctx, self.coeffs, other.coeffs)
+        return Poly(self.ctx, quo), Poly(self.ctx, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -247,55 +159,188 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.ctx)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Poly.one(self.ctx))
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
             return self
-        return self.scale(self.lc().inv())
+        return Poly(self.ctx, _mul(self.ctx, self.coeffs, [_inv(self.ctx, self.coeffs[-1])]))
 
     def derivative(self) -> "Poly":
         ctx = self.ctx
-        out = []
-        for i in range(1, len(self.coeffs)):
-            k = ctx.elem(i)
-            out.append(self.coeffs[i] * k)
-        return Poly(ctx, out)
+        p, vec, code = ctx.p, ctx._vec, ctx._code
+        return Poly(ctx, [code([x * i % p for x in vec(c)])
+                          for i, c in enumerate(self.coeffs) if i])
 
     def evaluate(self, x: FF) -> FF:
-        acc = self.ctx.zero()
+        """Horner's rule, on residues for a = 1 (the curve point search's hot loop)
+        and on z-digit vectors else."""
+        ctx = self.ctx
+        p, xv = ctx.p, x.coeffs
+        if ctx.a == 1:
+            acc, xv = 0, xv[0]
+            for c in reversed(self.coeffs):
+                acc = (acc * xv + c) % p
+            return FF(ctx, (acc,))
+        raw_mul, vec, acc = ctx._raw_mul, ctx._vec, ctx.zero().coeffs
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = tuple((u + v) % p for u, v in zip(raw_mul(acc, xv), vec(c)))
+        return FF(ctx, acc)
 
     def compose_monomial(self, k: int) -> "Poly":
         """Substitute s -> s^k."""
         if k < 1:
             raise ValueError("exponent must be >= 1")
-        ctx = self.ctx
-        zero = ctx.zero()
-        out = []
-        for c in self.coeffs:
-            out.append(c)
-            out.extend([zero] * (k - 1))
-        return Poly(ctx, out[: (len(self.coeffs) - 1) * k + 1] if self.coeffs else ())
+        out = [0] * ((len(self.coeffs) - 1) * k + 1) if self.coeffs else []
+        out[::k] = self.coeffs
+        return Poly(self.ctx, out)
 
     def powmod(self, n: int, mod: "Poly") -> "Poly":
-        result = Poly.one(self.ctx) % mod
-        base = self % mod
+        ctx, m = self.ctx, mod.coeffs
+        result, base = (Poly.one(ctx) % mod).coeffs, (self % mod).coeffs
+        # Barrett: a product of two residues has a quotient shorter than m - 1
+        minv = _inv_series(ctx, m[::-1], max(len(m) - 2, 1))
         while n:
             if n & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
+                result = _divmod(ctx, _mul(ctx, result, base), m, minv)[1]
             n >>= 1
-        return result
+            if n:
+                base = _divmod(ctx, _mul(ctx, base, base), m, minv)[1]
+        return Poly(ctx, result)
+
+
+# -- the int-list kernel ------------------------------------------------------------
+# Lists hold codes low-to-high.  _mul and _inv_series may end in zeros;
+# _addsub, _divmod's remainder and the gcd routines return trimmed lists.
+
+_KRONECKER_MIN = 32  # products of fewer coefficient pairs go by schoolbook
+
+
+def _trim(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _pack(vals: list, width: int, p: int) -> int:
+    """One int holding vals (each below p) in slots of width bytes, first lowest."""
+    if p * width >= 256:
+        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in vals), "little")
+    data = bytearray(width * len(vals))
+    data[::width] = bytes(vals)
+    return int.from_bytes(data, "little")
+
+
+@lru_cache(maxsize=64)
+def _byte_tables(p: int, width: int) -> list[bytes]:
+    """Table i maps a byte b to b * 256^i mod p."""
+    return [bytes(b * 256 ** i % p for b in range(256)) for i in range(width)]
+
+
+def _unpack_mod(n: int, width: int, count: int, p: int) -> list:
+    """The count slots of n, each reduced mod p."""
+    data = n.to_bytes(width * count, "little")
+    if p * width >= 256:
+        return [int.from_bytes(data[i:i + width], "little") % p
+                for i in range(0, len(data), width)]
+    # reduce each byte column by table, add the columns (sums stay < 256), reduce again
+    tables = _byte_tables(p, width)
+    acc = sum(int.from_bytes(data[i::width].translate(t), "little") for i, t in enumerate(tables))
+    return list(acc.to_bytes(count, "little").translate(tables[0]))
+
+
+def _mul(ctx: FieldCtx, f, g) -> list:
+    """f * g as len(f) + len(g) - 1 codes: slot lists (for a > 1 each code's
+    z-digits and a - 1 zeros) convolved by one bigint product (Kronecker) or,
+    below _KRONECKER_MIN pairs, by schoolbook; for a > 1 then reduced by the modulus."""
+    if not f or not g:
+        return []
+    p, a = ctx.p, ctx.a
+    n, count = min(len(f), len(g)), (len(f) + len(g) - 1) * (2 * a - 1)
+    schoolbook, square = len(f) * len(g) < _KRONECKER_MIN, f is g
+    if a > 1:
+        vec, pad = ctx._vec, (0,) * (a - 1)
+        f, g = ([x for c in h for x in vec(c) + pad] for h in (f, g))
+    if schoolbook:
+        prod = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            if x:
+                for j, y in enumerate(g, i):
+                    prod[j] += x * y
+        prod = [v % p for v in prod[:count]]
+    else:
+        width = -(-(a * (p - 1) ** 2 * n).bit_length() // 8)  # bytes for any product slot
+        packed = _pack(f, width, p)  # a square packs once and squares faster
+        prod = packed * (packed if square else _pack(g, width, p))
+        prod = _unpack_mod(prod, width, count, p)
+    if a == 1:
+        return prod
+    step = 2 * a - 1  # each block of product slots is one s-coefficient
+    return [ctx._code(ctx._reduce(prod[i:i + step])) for i in range(0, count, step)]
+
+
+def _addsub(ctx: FieldCtx, f, g, sign: int) -> list:
+    """f + sign * g, trimmed."""
+    p = ctx.p
+    pairs = zip_longest(f, g, fillvalue=0)
+    if ctx.a == 1:
+        return _trim([(x + sign * y) % p for x, y in pairs])
+    vec, code = ctx._vec, ctx._code
+    return _trim([code([(u + sign * v) % p for u, v in zip(vec(x), vec(y))])
+                  for x, y in pairs])
+
+
+def _inv(ctx: FieldCtx, c: int) -> int:
+    if ctx.a == 1:
+        return pow(c, ctx.p - 2, ctx.p)
+    return ctx._code(ctx._raw_inv(ctx._vec(c)))
+
+
+def _inv_series(ctx: FieldCtx, b, n: int) -> list:
+    """g with b * g = 1 mod s^n, for b[0] != 0, by Newton iteration."""
+    g = [_inv(ctx, b[0])]
+    while len(g) < n:
+        m = len(g)
+        k = min(2 * m, n)
+        e = _mul(ctx, b[:k], g)[m:k]  # b*g = 1 + s^m * e mod s^k
+        t = _addsub(ctx, (), _mul(ctx, g, e)[:k - m], -1)
+        g += t + [0] * (k - m - len(t))  # g <- g - s^m * g * e
+    return g
+
+
+def _divmod(ctx: FieldCtx, f, g, ginv=None) -> tuple[list, list]:
+    """(quotient, remainder) for g nonzero and trimmed.  ginv, when given, is
+    the inverse series of reversed g to at least the quotient's length."""
+    m = len(f) - len(g) + 1  # quotient length
+    if m <= 0:
+        return [], list(f)
+    if len(g) == 1:  # a unit divides exactly
+        return _mul(ctx, f, [_inv(ctx, g[0])]), []
+    if ginv is None:
+        ginv = _inv_series(ctx, g[::-1], m)
+    quo = _mul(ctx, f[:-m - 1:-1], ginv[:m])[m - 1::-1]
+    dg = len(g) - 1
+    return quo, _addsub(ctx, f[:dg], _mul(ctx, quo[:dg], g[:dg])[:dg], -1)
+
+
+def _gcd(ctx: FieldCtx, f, g) -> list:
+    """Monic gcd of two lists, not both zero."""
+    while g:
+        f, g = g, _divmod(ctx, f, g)[1]
+    return _mul(ctx, f, [_inv(ctx, f[-1])])
+
+
+def _ext_gcd(ctx: FieldCtx, f, g) -> tuple[list, list]:
+    """(d, u) with d = gcd(f, g) monic and u*f = d mod g, for f, g not both
+    zero; the cofactor of g is left out, since (d - u*f) / g recovers it."""
+    r0, r1 = f, g
+    u0, u1 = [ctx.unit], []
+    while r1:
+        quo, rem = _divmod(ctx, r0, r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, _addsub(ctx, u0, _mul(ctx, quo, u1), -1)
+    scale = [_inv(ctx, r0[-1])]
+    return _mul(ctx, r0, scale), _mul(ctx, u0, scale)
 
 
 # -- gcd family ---------------------------------------------------------------------
@@ -305,9 +350,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) raises BothZero."""
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
-    while g:
-        f, g = g, f % g
-    return f.monic()
+    return Poly(f.ctx, _gcd(f.ctx, f.coeffs, g.coeffs))
 
 
 def poly_valuation(f: Poly, pi: Poly) -> int:
@@ -328,16 +371,9 @@ def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     ctx = f.ctx
-    r0, r1 = f, g
-    u0, u1 = Poly.one(ctx), Poly.zero(ctx)
-    v0, v1 = Poly.zero(ctx), Poly.one(ctx)
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    scale = r0.lc().inv()
-    return r0.scale(scale), u0.scale(scale), v0.scale(scale)
+    d, u = _ext_gcd(ctx, f.coeffs, g.coeffs)
+    v = _divmod(ctx, _addsub(ctx, d, _mul(ctx, u, f.coeffs), -1), g.coeffs)[0] if g else []
+    return Poly(ctx, d), Poly(ctx, u), Poly(ctx, v)
 
 
 def crt(pairs: list[tuple[Poly, Poly]]) -> Poly:
@@ -350,18 +386,20 @@ def crt(pairs: list[tuple[Poly, Poly]]) -> Poly:
     for _, m in pairs:
         if m.is_constant():
             raise ValueError("crt moduli must be nonconstant")
-    res, mod = pairs[0]
-    res = res % mod
+    ctx, mod = pairs[0][1].ctx, pairs[0][1].coeffs
+    res = _divmod(ctx, pairs[0][0].coeffs, mod)[1]
     for r, m in pairs[1:]:
-        d, u, _ = poly_ext_gcd(mod, m)
-        if not d.is_one():
-            raise NotCoprime(f"moduli {mod!r} and {m!r} share factor {d!r}")
-        # x = res + mod * t with t = u*(r - res) mod m, since u*mod = 1 mod m
-        t = (u * (r - res)) % m
-        res = res + mod * t
-        mod = mod * m
-        res = res % mod
-    return res
+        m = m.coeffs
+        d, u = _ext_gcd(ctx, mod, m)
+        if d != [ctx.unit]:
+            raise NotCoprime(f"moduli {Poly(ctx, mod)!r} and {Poly(ctx, m)!r} "
+                             f"share factor {Poly(ctx, d)!r}")
+        # x = res + mod * t with t = u*(r - res) mod m, since u*mod = 1 mod m;
+        # deg x < deg mod + deg m, so x needs no further reduction
+        t = _divmod(ctx, _mul(ctx, u, _addsub(ctx, r.coeffs, res, -1)), m)[1]
+        res = _addsub(ctx, res, _mul(ctx, mod, t), 1)
+        mod = _mul(ctx, mod, m)
+    return Poly(ctx, res)
 
 
 # -- enumeration ----------------------------------------------------------------------
@@ -371,8 +409,8 @@ def polys_of_degree(ctx: FieldCtx, deg: int, monic: bool = False):
     """All polynomials of exactly this degree (monic ones only if asked), in
     lexicographic coefficient order: constant coefficient slowest, leading
     coefficient fastest."""
-    elems = list(ctx.elements())
-    lead = [ctx.one()] if monic else elems[1:]
+    elems = range(ctx.q)  # codes, in element order
+    lead = [ctx.unit] if monic else elems[1:]
     for coeffs in itertools.product(*[elems] * deg, lead):
         yield Poly(ctx, coeffs)
 
@@ -403,28 +441,27 @@ def all_polys(ctx: FieldCtx, max_deg: int | None = None):
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: deg >= 1, s^(q^d) = s mod f, proper Frobenius gcds trivial."""
+    """Rabin's test: deg >= 1, s^(q^d) = s mod f, proper Frobenius gcds trivial.
+
+    Before it, f of degree >= 2 is rejected when s divides it or when
+    gcd(s^q - s, f) != 1, i.e. when f has a root in F_q."""
     d = f.degree()
     if d is NEG_INF or d < 1:
         return False
     if d == 1:
         return True
-    ctx = f.ctx
-    q = ctx.q
-    s = Poly.gen(ctx)
-    h = s
-    powers = {}
-    for k in range(1, d + 1):
-        h = h.powmod(q, f)
-        powers[k] = h
+    if not f.coeffs[0]:  # s divides f
+        return False
+    q, s = f.ctx.q, Poly.gen(f.ctx)
+    powers = [s, s.powmod(q, f)]  # s^(q^k) mod f
+    if not poly_gcd(powers[1] - s, f).is_one():  # a root in F_q
+        return False
+    for _ in range(2, d + 1):
+        powers.append(powers[-1].powmod(q, f))
     if powers[d] != s % f:
         return False
     from .intarith import factorint
-    for ell in factorint(d):
-        g = poly_gcd(powers[d // ell] - s, f) if (powers[d // ell] - s) else f
-        if not g.is_one():
-            return False
-    return True
+    return all(poly_gcd(powers[d // ell] - s, f).is_one() for ell in factorint(d))
 
 
 def _pth_root(f: Poly) -> Poly:
@@ -434,7 +471,7 @@ def _pth_root(f: Poly) -> Poly:
     root_exp = p ** (ctx.a - 1)  # c -> c^(p^(a-1)) inverts c -> c^p in F_{p^a}
     out = []
     for i in range(0, len(f.coeffs), p):
-        out.append(f.coeffs[i] ** root_exp)
+        out.append(ctx.encode(ctx.decode(f.coeffs[i]) ** root_exp))
     return Poly(ctx, out)
 
 
@@ -519,8 +556,8 @@ def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     return sorted(_edf(g, d, rng) + _edf(f // g, d, rng), key=Poly.sort_key)
 
 
-def _rand_elem(ctx: FieldCtx, rng: random.Random) -> FF:
-    return FF(ctx, tuple(rng.randrange(ctx.p) for _ in range(ctx.a)))
+def _rand_elem(ctx: FieldCtx, rng: random.Random) -> int:
+    return ctx._code([rng.randrange(ctx.p) for _ in range(ctx.a)])
 
 
 def factor(f: Poly, seed: int = 0) -> list[tuple[Poly, int]]:

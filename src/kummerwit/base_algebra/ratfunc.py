@@ -135,7 +135,7 @@ def _canonical_sign(g: RatFunc) -> RatFunc:
     if g.is_zero():
         return g
     neg = -g
-    return g if g.num.lc().coeffs <= neg.num.lc().coeffs else neg
+    return g if g.num.coeffs[-1] <= neg.num.coeffs[-1] else neg
 
 
 def nth_power_exponents_ok(f: RatFunc, n: int) -> bool:

@@ -285,7 +285,7 @@ def _point_search_parallel(curve: CurveParams, num_deg: int, den_deg: int,
 
 
 def _poly_from_vectors(ctx: FieldCtx, vectors) -> Poly:
-    return Poly(ctx, tuple(FF(ctx, tuple(v)) for v in vectors))
+    return Poly(ctx, [ctx.encode(ctx.elem(v)) for v in vectors])
 
 
 # -- tower stabilization probe ----------------------------------------------------

@@ -150,11 +150,11 @@ def _minimal_poly_of_root_power(h: Poly, n: int) -> Poly:
     rows: list[list[FF]] = []
     cur = Poly.one(ctx)
     for _ in range(d + 1):
-        vec = list(cur.coeffs) + [ctx.zero()] * (d - len(cur.coeffs))
+        vec = [ctx.decode(c) for c in cur.coeffs] + [ctx.zero()] * (d - len(cur.coeffs))
         rows.append(vec)
         dependency = _solve_dependency(rows, ctx)
         if dependency is not None:
-            return Poly(ctx, dependency).monic()
+            return Poly(ctx, [ctx.encode(c) for c in dependency]).monic()
         cur = (cur * beta) % h
     raise AssertionError("minimal polynomial search exceeded the field degree")
 

@@ -19,7 +19,7 @@ from tests.test_poly import rand_poly
 def to_sympy(f, x, p):
     expr = 0
     for i, c in enumerate(f.coeffs):
-        expr += int(c.coeffs[0]) * x ** i
+        expr += c * x ** i
     return sympy.Poly(expr, x, modulus=p)
 
 

@@ -129,7 +129,7 @@ def test_minimal_poly_of_root_power_properties(f3, f7):
                     beta = Poly.gen(ctx).powmod(n, h)
                     acc = Poly.zero(ctx)
                     for i, coeff in enumerate(qh.coeffs):
-                        acc = acc + (beta.powmod(i, h)).scale(coeff)
+                        acc = acc + (beta.powmod(i, h)).scale(ctx.decode(coeff))
                     assert (acc % h).is_zero()
 
 

@@ -18,7 +18,7 @@ def test_poly_literals(f3, f9):
     assert parse_poly(" 2*s + 1 ", f3) == Poly.from_ints(f3, [1, 2])
     assert parse_poly("0", f3) == Poly.zero(f3)
     # extension coefficients
-    x = Poly(f9, (f9.elem([1, 2]), f9.elem([0, 1])))
+    x = Poly(f9, (f9.encode(f9.elem([1, 2])), f9.encode(f9.elem([0, 1]))))
     assert format_poly(x) == "[0,1]*s+[1,2]"
     assert parse_poly("[0,1]*s+[1,2]", f9) == x
 

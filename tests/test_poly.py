@@ -17,7 +17,7 @@ def rand_poly(ctx, rng, max_deg, nonzero=False):
         else:
             coeffs = [rng.choice(list(ctx.elements())) for _ in range(deg)]
             lead = rng.choice([e for e in ctx.elements() if e])
-            f = Poly(ctx, coeffs + [lead])
+            f = Poly(ctx, [ctx.encode(c) for c in coeffs + [lead]])
         if not nonzero or not f.is_zero():
             return f
 
