@@ -14,6 +14,12 @@ half-interval sum sum_{0<k<m/2} chi(k) has chi(x) = 1; is_balanced decides
 this by exhaustive scan, is_balanced_fast by the Legendre shortcuts
 (non-residue mod an odd prime; residue mod a prime = 3 mod 4; and descent
 through m = y*z with y an odd prime dividing z).
+
+The scan tests one character per cyclic subgroup <chi> and gives its
+verdict to every generator chi^j.  This is exact: chi^j = chi^j' for a
+j' = j mod ord chi prime to lambda, and the automorphism zeta -> zeta^j'
+maps chi(-1) and the half sum of chi to those of chi^j', so it keeps
+oddness and fixes 0 (Washington, Introduction to Cyclotomic Fields, ch. 4).
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .base_algebra.intarith import euler_phi, factorint, is_prime, multiplicative_order
 from .errors import BadModulus, NotCoprime
@@ -32,31 +38,23 @@ from .errors import BadModulus, NotCoprime
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, low-to-high, by exact division."""
-    if n == 1:
-        return (-1, 1)
-    # x^n - 1 divided by all proper-divisor cyclotomics
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            num = _int_poly_exact_div(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
-
-
-def _int_poly_exact_div(num: list[int], den: list[int]) -> list[int]:
-    out = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    for k in range(len(num) - 1, len(den) - 2, -1):
-        c = rem[k]
-        if c % den[-1] != 0:
-            raise ArithmeticError("non-exact integer polynomial division")
-        c //= den[-1]
-        out[k - len(den) + 1] = c
-        for j, dj in enumerate(den):
-            rem[k - len(den) + 1 + j] -= c * dj
-    if any(rem):
-        raise ArithmeticError("non-exact integer polynomial division")
-    return out
+    """Integer coefficients of Phi_n = prod_{d | n} (x^d - 1)^mu(n/d),
+    low-to-high; all multiplications come first, so each division is exact."""
+    primes = sorted(factorint(n))
+    binomials = [(len(s) % 2, n // prod(s)) for k in range(len(primes) + 1)
+                 for s in itertools.combinations(primes, k)]  # (mu(n/d) == -1, d)
+    poly = [1]
+    for divide, d in sorted(binomials):
+        if divide:  # q * (x^d - 1) = poly gives q_i = q_{i-d} - poly_i
+            out = [-c for c in poly[:len(poly) - d]]
+            for i in range(d, len(out)):
+                out[i] += out[i - d]
+        else:
+            out = [-c for c in poly] + [0] * d
+            for i, c in enumerate(poly):
+                out[i + d] += c
+        poly = out
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -107,12 +105,6 @@ class Cyclotomic:
 
     def __neg__(self) -> "Cyclotomic":
         return Cyclotomic(self.conductor, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
-        return self + (-other)
-
-    def scaled(self, k: int) -> "Cyclotomic":
-        return Cyclotomic(self.conductor, tuple(k * a for a in self.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -267,25 +259,30 @@ def char_props(chi: Character) -> tuple[bool, Cyclotomic]:
 
 @lru_cache(maxsize=None)
 def _unbalanced_witness_exponents(m: int):
-    """Exponent evaluators for the odd characters mod m with nonzero half sum.
+    """The odd characters mod m with nonzero half sum, in enumeration order.
 
     x is not balanced mod m exactly when one of these characters sends x
     to 1; caching them makes repeated balance queries for one modulus cheap.
     """
+    orders = [d for _, d in unit_group(m)[0]]
+    pending: dict[tuple[int, ...], bool] = {}
     witnesses = []
     for chi in characters_enum(m):
-        odd, half = char_props(chi)
-        if odd and not half.is_zero():
+        verdict = pending.pop(chi.exps, None)
+        if verdict is None:
+            odd, half = char_props(chi)
+            verdict = odd and not half.is_zero()
+            order = lcm(*(d // gcd(e, d) for e, d in zip(chi.exps, orders)))
+            for j in range(2, order):
+                if gcd(j, order) == 1:
+                    pending[tuple(j * e % d for e, d in zip(chi.exps, orders))] = verdict
+        if verdict:
             witnesses.append(chi)
     return tuple(witnesses)
 
 
 def is_balanced(x: int, m: int) -> bool:
     """Exhaustive character scan for the balanced predicate."""
-    if m < 3:
-        raise BadModulus(f"modulus {m} must be >= 3")
-    if gcd(x, m) != 1:
-        raise NotCoprime(f"gcd({x}, {m}) > 1")
     return balance_witness(x, m) is None
 
 

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import characters as chars
 from . import curve_ff, family, kummer_local, rank_engine, witnesses
@@ -81,17 +82,12 @@ def cmd_balanced(args) -> int:
         fast = chars.is_balanced_fast(args.x, args.m)
         record["fast"] = fast
     if args.mode in ("oracle", "both"):
-        oracle = chars.is_balanced(args.x, args.m)
         witness = chars.balance_witness(args.x, args.m)
-        record["witness_character"] = list(witness.exps) if witness else None
-        record["balanced"] = oracle
+        oracle = record["balanced"] = witness is None
     else:
         record["balanced"] = fast
-        if fast is False:
-            witness = chars.balance_witness(args.x, args.m)
-            record["witness_character"] = list(witness.exps) if witness else None
-        else:
-            record["witness_character"] = None
+        witness = chars.balance_witness(args.x, args.m) if fast is False else None
+    record["witness_character"] = list(witness.exps) if witness else None
     _emit(record, args.format)
     if args.mode == "both" and fast is not None and fast != oracle:
         return 1
@@ -453,8 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@lru_cache(maxsize=1)
+def _parser_for(workers_env: str | None) -> argparse.ArgumentParser:
+    """build_parser() once per KUMMERWIT_WORKERS value, the --workers default."""
+    return build_parser()
+
+
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = _parser_for(os.environ.get("KUMMERWIT_WORKERS"))
     args = parser.parse_args(argv)
     p = getattr(args, "p", None)
     if p is not None and (p < 3 or p % 2 == 0):

@@ -1,8 +1,11 @@
 import math
 import random
+from functools import lru_cache
 
 import pytest
 
+from kummerwit import characters
+from kummerwit.base_algebra.intarith import is_prime
 from kummerwit.characters import (Character, Cyclotomic, balance_witness,
                                   char_props, characters_enum,
                                   cyclotomic_polynomial, is_balanced,
@@ -27,6 +30,48 @@ def test_cyclotomic_polynomials_known_values():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     # first index with a coefficient outside {-1, 0, 1}
     assert min(cyclotomic_polynomial(105)) == -2
+
+
+@lru_cache(maxsize=None)
+def recursive_cyclotomic(n):
+    """Phi_n as x^n - 1 exactly divided by every Phi_d, d a proper divisor."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d:
+            continue
+        den = recursive_cyclotomic(d)
+        out = [0] * (len(num) - len(den) + 1)
+        for k in range(len(out) - 1, -1, -1):
+            c, r = divmod(num[k + len(den) - 1], den[-1])
+            assert r == 0
+            out[k] = c
+            for j, dj in enumerate(den):
+                num[k + j] -= c * dj
+        assert not any(num)
+        num = out
+    return tuple(num)
+
+
+def int_poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_cyclotomic_polynomials_match_recursive_division():
+    for n in range(1, 401):
+        assert cyclotomic_polynomial(n) == recursive_cyclotomic(n), n
+
+
+def test_cyclotomic_polynomials_multiply_to_binomial():
+    for n in range(1, 201):
+        total = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                total = int_poly_mul(total, cyclotomic_polynomial(d))
+        assert total == [-1] + [0] * (n - 1) + [1], n
 
 
 def test_cyclotomic_root_sums():
@@ -109,6 +154,66 @@ def test_legendre_half_sums_nonzero_up_to_100():
             odd, hs = char_props(legendre_character(m))
             assert odd
             assert hs.is_rational_integer() and not hs.is_zero()
+
+
+def is_witness(chi):
+    odd, half = char_props(chi)
+    return odd and not half.is_zero()
+
+
+def power_exps(chi, j):
+    return tuple(j * e % d for e, (_, d) in zip(chi.exps, chi.gens))
+
+
+def character_order(chi):
+    return math.lcm(*(d // math.gcd(e, d) for e, (_, d) in zip(chi.exps, chi.gens)))
+
+
+def test_orbit_scan_matches_per_character_scan():
+    for m in list(range(3, 151)) + [215, 281, 283]:
+        per_character = tuple(chi.exps for chi in characters_enum(m) if is_witness(chi))
+        orbit = tuple(chi.exps for chi in characters._unbalanced_witness_exponents(m))
+        assert orbit == per_character, m
+
+
+def test_galois_conjugates_share_parity_and_half_sum_vanishing():
+    for m in (11, 15, 16, 21, 35):
+        by_exps = {chi.exps: chi for chi in characters_enum(m)}
+        for chi in by_exps.values():
+            odd, half = char_props(chi)
+            order = character_order(chi)
+            for j in range(1, order):
+                if math.gcd(j, order) == 1:
+                    odd_j, half_j = char_props(by_exps[power_exps(chi, j)])
+                    assert (odd_j, half_j.is_zero()) == (odd, half.is_zero()), (m, chi, j)
+
+
+def test_orbit_scan_calls_char_props_once_per_cyclic_subgroup(monkeypatch):
+    calls = []
+
+    def counting(chi):
+        calls.append(chi.exps)
+        return char_props(chi)
+
+    monkeypatch.setattr(characters, "char_props", counting)
+    for m in (15, 16, 21, 35, 105, 120, 281, 283):
+        calls.clear()
+        characters._unbalanced_witness_exponents.__wrapped__(m)
+        subgroups = {frozenset(power_exps(chi, j) for j in range(character_order(chi)))
+                     for chi in characters_enum(m)}
+        assert len(calls) == len(subgroups), m
+        if is_prime(m):  # cyclic of order m - 1: one subgroup per divisor
+            assert len(calls) == sum(1 for d in range(1, m) if (m - 1) % d == 0)
+    assert len(calls) == 8  # 282 = 2 * 3 * 47
+
+
+def test_is_balanced_large_moduli():
+    # 3 is not balanced mod 847 = 7 * 11^2 or mod 1331 = 11^3; the fast path
+    # decides 1331 by descent to 11 and leaves 847 open
+    for m in (847, 1331):
+        assert is_balanced(3, m) is False
+        assert is_balanced_fast(3, m) in (False, None)
+    assert is_balanced_fast(3, 1331) is False
 
 
 def test_is_balanced_worked_examples():

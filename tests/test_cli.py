@@ -160,6 +160,19 @@ def test_workers_out_of_range_rejected_before_work(capsys, monkeypatch):
         assert f"--workers {workers}" in capsys.readouterr().err
 
 
+def test_dispatch_reads_workers_env_on_every_call(capsys, monkeypatch):
+    import os
+
+    monkeypatch.setenv("KUMMERWIT_WORKERS", "1")
+    assert dispatch(["balanced", "3", "7"]) == 0
+    too_many = (os.cpu_count() or 1) + 1
+    monkeypatch.setenv("KUMMERWIT_WORKERS", str(too_many))
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["balanced", "3", "7"])
+    assert exc.value.code == 2
+    assert f"--workers {too_many}" in capsys.readouterr().err
+
+
 def test_kummer_descend_cli(capsys):
     code, recs = run_cli(capsys, "kummer", "descend", "-p", "7", "-l", "3",
                          "--place", "1*s", "--vals", "b=1,x=2", "--label", "b")
