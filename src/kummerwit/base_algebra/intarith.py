@@ -14,7 +14,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < 3.3e24, strong-probable beyond."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for small in _MR_BASES:
         if n == small:
             return True
         if n % small == 0:

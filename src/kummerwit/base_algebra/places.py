@@ -4,6 +4,10 @@ A place is either Finite(pi) for a monic irreducible pi, or the degree place
 at infinity with uniformizer 1/s.  The residue field of Finite(pi) is
 F_q[s]/(pi), of size q^deg(pi); at infinity it is F_q itself.
 
+Place.finite validates: it makes pi monic and checks irreducibility.  The
+constructor only stores pi, so factor_place_in_tower builds places straight
+from factor's output, which is monic and irreducible already.
+
 factor_place_in_tower computes how a place splits when s is replaced by an
 r^n-th root: for a finite place this is the factorization of pi(s^(r^n));
 the infinite place is totally ramified at every level.
@@ -26,14 +30,15 @@ class Place:
     __slots__ = ("poly",)
 
     def __init__(self, poly: Poly | None):
-        if poly is not None:
-            if not poly.is_monic() or not is_irreducible(poly):
-                raise ValueError(f"{poly!r} is not monic irreducible")
         self.poly = poly
 
     @classmethod
     def finite(cls, poly: Poly) -> "Place":
-        return cls(poly.monic())
+        """The place of poly made monic; raises ValueError unless irreducible."""
+        pi = poly.monic()
+        if not pi.is_monic() or not is_irreducible(pi):
+            raise ValueError(f"{pi!r} is not monic irreducible")
+        return cls(pi)
 
     @classmethod
     def infinity(cls) -> "Place":
@@ -181,7 +186,7 @@ def factor_place_in_tower(place: Place, r: int, n: int, ctx: FieldCtx,
     base_deg = place.poly.degree()
     out = []
     for irr, mult in factor(composed, seed=seed):
-        out.append((Place.finite(irr), mult, irr.degree() // base_deg))
+        out.append((Place(irr), mult, irr.degree() // base_deg))
     out.sort(key=lambda t: (t[0].sort_key(),))
     assert sum(e * f for _, e, f in out) == m
     return out

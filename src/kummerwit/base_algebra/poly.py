@@ -6,7 +6,7 @@ NEG_INF, float minus infinity.  A coefficient is its element's code
 (FieldCtx.encode): the residue in [0, p) for a = 1, else the int whose
 base-p digits are the element's vector, first coordinate most significant,
 so int order is element order.  FF is the scalar at the API edges (lc,
-evaluate, scale, const, monomial, coeff_vectors, the grammar).
+evaluate, scale, const, monomial, the grammar).
 
 One int-list kernel serves every field.  _mul is Kronecker substitution: the
 operands are packed into ints with byte slots wide enough for any product
@@ -96,10 +96,6 @@ class Poly:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == self.ctx.unit
-
-    def coeff_vectors(self) -> list[tuple[int, ...]]:
-        """Raw integer coefficient vectors, low-to-high (for serialization)."""
-        return [self.ctx._vec(c) for c in self.coeffs]
 
     def sort_key(self):
         """(degree, coefficients low-to-high); total order on F_q[s]."""

@@ -308,13 +308,17 @@ def legendre_symbol(x: int, m: int) -> int:
     return t  # 0 or 1
 
 
-def is_balanced_fast(x: int, m: int):
+def is_balanced_fast(x: int, m: int, below=None):
     """Legendre shortcuts: Some(verdict) when one applies, None otherwise.
 
     - m an odd prime and (x/m) = -1: balanced;
     - m a prime = 3 mod 4 and (x/m) = 1: not balanced;
-    - m = y*z with y an odd prime dividing z and x not balanced mod z
-      (decided by this same fast path): not balanced.
+    - m = y*z with y an odd prime dividing z and x not balanced mod z:
+      not balanced.
+
+    below(x, z) decides the smaller modulus z: is_balanced_fast itself by
+    default; BalanceRouter passes its cached, oracle-backed decision.
+    Coprimality is checked here.
     """
     if gcd(x, m) != 1:
         raise NotCoprime(f"gcd({x}, {m}) > 1")
@@ -325,9 +329,10 @@ def is_balanced_fast(x: int, m: int):
         if m % 4 == 3 and sym == 1:
             return False
         return None
+    below = below or is_balanced_fast
     for y in sorted(factorint(m)):
         if y != 2 and m % (y * y) == 0:
             z = m // y
-            if z % 2 == 1 and is_balanced_fast(x, z) is False:
+            if z % 2 == 1 and below(x, z) is False:
                 return False
     return None

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from .base_algebra.fields import FF, FieldCtx, field_ctx
 from .base_algebra.poly import Poly, all_polys, poly_gcd, polys_of_degree
@@ -131,9 +132,14 @@ def ec_neg(pt: ECPoint) -> ECPoint:
 
 
 def ec_add(p1: ECPoint, p2: ECPoint, curve: CurveParams) -> ECPoint:
-    """Chord-tangent law on y^2 = x^3 + a2 x^2 + a4 x with identity at infinity."""
+    """Chord-tangent law on y^2 = x^3 + a2 x^2 + a4 x, inputs checked."""
     _require_on_curve(p1, curve)
     _require_on_curve(p2, curve)
+    return _add_step(p1, p2, curve)
+
+
+def _add_step(p1: ECPoint, p2: ECPoint, curve: CurveParams) -> ECPoint:
+    """ec_add for points known to lie on the curve."""
     if p1.is_infinity:
         return p2
     if p2.is_infinity:
@@ -154,16 +160,17 @@ def ec_add(p1: ECPoint, p2: ECPoint, curve: CurveParams) -> ECPoint:
 
 
 def ec_mul(k: int, pt: ECPoint, curve: CurveParams) -> ECPoint:
+    """k*P by double-and-add; P is checked once, the steps are not."""
     _require_on_curve(pt, curve)
     if k < 0:
-        return ec_mul(-k, ec_neg(pt), curve)
+        k, pt = -k, ec_neg(pt)
     acc = ECPoint.infinity()
-    base = pt
     while k:
         if k & 1:
-            acc = ec_add(acc, base, curve)
-        base = ec_add(base, base, curve)
+            acc = _add_step(acc, pt, curve)
         k >>= 1
+        if k:  # no doubling past the top bit
+            pt = _add_step(pt, pt, curve)
     return acc
 
 
@@ -187,17 +194,21 @@ def is_torsion(pt: ECPoint, curve: CurveParams) -> bool:
 # -- bounded point search ------------------------------------------------------------
 
 
-def _search_candidates(ctx: FieldCtx, num_deg: int, den_deg: int):
-    """Coprime (u, w) pairs, w monic, in deterministic order."""
-    for dw in range(den_deg + 1):
-        for w in polys_of_degree(ctx, dw, monic=True):
-            for u in all_polys(ctx, num_deg):
-                if u.is_zero():
-                    if w.is_one():
-                        yield u, w
-                    continue
-                if w.is_one() or poly_gcd(u, w).is_one():
-                    yield u, w
+def _search_candidates(ctx: FieldCtx, num_deg: int, den_deg: int,
+                       shard: int, stride: int):
+    """Coprime (u, w) pairs, w monic, in deterministic order, from the raw
+    pairs shard, shard + stride, ...; the cut comes before the gcd test, so
+    no shard repeats another's gcds."""
+    pairs = ((u, w) for dw in range(den_deg + 1)
+             for w in polys_of_degree(ctx, dw, monic=True)
+             for u in all_polys(ctx, num_deg))
+    for u, w in itertools.islice(pairs, shard, None, stride):
+        if u.is_zero():
+            if w.is_one():
+                yield u, w
+            continue
+        if w.is_one() or poly_gcd(u, w).is_one():
+            yield u, w
 
 
 def _points_from_x(curve: CurveParams, u: Poly, w: Poly,
@@ -233,59 +244,36 @@ def _points_from_x(curve: CurveParams, u: Poly, w: Poly,
 def point_search(curve: CurveParams, num_deg: int, den_deg: int,
                  workers: int = 1) -> list[ECPoint]:
     """All affine points with x = u/w, deg u <= num_deg, deg w <= den_deg,
-    u, w coprime and w monic; exhaustive within bounds, deterministic order."""
+    u, w coprime and w monic; exhaustive within bounds, deterministic order.
+
+    Only the bounds are checked (the CLI bounds workers); found points are on
+    the curve by construction.  Shard i of `workers` processes takes the
+    (u, w) pairs i, i + workers, ...; the merged points are sorted.
+    """
     if num_deg < 0 or den_deg < 0:
         raise ValueError("bounds must be >= 0")
-    ctx = curve.ctx
     if workers > 1:
-        return _point_search_parallel(curve, num_deg, den_deg, workers)
-    sample = _sample_points(ctx, curve.N)
+        shard_search = partial(_search_shard, curve, num_deg, den_deg, stride=workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            shards = list(pool.map(shard_search, range(workers)))
+    else:
+        shards = [_search_shard(curve, num_deg, den_deg, 0, 1)]
+    return sorted((pt for shard in shards for pt in shard), key=ECPoint.sort_key)
+
+
+def _search_shard(curve: CurveParams, num_deg: int, den_deg: int,
+                  shard: int, stride: int) -> list[ECPoint]:
+    """The points over the candidates of one shard (see _search_candidates)."""
+    sample = _sample_points(curve.ctx, curve.N)
     out: list[ECPoint] = []
-    for u, w in _search_candidates(ctx, num_deg, den_deg):
+    for u, w in _search_candidates(curve.ctx, num_deg, den_deg, shard, stride):
         out.extend(_points_from_x(curve, u, w, sample))
-    out.sort(key=ECPoint.sort_key)
     return out
 
 
 def _sample_points(ctx: FieldCtx, N: int) -> list[tuple[FF, FF]]:
     elems = list(ctx.elements()) if ctx.q <= 16 else list(itertools.islice(ctx.elements(), 8))
     return [(c, c ** N) for c in elems]
-
-
-def _parallel_shard(args) -> list[tuple]:
-    p, a, modulus, N, num_deg, den_deg, shard, stride = args
-    ctx = field_ctx(p, a, modulus if a > 1 else None)
-    curve = CurveParams(ctx, N)
-    sample = _sample_points(ctx, N)
-    out = []
-    for i, (u, w) in enumerate(_search_candidates(ctx, num_deg, den_deg)):
-        if i % stride != shard:
-            continue
-        for pt in _points_from_x(curve, u, w, sample):
-            out.append((pt.x.num.coeff_vectors(), pt.x.den.coeff_vectors(),
-                        pt.y.num.coeff_vectors(), pt.y.den.coeff_vectors()))
-    return out
-
-
-def _point_search_parallel(curve: CurveParams, num_deg: int, den_deg: int,
-                           workers: int) -> list[ECPoint]:
-    ctx = curve.ctx
-    args = [(ctx.p, ctx.a, ctx.modulus, curve.N, num_deg, den_deg, shard, workers)
-            for shard in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        shards = list(pool.map(_parallel_shard, args))
-    pts = []
-    for shard in shards:
-        for xn, xd, yn, yd in shard:
-            x = RatFunc(_poly_from_vectors(ctx, xn), _poly_from_vectors(ctx, xd), reduce=False)
-            y = RatFunc(_poly_from_vectors(ctx, yn), _poly_from_vectors(ctx, yd), reduce=False)
-            pts.append(ECPoint.affine(x, y))
-    pts.sort(key=ECPoint.sort_key)
-    return pts
-
-
-def _poly_from_vectors(ctx: FieldCtx, vectors) -> Poly:
-    return Poly(ctx, [ctx.encode(ctx.elem(v)) for v in vectors])
 
 
 # -- tower stabilization probe ----------------------------------------------------

@@ -21,7 +21,7 @@ from .base_algebra.fields import FF, FieldCtx
 from .base_algebra.poly import (Poly, all_polys, factor, poly_lcm,
                                 poly_valuation)
 from .base_algebra.ratfunc import RatFunc, ratfunc_sqrt
-from .curve_ff import CurveParams, ECPoint, ec_add, is_torsion
+from .curve_ff import CurveParams, ECPoint, _add_step, is_torsion
 from .errors import DistinctnessFailure, TorsionPoint, ZeroInput
 
 
@@ -90,13 +90,14 @@ def family_grow(pt: ECPoint, curve: CurveParams, n_target: int) -> tuple[Poly, F
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
+    # the one on-curve check of P: is_torsion raises OffCurve
     if is_torsion(pt, curve):
         raise TorsionPoint("family growth needs a point outside the torsion set")
     ctx = curve.ctx
     multiples: list[ECPoint] = []
     acc = ECPoint.infinity()
     for i in range(1, n_target + 1):
-        acc = ec_add(acc, pt, curve)
+        acc = _add_step(acc, pt, curve)
         if acc.is_infinity or acc in multiples:
             raise DistinctnessFailure(f"multiple {i}P collided; the point is torsion")
         multiples.append(acc)

@@ -188,34 +188,23 @@ def _nonzero(x: RatFunc, name: str) -> RatFunc:
 
 
 def _tower_elements(kind: str, inputs: dict, ell: int, ctx: FieldCtx) -> tuple[dict, list[str]]:
-    """Tracked elements and adjunction order for the x-seeded or d-seeded tower."""
+    """Tracked elements and adjunction order for the x-seeded or d-seeded
+    tower, built from the (seed, coefficient, unit) labels (x, b, c) or
+    (d, d, a); every tracked element is checked nonzero here."""
+    labels = ("x", "b", "c") if kind == "x" else ("d", "d", "a")
+    checked = {label: _nonzero(inputs[label], label) for label in dict.fromkeys(("x",) + labels)}
+    x = checked["x"]
+    seed, coef, unit = (checked[label] for label in labels)
+    _, coef_label, unit_label = labels
+    w = _nonzero(coef * x ** ell + coef ** ell, f"{coef_label}*x^l + {coef_label}^l")
+    unit_sum = _nonzero(unit + unit.inv(), f"{unit_label} + 1/{unit_label}")
     one = RatFunc.one(ctx)
-    if kind == "x":
-        x = _nonzero(inputs["x"], "x")
-        b = _nonzero(inputs["b"], "b")
-        c = _nonzero(inputs["c"], "c")
-        w = b * x ** ell + b ** ell
-        _nonzero(w, "b*x^l + b^l")
-        _nonzero(c + c.inv(), "c + 1/c")
-        elements = {
-            "x": x, "b": b, "c": c, "w": w,
-            "u1": one + x.inv(),
-            "u2": one + w.inv(),
-            "u3": one + (c + c.inv()) * x.inv(),
-        }
-    else:
-        x = _nonzero(inputs["x"], "x")
-        d = _nonzero(inputs["d"], "d")
-        a = _nonzero(inputs["a"], "a")
-        w = d * x ** ell + d ** ell
-        _nonzero(w, "d*x^l + d^l")
-        _nonzero(a + a.inv(), "a + 1/a")
-        elements = {
-            "x": x, "d": d, "a": a, "w": w,
-            "u1": one + d.inv(),
-            "u2": one + w.inv(),
-            "u3": one + (a + a.inv()) * d.inv(),
-        }
+    elements = {
+        **checked, "w": w,
+        "u1": one + seed.inv(),
+        "u2": one + w.inv(),
+        "u3": one + unit_sum * seed.inv(),
+    }
     for label in ("u1", "u2", "u3"):
         _nonzero(elements[label], label)
     return elements, ["u1", "u2", "u3"]

@@ -4,8 +4,9 @@ over F_{p^a}(t^(1/r^n)).
 The rank equals the sum, over divisors e > 2 of q*r^n with p balanced
 mod e, of the index phi(e)/ord(p^a mod e).  Balance checks route through
 the Legendre shortcuts first, then propagate not-balanced verdicts up
-prime-power ladders (m = y*z with y | z), and only then fall back to the
-exhaustive character oracle; results are cached per (x, e).
+prime-power ladders (m = y*z with y | z, is_balanced_fast asking the router
+about z), and only then fall back to the exhaustive character oracle;
+results are cached per (x, e).  rank_formula validates the parameters.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .base_algebra.intarith import (euler_phi, factorint, is_prime,
-                                    multiplicative_order, primes_from)
+from .base_algebra.intarith import (euler_phi, is_prime, multiplicative_order,
+                                    primes_from)
 from .characters import is_balanced, is_balanced_fast, legendre_symbol
 from .errors import BadModulus, NotCoprime, SearchExhausted
 
@@ -55,15 +56,7 @@ class BalanceRouter:
         key = (x % e, e)
         if key in self.cache:
             return self.cache[key]
-        verdict = is_balanced_fast(x, e)
-        if verdict is None:
-            # not-balanced propagates from z to y*z when the odd prime y divides z
-            for y in sorted(factorint(e)):
-                if y != 2 and e % (y * y) == 0:
-                    z = e // y
-                    if z % 2 == 1 and z >= 3 and not self.balanced(x, z):
-                        verdict = False
-                        break
+        verdict = is_balanced_fast(x, e, below=self.balanced)
         if verdict is None:
             self.oracle_calls += 1
             verdict = is_balanced(x, e)

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from kummerwit.base_algebra import Poly, RatFunc, field_ctx
+from kummerwit.base_algebra import Poly, RatFunc, field_ctx, parse_point
 from kummerwit.curve_ff import (CurveParams, ECPoint, curve_make, ec_add,
                                 ec_mul, ec_neg, is_on_curve, is_torsion,
                                 j_invariant, point_search, stabilization_probe,
                                 two_torsion)
 from kummerwit.errors import BadN, OffCurve
+from kummerwit.family import family_grow
 
 
 def sample_point(f3):
@@ -99,6 +100,10 @@ def test_off_curve_rejected(f3):
         ec_add(bad, bad, E2)
     with pytest.raises(OffCurve):
         is_torsion(bad, E2)
+    with pytest.raises(OffCurve):
+        ec_mul(3, bad, E2)
+    with pytest.raises(OffCurve):
+        family_grow(bad, E2, 2)
 
 
 def test_point_search_worked_cases(f3, f7):
@@ -125,11 +130,14 @@ def test_point_search_monotone_in_bounds(f3):
                           RatFunc.zero(f3)) in large
 
 
-def test_point_search_parallel_matches_serial(f3):
-    E2 = curve_make(f3, 2)
-    serial = point_search(E2, 2, 1)
-    parallel = point_search(E2, 2, 1, workers=2)
-    assert serial == parallel
+def test_point_search_parallel_matches_serial(f3, f9):
+    for curve, bounds in ((curve_make(f3, 2), (2, 1)), (curve_make(f9, 2), (1, 1))):
+        serial = point_search(curve, *bounds)
+        parallel = point_search(curve, *bounds, workers=2)
+        assert serial == parallel and serial
+        assert all(is_on_curve(pt, curve) for pt in parallel)
+    assert (stabilization_probe(3, 1, 5, 2, 1, (1, 0), workers=2).as_record()
+            == stabilization_probe(3, 1, 5, 2, 1, (1, 0)).as_record())
 
 
 def test_small_multiples_on_lemma_scope_curve(f3):
@@ -141,6 +149,19 @@ def test_small_multiples_on_lemma_scope_curve(f3):
         if not is_torsion(pt, E7):
             for k in range(1, 17):
                 assert not ec_mul(k, pt, E7).is_infinity
+
+
+def test_mul_matches_repeated_addition(f3):
+    """Double-and-add against repeated addition on a non-torsion point of the
+    N = 5 curve (point_search finds it at bounds (6, 2))."""
+    E5 = curve_make(f3, 5)
+    P = parse_point("(2*s^5+1*s^4+1*s^3+2*s^2+2*s; 1*s^7+1*s^6+2*s^5+2*s^3+2*s^2+1*s)", f3)
+    assert is_on_curve(P, E5) and not is_torsion(P, E5)
+    acc = ECPoint.infinity()
+    for k in range(1, 9):
+        acc = ec_add(acc, P, E5)
+        assert ec_mul(k, P, E5) == acc
+    assert ec_mul(-6, P, E5) == ec_neg(ec_mul(6, P, E5))
 
 
 def test_stabilization_probe_trivial_cases():

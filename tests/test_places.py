@@ -4,14 +4,20 @@ import pytest
 
 from kummerwit.base_algebra import (Place, Poly, RatFunc, ResidueField,
                                     boundedness_probe, factor_place_in_tower,
-                                    irreducibles, place_data, valuation)
+                                    field_ctx, irreducibles, is_irreducible,
+                                    place_data, valuation)
 from kummerwit.errors import BadEll, ZeroInput
 from tests.test_ratfunc import rand_ratfunc
 
 
-def test_place_validation(f3):
+def test_place_validation(f3, f9):
     with pytest.raises(ValueError):
         Place.finite(Poly.from_ints(f3, [0, 1, 1]))  # s^2+s reducible
+    s9 = Poly.gen(f9)
+    with pytest.raises(ValueError):  # 2(s + 1)(s + z) over F_9, made monic first
+        Place.finite(Poly.const(f9, 2) * (s9 + Poly.one(f9)) * (s9 + Poly.const(f9, (0, 1))))
+    with pytest.raises(ValueError):
+        Place.finite(Poly.zero(f3))
     pl = Place.finite(Poly.from_ints(f3, [2, 0, 2]))  # gets normalized monic
     assert pl.poly.is_monic()
     assert Place.infinity().is_infinite
@@ -86,14 +92,29 @@ def test_factor_place_in_tower_examples(f3):
 
 
 @pytest.mark.parametrize("r,n_top", [(2, 3), (5, 2), (11, 1)])
-def test_tower_degree_sum(f3, r, n_top):
-    places = [Place.infinity()]
-    for d in (1, 2):
-        places.extend(Place.finite(pi) for pi in irreducibles(f3, d))
-    for pl in places:
-        for n in range(n_top + 1):
-            out = factor_place_in_tower(pl, r, n, f3)
-            assert sum(e * f for _, e, f in out) == r ** n
+def test_tower_degree_sum(r, n_top):
+    """factor_place_in_tower builds its places unchecked; verify each one:
+    monic, irreducible, and prod pi_i^e_i = pi(s^(r^n))."""
+    for ctx, degrees in ((field_ctx(3, 1), (1, 2)), (field_ctx(5, 1), (1, 2)),
+                         (field_ctx(3, 2), (1,))):
+        if r == ctx.p:
+            continue
+        places = [Place.infinity()]
+        for d in degrees:
+            places.extend(Place.finite(pi) for pi in irreducibles(ctx, d))
+        for pl in places:
+            for n in range(n_top + 1):
+                out = factor_place_in_tower(pl, r, n, ctx)
+                assert sum(e * f for _, e, f in out) == r ** n
+                if pl.is_infinite:
+                    assert out == [(pl, r ** n, 1)]
+                    continue
+                prod = Poly.one(ctx)
+                for above, e, f in out:
+                    assert above.poly.is_monic() and is_irreducible(above.poly)
+                    assert above.poly.degree() == f * pl.poly.degree()
+                    prod = prod * above.poly ** e
+                assert prod == pl.poly.compose_monomial(r ** n)
 
 
 def test_boundedness_probe(f3):

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from kummerwit.characters import is_balanced, legendre_symbol
@@ -92,6 +94,16 @@ def test_fast_routing_equals_pure_oracle_for_small_divisors():
                           (5, 1, 3, 7, 1), (3, 1, 13, 11, 1)):
         assert rank_formula(p, a, q, r, n).rank == \
             rank_formula(p, a, q, r, n, OracleOnly()).rank
+
+
+def test_shared_router_matches_oracle_up_to_500():
+    # one router across every odd m <= 500: its cache and the ladder's
+    # decisions on z (twice at 225 and 441) must agree with the oracle
+    router = BalanceRouter()
+    for m in range(3, 501, 2):
+        for x in range(1, m):
+            if gcd(x, m) == 1:
+                assert router.balanced(x, m) == is_balanced(x, m), (x, m)
 
 
 def test_router_cache_and_goingup_propagation():
