@@ -15,6 +15,12 @@ a = 1 the modulus is the identity convention z and is unused.
 Poly stores elements as codes (encode, decode): the vector as base-p digits,
 first coordinate most significant.  Inversion for a > 1 is extended Euclid in
 F_p[z] on poly's int-list kernel.
+
+FieldCtx.logs gives discrete logarithms over codes to the base g, the first
+element of order q - 1 in canonical order, with Zech logarithms
+Z(k) = log(1 + g^k), so that g^i + g^j = g^(i + Z(j - i)) (Lidl and
+Niederreiter, Finite Fields, ch. 2 and 9).  The tables hold O(q) ints; they
+are built on first use (the curve point search) and kept on the context.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .intarith import is_prime
 class FieldCtx:
     """The field F_q, q = p^a, with an explicit monic irreducible modulus."""
 
-    __slots__ = ("p", "a", "q", "modulus", "unit", "_weights", "_one", "_zero")
+    __slots__ = ("p", "a", "q", "modulus", "unit", "_weights", "_one", "_zero", "_logs")
 
     def __init__(self, p: int, a: int, modulus: tuple[int, ...] | None = None):
         if p < 3 or p % 2 == 0 or not is_prime(p):
@@ -58,6 +64,7 @@ class FieldCtx:
             self.modulus = modulus
         self._zero = FF(self, (0,) * a)
         self._one = FF(self, (1,) + (0,) * (a - 1))
+        self._logs = None
 
     def __eq__(self, other):
         return (isinstance(other, FieldCtx) and self.p == other.p
@@ -107,6 +114,28 @@ class FieldCtx:
 
     def _vec(self, n: int) -> tuple[int, ...]:
         return tuple([n // w % self.p for w in self._weights])
+
+    def logs(self) -> tuple[list, list, list]:
+        """(log, exp, zech) over codes, built on the first call.  With m = q - 1
+        and g the first element of order m: exp[k] is the code of g^k for
+        0 <= k < m, log[code] its k (None for 0), and zech[k] = log(1 + g^k)
+        (None for k = m/2, where 1 + g^k = 0)."""
+        if self._logs is None:
+            from .intarith import factorint
+            q, m, unit = self.q, self.q - 1, self.unit
+            one, cofactors = self.one(), [m // ell for ell in factorint(m)]
+            g = next(x for x in map(self.decode, range(1, q))
+                     if all(x ** e != one for e in cofactors))
+            exp, x = [unit], one
+            for _ in range(m - 1):
+                x = x * g
+                exp.append(self.encode(x))
+            log = [None] * q
+            for k, c in enumerate(exp):
+                log[c] = k
+            # adding 1 adds 1 mod p to a code's first digit, whose weight is unit
+            self._logs = (log, exp, [log[(c + unit) % q] for c in exp])
+        return self._logs
 
     def elements(self):
         """All field elements in canonical order (first coordinate slowest)."""

@@ -10,8 +10,10 @@ evaluate, scale, const, monomial, the grammar).
 
 One int-list kernel serves every field.  _mul is Kronecker substitution: the
 operands are packed into ints with byte slots wide enough for any product
-slot, multiplied once, unpacked and reduced.  _divmod takes the quotient from
-the power-series inverse of the reversed divisor (Newton iteration on _mul),
+slot, multiplied once, unpacked and reduced.  _divmod does schoolbook long
+division when quotient length times divisor length is below
+_LONG_DIVISION_MAX (short Euclid steps); else it takes the quotient from the
+power-series inverse of the reversed divisor (Newton iteration on _mul),
 which powmod computes once per call (Barrett reduction).  gcd, extended gcd
 and CRT run on int lists and box a Poly only when they return.
 
@@ -169,15 +171,9 @@ class Poly:
                           for i, c in enumerate(self.coeffs) if i])
 
     def evaluate(self, x: FF) -> FF:
-        """Horner's rule, on residues for a = 1 (the curve point search's hot loop)
-        and on z-digit vectors else."""
+        """Horner's rule on z-digit vectors."""
         ctx = self.ctx
         p, xv = ctx.p, x.coeffs
-        if ctx.a == 1:
-            acc, xv = 0, xv[0]
-            for c in reversed(self.coeffs):
-                acc = (acc * xv + c) % p
-            return FF(ctx, (acc,))
         raw_mul, vec, acc = ctx._raw_mul, ctx._vec, ctx.zero().coeffs
         for c in reversed(self.coeffs):
             acc = tuple((u + v) % p for u, v in zip(raw_mul(acc, xv), vec(c)))
@@ -210,6 +206,9 @@ class Poly:
 # _addsub, _divmod's remainder and the gcd routines return trimmed lists.
 
 _KRONECKER_MIN = 32  # products of fewer coefficient pairs go by schoolbook
+# quotient length * divisor length below this: long division, unless the
+# caller holds the divisor's inverse series (Barrett, as in powmod)
+_LONG_DIVISION_MAX = 384
 
 
 def _trim(f: list) -> list:
@@ -313,10 +312,42 @@ def _divmod(ctx: FieldCtx, f, g, ginv=None) -> tuple[list, list]:
     if len(g) == 1:  # a unit divides exactly
         return _mul(ctx, f, [_inv(ctx, g[0])]), []
     if ginv is None:
+        if m * len(g) < _LONG_DIVISION_MAX:
+            return _long_divmod(ctx, f, g)
         ginv = _inv_series(ctx, g[::-1], m)
     quo = _mul(ctx, f[:-m - 1:-1], ginv[:m])[m - 1::-1]
     dg = len(g) - 1
     return quo, _addsub(ctx, f[:dg], _mul(ctx, quo[:dg], g[:dg])[:dg], -1)
+
+
+def _long_divmod(ctx: FieldCtx, f, g) -> tuple[list, list]:
+    """_divmod by schoolbook long division.  Remainder slots accumulate
+    unreduced: residues for a = 1, z-polynomials of degree < 2a - 1 else;
+    each is reduced when read as the next leading term and at the end."""
+    p, a, dg, m = ctx.p, ctx.a, len(g) - 1, len(f) - len(g) + 1
+    quo = [0] * m
+    if a == 1:  # 3-7x faster than the z-vector loop below run at a = 1
+        inv, rem = _inv(ctx, g[-1]), list(f)
+        for k in range(m - 1, -1, -1):
+            c = rem[k + dg] % p * inv % p
+            if c:
+                quo[k] = c
+                rem[k:k + dg] = [x - c * y for x, y in zip(rem[k:k + dg], g)]
+        return quo, _trim([x % p for x in rem[:dg]])
+    vec, reduce, pad = ctx._vec, ctx._reduce, [0] * (a - 1)
+    inv, gv = vec(_inv(ctx, g[-1])), [vec(y) for y in g[:dg]]
+    rem = [list(vec(x)) + pad for x in f]
+    for k in range(m - 1, -1, -1):
+        top = reduce(rem[k + dg])
+        if any(top):
+            c = ctx._raw_mul(top, inv)
+            quo[k] = ctx._code(c)
+            for acc, y in zip(rem[k:k + dg], gv):
+                for i, ci in enumerate(c):
+                    if ci:
+                        for j, yj in enumerate(y, i):
+                            acc[j] -= ci * yj
+    return quo, _trim([ctx._code(reduce(x)) for x in rem[:dg]])
 
 
 def _gcd(ctx: FieldCtx, f, g) -> list:
@@ -405,10 +436,15 @@ def polys_of_degree(ctx: FieldCtx, deg: int, monic: bool = False):
     """All polynomials of exactly this degree (monic ones only if asked), in
     lexicographic coefficient order: constant coefficient slowest, leading
     coefficient fastest."""
-    elems = range(ctx.q)  # codes, in element order
-    lead = [ctx.unit] if monic else elems[1:]
-    for coeffs in itertools.product(*[elems] * deg, lead):
+    for coeffs in itertools.product(*coefficient_slots(ctx, deg, monic)):
         yield Poly(ctx, coeffs)
+
+
+def coefficient_slots(ctx: FieldCtx, deg: int, monic: bool = False) -> list:
+    """The codes each coefficient of a polys_of_degree polynomial runs over,
+    constant term first; polys_of_degree is their itertools.product."""
+    elems = range(ctx.q)  # codes, in element order
+    return [elems] * deg + [[ctx.unit] if monic else elems[1:]]
 
 
 def irreducibles(ctx: FieldCtx, deg: int):

@@ -1,10 +1,13 @@
+import functools
 import random
 
 import pytest
 
 from kummerwit.base_algebra import Poly, RatFunc, field_ctx, parse_point
-from kummerwit.curve_ff import (CurveParams, ECPoint, curve_make, ec_add,
-                                ec_mul, ec_neg, is_on_curve, is_torsion,
+from kummerwit import curve_ff
+from kummerwit.base_algebra.poly import all_polys, polys_of_degree
+from kummerwit.curve_ff import (CurveParams, ECPoint, _filtered_pairs, curve_make,
+                                ec_add, ec_mul, ec_neg, is_on_curve, is_torsion,
                                 j_invariant, point_search, stabilization_probe,
                                 two_torsion)
 from kummerwit.errors import BadN, OffCurve
@@ -131,7 +134,8 @@ def test_point_search_monotone_in_bounds(f3):
 
 
 def test_point_search_parallel_matches_serial(f3, f9):
-    for curve, bounds in ((curve_make(f3, 2), (2, 1)), (curve_make(f9, 2), (1, 1))):
+    for curve, bounds in ((curve_make(f3, 2), (2, 1)), (curve_make(f3, 5), (2, 1)),
+                          (curve_make(f9, 2), (1, 1))):
         serial = point_search(curve, *bounds)
         parallel = point_search(curve, *bounds, workers=2)
         assert serial == parallel and serial
@@ -140,15 +144,38 @@ def test_point_search_parallel_matches_serial(f3, f9):
             == stabilization_probe(3, 1, 5, 2, 1, (1, 0)).as_record())
 
 
-def test_small_multiples_on_lemma_scope_curve(f3):
-    """On the N = 7 curve (the constructed odd prime exponent for p = 3) the
-    two-torsion set certifies torsion: any other found point has no vanishing
-    multiple up to 16."""
-    E7 = curve_make(f3, 7)
-    for pt in point_search(E7, 2, 1):
-        if not is_torsion(pt, E7):
-            for k in range(1, 17):
-                assert not ec_mul(k, pt, E7).is_infinity
+@pytest.mark.parametrize("stride", [2, 3])
+@pytest.mark.parametrize("block", [4096, 10])
+def test_shards_partition_the_raw_pairs(f3, stride, block, monkeypatch):
+    """Over F_3 at bounds (2, 1) there are 27 numerators, an odd count, so the
+    cut at raw index w_index * 27 + u_index starts each w row of a shard at
+    alternating offsets; the shards still partition the filtered pairs, also
+    when a shard holds the numerators 10 at a time (the 18 of degree 2 then
+    come with their constant term fixed, 6 at a time)."""
+    us = [u.coeffs for u in all_polys(f3, 2)]
+    ws = [w.coeffs for d in (0, 1) for w in polys_of_degree(f3, d, monic=True)]
+    assert len(us) == 27
+    index = lambda pairs: [ws.index(w.coeffs) * 27 + us.index(u.coeffs) for u, w in pairs]
+    everything = index(_filtered_pairs(f3, 5, 2, 1, 0, 1))
+    assert everything == sorted(everything)
+    monkeypatch.setattr(curve_ff, "_U_BLOCK", block)
+    shards = [index(_filtered_pairs(f3, 5, 2, 1, i, stride)) for i in range(stride)]
+    for i, shard in enumerate(shards):
+        assert all(k % stride == i for k in shard)
+    assert sorted(k for shard in shards for k in shard) == everything
+
+
+def test_small_multiples_on_lemma_scope_curve():
+    """On the N = 3 curve over F_5 (an odd prime exponent) the two-torsion set
+    certifies torsion: the search finds a point outside it, and that point
+    has no vanishing multiple up to 12."""
+    E3 = curve_make(field_ctx(5, 1), 3)
+    found = [pt for pt in point_search(E3, 3, 1) if not is_torsion(pt, E3)]
+    assert found, "the search must find a non-torsion point"
+    P = found[0]
+    assert repr(P.x) == "4*s^3+4*s^2+1*s" and ec_neg(P) in found
+    for k in range(1, 13):
+        assert not ec_mul(k, P, E3).is_infinity
 
 
 def test_mul_matches_repeated_addition(f3):
@@ -180,3 +207,63 @@ def test_stabilization_probe_small_tower():
     # determinism
     rep2 = stabilization_probe(3, 1, 5, 2, 1, (1, 0))
     assert rep.as_record() == rep2.as_record()
+
+
+# -- the sample filter against the FF predicate it replaced ---------------------------
+
+
+def ff_sample_filter(ctx, N):
+    """The old prefilter on FF objects, as a predicate on (u, w, seen): at each
+    sample c with w(c) != 0, w*u*(u+w)*(u+w*c^N) must be a square (zero
+    counts as a square).  Evaluations and square tests are memoized."""
+    elems = list(ctx.elements())
+    samples = [(c, c ** N) for c in (elems if ctx.q <= 16 else elems[:8])]
+    value = functools.cache(lambda f, c: f.evaluate(c))
+    is_square = functools.cache(lambda x: x.is_square())
+
+    def passes(u, w, seen):
+        for c, cN in samples:
+            wc = value(w, c)
+            if not wc:
+                seen.add("w(c) = 0")
+                continue
+            uc = value(u, c)
+            if not c:
+                seen.add("c = 0")
+            if not uc + wc:
+                seen.add("u(c) + w(c) = 0")
+            if not is_square(wc * uc * (uc + wc) * (uc + wc * cN)):
+                return False
+        return True
+    return passes
+
+
+# (p, a, bounds, stride, Ns): every raw pair for p in {3, 5, 7, 13} and a in
+# {1, 2}, with den_deg 1 (so that w(c) = 0 occurs) and num_deg 2 where the
+# pair count allows (over F_3, c^2 = c^4, so a wrong power of c in a degree-2
+# term shows only over larger fields); the fields with q > 16 take the
+# 8-sample branch; F_27 takes every 14th pair from an offset, as a shard
+# does; F_169 has 28,730 pairs and is checked at one N
+FILTER_CASES = [(3, 1, (2, 1), 1, (2, 5)), (5, 1, (2, 1), 1, (2, 7)),
+                (7, 1, (2, 1), 1, (2, 5)), (13, 1, (1, 1), 1, (2, 5)),
+                (3, 2, (1, 1), 1, (2, 5)), (5, 2, (0, 1), 1, (2, 7)),
+                (7, 2, (0, 1), 1, (2, 5)), (13, 2, (0, 1), 1, (5,)),
+                (3, 3, (1, 1), 14, (2, 5))]
+
+
+@pytest.mark.parametrize("p,a,bounds,stride,Ns", FILTER_CASES,
+                         ids=[f"F{case[0]}^{case[1]}" for case in FILTER_CASES])
+def test_log_filter_matches_ff_predicate(p, a, bounds, stride, Ns):
+    ctx = field_ctx(p, a)
+    num_deg, den_deg = bounds
+    us = list(all_polys(ctx, num_deg))
+    ws = [w for d in range(den_deg + 1) for w in polys_of_degree(ctx, d, monic=True)]
+    raw = [(u, w) for w in ws for u in us]
+    shard = stride // 2
+    for N in Ns:
+        seen: set[str] = set()
+        passes = ff_sample_filter(ctx, N)
+        want = [(u, w) for u, w in raw[shard::stride] if passes(u, w, seen)]
+        assert list(_filtered_pairs(ctx, N, num_deg, den_deg, shard, stride)) == want, (p, a, N)
+        assert seen == {"c = 0", "w(c) = 0", "u(c) + w(c) = 0"}, (p, a, N, seen)
+        assert 0 < len(want) < len(raw[shard::stride])

@@ -110,3 +110,26 @@ def test_irreducibility_test_on_known_cases():
     with pytest.raises(ReducibleModulus):
         field_ctx(3, 2, modulus=(2, 0, 1))
     assert field_ctx(3, 3, modulus=(1, 2, 0, 1)).modulus == (1, 2, 0, 1)
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2),
+                                 (7, 2), (11, 2), (3, 3), (5, 3)])
+def test_log_tables_match_field_arithmetic(p, a):
+    """The log, exp and Zech tables against FF mul and add on all pairs."""
+    ctx = field_ctx(p, a)
+    log, exp, zech = ctx.logs()
+    assert ctx.logs() is ctx.logs()  # built once, kept on the context
+    q, m = ctx.q, ctx.q - 1
+    elems = [ctx.decode(c) for c in range(q)]
+    # the base is the first element of order q - 1 in canonical order
+    order = lambda x: next(k for k in range(1, q) if x ** k == ctx.one())
+    first = next(x for x in elems[1:] if order(x) == m)
+    assert exp[1] == ctx.encode(first) and sorted(exp) == list(range(1, q))
+    assert log[0] is None and all(exp[log[c]] == c for c in range(1, q))
+    for x in elems[1:]:
+        lx = log[ctx.encode(x)]
+        for y in elems[1:]:
+            ly = log[ctx.encode(y)]
+            assert exp[(lx + ly) % m] == ctx.encode(x * y)
+            z = zech[(ly - lx) % m]
+            assert (x + y == ctx.zero()) if z is None else exp[(lx + z) % m] == ctx.encode(x + y)

@@ -1,11 +1,13 @@
-"""Cross-checks of the int-list F_q[s] kernel (Kronecker multiply, Newton
-division, Barrett powmod, gcds and CRT on int lists) against the boxed
+"""Cross-checks of the int-list F_q[s] kernel (Kronecker multiply, long or
+Newton division, Barrett powmod, gcds and CRT on int lists) against the boxed
 schoolbook multiply and long division it replaced, kept here as the oracle,
 and against sympy over prime fields.
 
 Operand lengths run from 1 to 301 (degree 0 to 300) and include, each +-1,
 every length at which the multiply changes strategy: the schoolbook/Kronecker
-cutoff and every change of slot width.  All randomness is seeded.
+cutoff and every change of slot width.  Division shapes include, each +-1,
+the quotient * divisor size at which _divmod leaves long division.  All
+randomness is seeded.
 """
 
 import random
@@ -99,6 +101,17 @@ def cutoff_lengths(p, a):
     return sorted({n for m in marks for n in (m - 1, m, m + 1) if 1 <= n <= 301})
 
 
+def long_division_shapes():
+    """(quotient length, divisor length >= 2) with product at the cutoff of
+    _divmod's long division, each +-1: the factor pairs with the shortest and
+    the longest quotient, and the most nearly square one."""
+    shapes = set()
+    for t in (kernel._LONG_DIVISION_MAX + d for d in (-1, 0, 1)):
+        pairs = [(m, t // m) for m in range(1, t // 2 + 1) if t % m == 0]
+        shapes |= {pairs[0], pairs[-1], min(pairs, key=lambda mn: abs(mn[0] - mn[1]))}
+    return sorted(shapes)
+
+
 def lengths(p, a):
     return sorted(set(cutoff_lengths(p, a)) | {1, 2, 3, 5, 17, 100, 301})
 
@@ -144,6 +157,11 @@ def test_divmod_matches_boxed_long_division(p, a):
         f, g = (Poly(ctx, sparse_codes(ctx, rng, k)) for k in (n + 9, n))
         if g:
             assert divmod(f, g) == odivmod(f, g), (p, a, n)
+    # quotient length * divisor length at the long-division cutoff, each +-1
+    for m, n in long_division_shapes():
+        g = rand_poly(ctx, rng, n)
+        f = rand_poly(ctx, rng, m + n - 1)
+        assert divmod(f, g) == odivmod(f, g), (p, a, m, n)
     with pytest.raises(ZeroDivisionError):
         divmod(Poly.one(ctx), Poly.zero(ctx))
 
