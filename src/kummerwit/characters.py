@@ -4,10 +4,12 @@ balanced-residue predicate.
 A character is stored in log form: a decomposition of (Z/m)^x into cyclic
 factors with generators g_i of orders d_i, plus one exponent per generator;
 chi(g_i) = zeta^(e_i * lambda/d_i) where lambda = lcm(d_i) is the group
-exponent.  Values are materialized into the exact ring Z[zeta_lambda] only
-when sums must be tested against zero; the ring is Z[x]/(Phi_lambda) with
-integer coefficient vectors and reduction by the integer cyclotomic
-polynomial, so the nonzero test is exact.
+exponent.  Values are materialized into the exact ring Z[zeta_n] =
+Z[x]/(Phi_n) only when sums must be tested against zero: chi(k) with n =
+lambda, a half sum with n = ord chi, the smallest ring holding the values
+of chi (Z[zeta_d] embeds in Z[zeta_lambda], so zero-ness is the same).  One
+long division by the integer cyclotomic polynomial gives the unique
+coordinates, so the test is exact.
 
 x is *balanced* mod m exactly when no odd character chi mod m with nonzero
 half-interval sum sum_{0<k<m/2} chi(k) has chi(x) = 1; is_balanced decides
@@ -15,11 +17,12 @@ this by exhaustive scan, is_balanced_fast by the Legendre shortcuts
 (non-residue mod an odd prime; residue mod a prime = 3 mod 4; and descent
 through m = y*z with y an odd prime dividing z).
 
-The scan tests one character per cyclic subgroup <chi> and gives its
-verdict to every generator chi^j.  This is exact: chi^j = chi^j' for a
-j' = j mod ord chi prime to lambda, and the automorphism zeta -> zeta^j'
-maps chi(-1) and the half sum of chi to those of chi^j', so it keeps
-oddness and fixes 0 (Washington, Introduction to Cyclotomic Fields, ch. 4).
+The scan sums one character per odd cyclic subgroup <chi> (an even one
+holds no witness) and gives its verdict to every generator chi^j.  This
+is exact: chi^j = chi^j' for a j' = j mod ord chi prime to lambda, and the
+automorphism zeta -> zeta^j' maps chi(-1) and the half sum of chi to those
+of chi^j', so it keeps oddness and fixes 0 (Washington, Introduction to
+Cyclotomic Fields, ch. 4).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import add
 
 from .base_algebra.intarith import euler_phi, factorint, is_prime, multiplicative_order
 from .errors import BadModulus, NotCoprime
@@ -57,24 +61,24 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _power_reduction_table(n: int) -> list[tuple[int, ...]]:
-    """x^j mod Phi_n as integer vectors for 0 <= j < n."""
+def _cyclotomic_remainder(vec, n: int) -> tuple[int, ...]:
+    """The integer vector vec (low-to-high) mod the monic Phi_n: its phi(n)
+    power-basis coordinates.  Exponents are first folded mod n (Phi_n
+    divides x^n - 1), then one long division runs over Phi_n's nonzero terms."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    rows: list[tuple[int, ...]] = []
-    cur = [0] * deg
-    cur[0] = 1
-    for _ in range(n):
-        rows.append(tuple(cur))
-        # multiply by x and reduce by the monic Phi_n
-        nxt = [0] + cur[:deg - 1]
-        lead = cur[deg - 1]
+    terms = [(i, c) for i, c in enumerate(phi[:deg]) if c]
+    rem = [0] * n
+    for start in range(0, len(vec), n):
+        chunk = vec[start:start + n]
+        rem[:len(chunk)] = map(add, rem, chunk)
+    for top in range(n - 1, deg - 1, -1):
+        lead = rem[top]
         if lead:
-            for i in range(deg):
-                nxt[i] -= lead * phi[i]
-        cur = nxt
-    return rows
+            base = top - deg
+            for i, c in terms:
+                rem[base + i] -= lead * c
+    return tuple(rem[:deg])
 
 
 @dataclass(frozen=True)
@@ -86,17 +90,16 @@ class Cyclotomic:
 
     @classmethod
     def zero(cls, n: int) -> "Cyclotomic":
-        return cls(n, (0,) * _phi_degree(n))
+        return cls.integer(n, 0)
 
     @classmethod
     def root_power(cls, n: int, k: int) -> "Cyclotomic":
         """zeta_n^k reduced mod Phi_n."""
-        return cls(n, _power_reduction_table(n)[k % n])
+        return cls(n, _cyclotomic_remainder([0] * (k % n) + [1], n))
 
     @classmethod
     def integer(cls, n: int, v: int) -> "Cyclotomic":
-        deg = _phi_degree(n)
-        return cls(n, (v,) + (0,) * (deg - 1))
+        return cls(n, _cyclotomic_remainder([v], n))
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         assert self.conductor == other.conductor
@@ -111,10 +114,6 @@ class Cyclotomic:
 
     def is_rational_integer(self) -> bool:
         return not any(self.coeffs[1:])
-
-
-def _phi_degree(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
 
 
 # -- the unit group and its characters --------------------------------------------
@@ -216,6 +215,14 @@ class Character:
     def is_principal(self) -> bool:
         return all(e == 0 for e in self.exps)
 
+    def order(self) -> int:
+        """ord chi, the least d with chi^d principal; chi takes values in mu_d."""
+        return lcm(*(d // gcd(e, d) for e, (_, d) in zip(self.exps, self.gens)))
+
+    def is_odd(self) -> bool:
+        """chi(-1) = -1."""
+        return 2 * self.value_exponent(self.m - 1) == self.order_lcm
+
     def __eq__(self, other):
         return isinstance(other, Character) and self.m == other.m and self.exps == other.exps
 
@@ -235,26 +242,16 @@ def characters_enum(m: int):
 
 
 def char_props(chi: Character) -> tuple[bool, Cyclotomic]:
-    """(odd, half_sum): chi(-1) = -1, and sum_{0<k<m/2} chi(k) in Z[zeta]."""
-    lam = chi.order_lcm
-    e_minus1 = chi.value_exponent(chi.m - 1)
-    odd = lam % 2 == 0 and e_minus1 == lam // 2
-    counts = [0] * lam
+    """(odd, half_sum): chi(-1) = -1, and sum_{0<k<m/2} chi(k) in Z[zeta_d],
+    d = ord chi: counted in d slots and reduced by one division by Phi_d."""
+    d = chi.order()
+    step = chi.order_lcm // d
+    counts = [0] * d
     for k in range(1, (chi.m + 1) // 2):
-        if 2 * k == chi.m:
-            break
         e = chi.value_exponent(k)
         if e is not None:
-            counts[e] += 1
-    table = _power_reduction_table(lam)
-    deg = _phi_degree(lam)
-    acc = [0] * deg
-    for e, c in enumerate(counts):
-        if c:
-            row = table[e]
-            for i in range(deg):
-                acc[i] += c * row[i]
-    return odd, Cyclotomic(lam, tuple(acc))
+            counts[e // step] += 1
+    return chi.is_odd(), Cyclotomic(d, _cyclotomic_remainder(counts, d))
 
 
 @lru_cache(maxsize=None)
@@ -264,18 +261,16 @@ def _unbalanced_witness_exponents(m: int):
     x is not balanced mod m exactly when one of these characters sends x
     to 1; caching them makes repeated balance queries for one modulus cheap.
     """
-    orders = [d for _, d in unit_group(m)[0]]
     pending: dict[tuple[int, ...], bool] = {}
     witnesses = []
     for chi in characters_enum(m):
         verdict = pending.pop(chi.exps, None)
         if verdict is None:
-            odd, half = char_props(chi)
-            verdict = odd and not half.is_zero()
-            order = lcm(*(d // gcd(e, d) for e, d in zip(chi.exps, orders)))
+            verdict = chi.is_odd() and not char_props(chi)[1].is_zero()
+            order = chi.order()
             for j in range(2, order):
                 if gcd(j, order) == 1:
-                    pending[tuple(j * e % d for e, d in zip(chi.exps, orders))] = verdict
+                    pending[tuple(j * e % d for e, (_, d) in zip(chi.exps, chi.gens))] = verdict
         if verdict:
             witnesses.append(chi)
     return tuple(witnesses)

@@ -159,6 +159,11 @@ def descend(state: PlaceState, b_label: str, ell: int,
         case = allowed[0]
     elif case not in allowed:
         raise ValueError(f"case {case} not allowed for {b_label} here")
+    return _apply_case(state, case, ell)
+
+
+def _apply_case(state: PlaceState, case: KummerCase, ell: int) -> PlaceState:
+    """The state above an adjunction of degree ell that has the given case."""
     if case is KummerCase.TOTALLY_RAMIFIED:
         vals = {k: v * ell for k, v in state.vals.items()}
         return PlaceState(state.residue_field, state.e_total * ell,
@@ -173,11 +178,8 @@ def _walk_branches(base: PlaceState, adjunction_labels: list[str], ell: int) -> 
     """All terminal states of the tower walk over every allowed branch."""
     frontier = [base]
     for label in adjunction_labels:
-        nxt = []
-        for st in frontier:
-            for case in _step_cases(st, label, ell):
-                nxt.append(descend(st, label, ell, case))
-        frontier = nxt
+        frontier = [_apply_case(st, case, ell)
+                    for st in frontier for case in _step_cases(st, label, ell)]
     return frontier
 
 

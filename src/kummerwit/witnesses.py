@@ -293,6 +293,7 @@ def psi_holds(set_a: list[Poly], set_b: list[Poly], ctx: FieldCtx) -> bool:
 
 
 _psi_delta_cache: dict = {}
+_AXIOM_CAP = 8  # largest n and m an axiom instance may take
 
 
 def _psi_delta(k: int, n: int, ctx: FieldCtx) -> bool:
@@ -315,15 +316,15 @@ class AxiomReport:
         return {"passed": self.passed, "entries": self.entries}
 
 
-def axiom_instance_check(n: int, m: int, ctx: FieldCtx, cap: int = 8) -> AxiomReport:
+def axiom_instance_check(n: int, m: int, ctx: FieldCtx) -> AxiomReport:
     """Finite instances of the five axiom schemes at (n, m).
 
     Delta_k is modelled by the canonical k-element set; the order relation
     is the injection sentence, addition is the shifted disjoint union, and
     multiplication is the two-parameter product set.
     """
-    if n < 0 or m < 0 or n > cap or m > cap:
-        raise ValueError(f"instances must lie in [0, {cap}]")
+    if n < 0 or m < 0 or n > _AXIOM_CAP or m > _AXIOM_CAP:
+        raise ValueError(f"instances must lie in [0, {_AXIOM_CAP}]")
     entries: list[dict] = []
     dn, dm = delta_set(ctx, n), delta_set(ctx, m)
 
@@ -339,9 +340,9 @@ def axiom_instance_check(n: int, m: int, ctx: FieldCtx, cap: int = 8) -> AxiomRe
     ok3 = True if n == m else not (_psi_delta(n, m, ctx) and _psi_delta(m, n, ctx))
     entries.append({"axiom": "distinctness", "instance": [n, m], "passed": ok3})
 
-    ok4 = all(_psi_delta(k, n, ctx) == (k <= n) for k in range(cap + 1))
+    ok4 = all(_psi_delta(k, n, ctx) == (k <= n) for k in range(_AXIOM_CAP + 1))
     entries.append({"axiom": "below-n-enumeration", "instance": [n], "passed": ok4})
 
-    ok5 = all(_psi_delta(k, n, ctx) or _psi_delta(n, k, ctx) for k in range(cap + 1))
+    ok5 = all(_psi_delta(k, n, ctx) or _psi_delta(n, k, ctx) for k in range(_AXIOM_CAP + 1))
     entries.append({"axiom": "comparability", "instance": [n], "passed": ok5})
     return AxiomReport(entries)

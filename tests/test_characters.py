@@ -85,6 +85,44 @@ def test_cyclotomic_root_sums():
     assert Cyclotomic.root_power(12, 12) == Cyclotomic.integer(12, 1)
 
 
+@lru_cache(maxsize=None)
+def power_reduction_table(n):
+    """x^j mod Phi_n as integer vectors for 0 <= j < n, built one
+    multiplication by x at a time, independently of the long division."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    rows = []
+    cur = [1] + [0] * (deg - 1)
+    for _ in range(n):
+        rows.append(tuple(cur))
+        lead = cur[deg - 1]
+        cur = [0] + cur[:deg - 1]
+        for i in range(deg):
+            cur[i] -= lead * phi[i]
+    return rows
+
+
+def reduce_by_table(vec, n):
+    table = power_reduction_table(n)
+    acc = [0] * len(table[0])
+    for j, c in enumerate(vec):
+        if c:
+            for i, r in enumerate(table[j % n]):
+                acc[i] += c * r
+    return tuple(acc)
+
+
+def test_cyclotomic_remainder_matches_power_reduction_table():
+    rng = random.Random(8)
+    for n in range(1, 301):
+        table = power_reduction_table(n)
+        for k in range(2 * n):
+            assert characters._cyclotomic_remainder([0] * k + [1], n) == table[k % n], (n, k)
+        for _ in range(2):
+            vec = [rng.randint(-9, 9) for _ in range(rng.randint(0, 2 * n))]
+            assert characters._cyclotomic_remainder(vec, n) == reduce_by_table(vec, n), (n, vec)
+
+
 def test_enumeration_counts():
     assert len(list(characters_enum(7))) == 6
     assert len(list(characters_enum(11))) == 10
@@ -169,6 +207,32 @@ def character_order(chi):
     return math.lcm(*(d // math.gcd(e, d) for e, (_, d) in zip(chi.exps, chi.gens)))
 
 
+def lambda_wide_char_props(chi):
+    """(odd, half sum) with the half sum accumulated in Z[zeta_lambda],
+    lambda the group exponent, rather than in the character's own ring."""
+    lam = chi.order_lcm
+    counts = [0] * lam
+    for k in range(1, (chi.m + 1) // 2):
+        e = chi.value_exponent(k)
+        if e is not None:
+            counts[e] += 1
+    return chi.value_exponent(chi.m - 1) == lam // 2 and lam % 2 == 0, reduce_by_table(counts, lam)
+
+
+def test_char_props_matches_lambda_wide_half_sum():
+    for m in list(range(3, 121)) + [215, 281, 283]:
+        for chi in characters_enum(m):
+            odd, half = char_props(chi)
+            old_odd, old_half = lambda_wide_char_props(chi)
+            d, lam = chi.order(), chi.order_lcm
+            assert half.conductor == d and odd == chi.is_odd() == old_odd, (m, chi)
+            # zeta_d -> zeta_lambda^(lambda/d) embeds Z[zeta_d] in Z[zeta_lambda]
+            embedded = [0] * lam
+            for i, c in enumerate(half.coeffs):
+                embedded[i * (lam // d)] = c
+            assert reduce_by_table(embedded, lam) == old_half, (m, chi)
+
+
 def test_orbit_scan_matches_per_character_scan():
     for m in list(range(3, 151)) + [215, 281, 283]:
         per_character = tuple(chi.exps for chi in characters_enum(m) if is_witness(chi))
@@ -192,7 +256,7 @@ def test_orbit_scan_calls_char_props_once_per_cyclic_subgroup(monkeypatch):
     calls = []
 
     def counting(chi):
-        calls.append(chi.exps)
+        calls.append(chi)
         return char_props(chi)
 
     monkeypatch.setattr(characters, "char_props", counting)
@@ -200,11 +264,15 @@ def test_orbit_scan_calls_char_props_once_per_cyclic_subgroup(monkeypatch):
         calls.clear()
         characters._unbalanced_witness_exponents.__wrapped__(m)
         subgroups = {frozenset(power_exps(chi, j) for j in range(character_order(chi)))
-                     for chi in characters_enum(m)}
+                     for chi in characters_enum(m) if chi.is_odd()}
+        assert all(chi.is_odd() for chi in calls), m
         assert len(calls) == len(subgroups), m
-        if is_prime(m):  # cyclic of order m - 1: one subgroup per divisor
-            assert len(calls) == sum(1 for d in range(1, m) if (m - 1) % d == 0)
-    assert len(calls) == 8  # 282 = 2 * 3 * 47
+        if is_prime(m):  # cyclic of order m - 1: the odd subgroups have full 2-part
+            odd_part = m - 1
+            while odd_part % 2 == 0:
+                odd_part //= 2
+            assert len(calls) == sum(1 for d in range(1, odd_part + 1) if odd_part % d == 0)
+    assert len(calls) == 4  # 282 = 2 * 141 and 141 = 3 * 47
 
 
 def test_is_balanced_large_moduli():

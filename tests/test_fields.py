@@ -61,7 +61,8 @@ def test_field_ring_axioms(p, a):
 
 
 def test_sqrt_full_sweep():
-    for p, a in ((3, 2), (13, 1), (7, 1)):
+    # q = 3 mod 4 (F_7), and Tonelli-Shanks at 2-adic depths of q - 1 from 2 to 4 (F_7^2)
+    for p, a in ((3, 2), (13, 1), (7, 1), (5, 1), (5, 2), (7, 2), (13, 2)):
         ctx = field_ctx(p, a)
         squares = {x * x for x in ctx.elements()}
         for c in ctx.elements():

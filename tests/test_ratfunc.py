@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from kummerwit.base_algebra import (Poly, RatFunc, factor, is_nth_power,
+from kummerwit.base_algebra import (Poly, RatFunc, factor, field_ctx, is_nth_power,
                                     poly_gcd, ratfunc_sqrt)
 from kummerwit.errors import ZeroInput
 from tests.test_poly import rand_poly
@@ -50,9 +51,10 @@ def test_sqrt_worked_examples(f3):
     assert ratfunc_sqrt(RatFunc.zero(f3)) == RatFunc.zero(f3)
 
 
-def test_sqrt_roundtrip_200(f3, f9):
+def test_sqrt_roundtrip_200():
     rng = random.Random(2024)
-    for ctx in (f3, f9):
+    for p, a in itertools.product((3, 5, 7, 13), (1, 2)):
+        ctx = field_ctx(p, a)
         for _ in range(100):
             g = rand_ratfunc(ctx, rng, max_deg=3, nonzero=True)
             root = ratfunc_sqrt(g * g)
