@@ -93,9 +93,6 @@ class ResidueField:
         self.place = place
         self.size = place.residue_size(ctx)
 
-    def one(self) -> Poly:
-        return Poly.one(self.ctx)
-
     def reduce(self, x: RatFunc) -> Poly:
         """red_P(x) for v_P(x) = 0."""
         if valuation(x, self.place) != 0:
@@ -125,11 +122,6 @@ class ResidueField:
         if not d.is_one():
             raise ZeroDivisionError("non-invertible residue")
         return u % self.place.poly
-
-    def mul(self, x: Poly, y: Poly) -> Poly:
-        if self.place.is_infinite:
-            return x * y
-        return (x * y) % self.place.poly
 
     def pow(self, x: Poly, n: int) -> Poly:
         if self.place.is_infinite:

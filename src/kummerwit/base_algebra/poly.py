@@ -18,8 +18,9 @@ which powmod computes once per call (Barrett reduction).  gcd, extended gcd
 and CRT run on int lists and box a Poly only when they return.
 
 Factorization is squarefree decomposition (characteristic-p aware), then
-distinct-degree splitting, then randomized equal-degree splitting with a
-caller-fixed seed, so factor lists are deterministic.
+distinct-degree splitting (lazy, by increasing degree), then randomized
+equal-degree splitting with a caller-fixed seed, so factor lists are
+deterministic.  is_irreducible reads only the first distinct-degree part.
 """
 
 from __future__ import annotations
@@ -473,27 +474,23 @@ def all_polys(ctx: FieldCtx, max_deg: int | None = None):
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: deg >= 1, s^(q^d) = s mod f, proper Frobenius gcds trivial.
+    """True exactly when f has degree >= 1 and no proper factor.
 
-    Before it, f of degree >= 2 is rejected when s divides it or when
-    gcd(s^q - s, f) != 1, i.e. when f has a root in F_q."""
+    Read off the first part of the distinct-degree split, which is exact for
+    any monic f, squarefree or not.  The irreducible factors of a reducible
+    f, repeated or not, have a least degree e <= deg f / 2.  For d < e the
+    gcd of s^(q^d) - s with f is 1, and at d = e the split yields a part of
+    index e < deg f.  So the first part is (f, deg f) exactly when f is
+    irreducible; f = h^2 yields (h, deg h) first.  s | f exits before the
+    split: irreducibles runs the constant coefficient slowest, so its first
+    q^(deg - 1) candidates are all multiples of s."""
     d = f.degree()
-    if d is NEG_INF or d < 1:
+    if d < 1:
         return False
-    if d == 1:
-        return True
     if not f.coeffs[0]:  # s divides f
-        return False
-    q, s = f.ctx.q, Poly.gen(f.ctx)
-    powers = [s, s.powmod(q, f)]  # s^(q^k) mod f
-    if not poly_gcd(powers[1] - s, f).is_one():  # a root in F_q
-        return False
-    for _ in range(2, d + 1):
-        powers.append(powers[-1].powmod(q, f))
-    if powers[d] != s % f:
-        return False
-    from .intarith import factorint
-    return all(poly_gcd(powers[d // ell] - s, f).is_one() for ell in factorint(d))
+        return d == 1
+    f = f.monic()
+    return next(_ddf(f)) == (f, d)
 
 
 def _pth_root(f: Poly) -> Poly:
@@ -542,27 +539,27 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return sorted(out.items(), key=lambda kv: kv[0].sort_key())
 
 
-def _ddf(f: Poly) -> list[tuple[Poly, int]]:
-    """Distinct-degree split of a monic squarefree polynomial."""
+def _ddf(f: Poly):
+    """Distinct-degree split of a monic polynomial, lazily: yields (part, d)
+    by increasing d, part the product of the degree-d irreducible factors
+    when f is squarefree.  For any monic f the first part is (f, deg f)
+    exactly when f is irreducible (see is_irreducible)."""
     ctx = f.ctx
-    q = ctx.q
     s = Poly.gen(ctx)
-    out = []
     h = s % f
     d = 0
     rest = f
-    while rest.degree() is not NEG_INF and rest.degree() > 0:
+    while rest.degree() > 0:
         d += 1
         if 2 * d > rest.degree():
-            out.append((rest, rest.degree()))
-            break
-        h = h.powmod(q, rest)
+            yield rest, rest.degree()
+            return
+        h = h.powmod(ctx.q, rest)
         g = poly_gcd(h - s, rest) if (h - s) else rest
         if not g.is_one():
-            out.append((g, d))
+            yield g, d
             rest = rest // g
             h = h % rest
-    return out
 
 
 def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:

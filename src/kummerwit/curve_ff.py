@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -53,13 +54,6 @@ class CurveParams:
         one = RatFunc.one(self.ctx)
         sN = RatFunc.from_poly(Poly.monomial(self.ctx, self.N))
         return x * (x + one) * (x + sN)
-
-    def __eq__(self, other):
-        return (isinstance(other, CurveParams) and self.N == other.N
-                and self.ctx.p == other.ctx.p and self.ctx.modulus == other.ctx.modulus)
-
-    def __hash__(self):
-        return hash((self.ctx.p, self.ctx.modulus, self.N))
 
 
 def curve_make(ctx: FieldCtx, N: int) -> CurveParams:
@@ -206,13 +200,16 @@ def point_search(curve: CurveParams, num_deg: int, den_deg: int,
     """All affine points with x = u/w, deg u <= num_deg, deg w <= den_deg,
     u, w coprime and w monic; exhaustive within bounds, deterministic order.
 
-    Only the bounds are checked (the CLI bounds workers); found points are on
-    the curve by construction.  Shard i of `workers` processes takes the raw
-    (u, w) pairs i, i + workers, ... (see _filtered_pairs); the merged points
-    are sorted.
+    Only the bounds and workers, in [1, os.cpu_count()], are checked; found
+    points are on the curve by construction.  Shard i of `workers` processes
+    takes the raw (u, w) pairs i, i + workers, ... (see _filtered_pairs); the
+    merged points are sorted.
     """
     if num_deg < 0 or den_deg < 0:
         raise ValueError("bounds must be >= 0")
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ValueError(f"workers = {workers} must lie in [1, {cpus}]")
     if workers > 1:
         shard_search = partial(_search_shard, curve, num_deg, den_deg, stride=workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -392,7 +389,6 @@ def stabilization_probe(p: int, a: int, q: int, r: int, n_max: int,
         raise ValueError("n_max and bounds must be >= 0")
     ctx = field_ctx(p, a)
     num_deg, den_deg = bounds
-    seen: set[ECPoint] = set()
     report = StabilizationReport(0, True)
     prev_levels: list[list[ECPoint]] = []
     for n in range(n_max + 1):

@@ -11,13 +11,14 @@ f * fbar in F_q[s^n], built from the minimal polynomials of the n-th powers
 of the roots of f: for each irreducible factor h of multiplicity m, the
 factor q_h(s^n) (q_h the minimal polynomial of alpha^n for a root alpha of
 h) is included with the least exponent k such that h^m divides q_h(s^n)^k.
+q_h is the product of X - beta over the Frobenius orbit beta, beta^q, ...
+of alpha^n, computed in F_q[s]/(h).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base_algebra.fields import FF, FieldCtx
 from .base_algebra.poly import (Poly, all_polys, factor, poly_lcm,
                                 poly_valuation)
 from .base_algebra.ratfunc import RatFunc, ratfunc_sqrt
@@ -142,52 +143,18 @@ def polynomial_in_powers(f: Poly, n: int) -> Poly:
 
 
 def _minimal_poly_of_root_power(h: Poly, n: int) -> Poly:
-    """Minimal polynomial over F_q of alpha^n, alpha a root of irreducible h,
-    computed by linear algebra in the quotient field F_q[s]/(h)."""
+    """Minimal polynomial over F_q of beta = alpha^n, alpha a root of
+    irreducible h: the product of X - beta^(q^i) over the Frobenius orbit of
+    beta, multiplied out in F_q[s]/(h).  Frobenius fixes the product, so its
+    coefficients are constants."""
     ctx = h.ctx
-    d = h.degree()
     beta = Poly.gen(ctx).powmod(n, h)
-    # rows: 1, beta, beta^2, ... as coefficient vectors of length d
-    rows: list[list[FF]] = []
-    cur = Poly.one(ctx)
-    for _ in range(d + 1):
-        vec = [ctx.decode(c) for c in cur.coeffs] + [ctx.zero()] * (d - len(cur.coeffs))
-        rows.append(vec)
-        dependency = _solve_dependency(rows, ctx)
-        if dependency is not None:
-            return Poly(ctx, [ctx.encode(c) for c in dependency]).monic()
-        cur = (cur * beta) % h
-    raise AssertionError("minimal polynomial search exceeded the field degree")
-
-
-def _solve_dependency(rows: list[list[FF]], ctx: FieldCtx):
-    """Coefficients c_0..c_k (c_k = 1) with sum c_i rows[i] = 0, if they exist
-    with the last row pivotal; Gaussian elimination over F_q."""
-    k = len(rows) - 1
-    d = len(rows[0])
-    # solve rows[k] = sum_{i<k} x_i rows[i]
-    mat = [[rows[i][j] for i in range(k)] + [rows[k][j]] for j in range(d)]
-    ncols = k
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, d) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][col].inv()
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(d):
-            if i != r and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    # consistent iff no row has zero coefficients but nonzero rhs
-    for i in range(r, d):
-        if mat[i][ncols]:
-            return None
-    solution = [ctx.zero()] * ncols
-    for row_idx, col in enumerate(pivots):
-        solution[col] = mat[row_idx][ncols]
-    return [-c for c in solution] + [ctx.one()]
+    orbit = [beta]
+    while (conj := orbit[-1].powmod(ctx.q, h)) != beta:
+        orbit.append(conj)
+    zero = Poly.zero(ctx)
+    coeffs = [Poly.one(ctx)]  # low to high, each reduced mod h
+    for b in orbit:  # times X - b
+        coeffs = [lo - (b * c) % h for lo, c in zip([zero] + coeffs, coeffs + [zero])]
+    assert all(c.is_constant() for c in coeffs), "orbit product must lie in F_q[X]"
+    return Poly(ctx, [c.coeffs[0] if c else 0 for c in coeffs])

@@ -22,6 +22,7 @@ only extended gcd and set operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .base_algebra.fields import FieldCtx
@@ -292,16 +293,13 @@ def psi_holds(set_a: list[Poly], set_b: list[Poly], ctx: FieldCtx) -> bool:
     return verify_injection(w, set_a, set_b)
 
 
-_psi_delta_cache: dict = {}
 _AXIOM_CAP = 8  # largest n and m an axiom instance may take
 
 
+@lru_cache(maxsize=4 * (_AXIOM_CAP + 1) ** 2)  # every (k, n) pair for four fields
 def _psi_delta(k: int, n: int, ctx: FieldCtx) -> bool:
     """psi on canonical sets, cached: the axiom loops reuse the same pairs."""
-    key = (ctx.p, ctx.a, ctx.modulus, k, n)
-    if key not in _psi_delta_cache:
-        _psi_delta_cache[key] = psi_holds(delta_set(ctx, k), delta_set(ctx, n), ctx)
-    return _psi_delta_cache[key]
+    return psi_holds(delta_set(ctx, k), delta_set(ctx, n), ctx)
 
 
 @dataclass

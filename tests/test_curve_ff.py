@@ -144,6 +144,20 @@ def test_point_search_parallel_matches_serial(f3, f9):
             == stabilization_probe(3, 1, 5, 2, 1, (1, 0)).as_record())
 
 
+def test_point_search_rejects_worker_counts_out_of_range(f3, monkeypatch):
+    import os
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started despite an invalid worker count")
+
+    monkeypatch.setattr(curve_ff, "ProcessPoolExecutor", no_pool)
+    for workers in (0, (os.cpu_count() or 1) + 1):
+        with pytest.raises(ValueError, match="workers"):
+            point_search(curve_make(f3, 2), 1, 0, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            stabilization_probe(3, 1, 5, 2, 1, (1, 0), workers=workers)
+
+
 @pytest.mark.parametrize("stride", [2, 3])
 @pytest.mark.parametrize("block", [4096, 10])
 def test_shards_partition_the_raw_pairs(f3, stride, block, monkeypatch):

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from kummerwit.base_algebra import Poly, RatFunc, all_polys
+from kummerwit.base_algebra import Poly, RatFunc, all_polys, field_ctx, irreducibles
 from kummerwit.curve_ff import ECPoint, curve_make
 from kummerwit.errors import DistinctnessFailure, TorsionPoint, ZeroInput
-from kummerwit.family import (family_grow, family_members, membership_witness,
-                              polynomial_in_powers)
+from kummerwit.family import (_minimal_poly_of_root_power, family_grow, family_members,
+                              membership_witness, polynomial_in_powers)
 from tests.test_curve_ff import sample_point
 from tests.test_poly import rand_poly
 
@@ -147,3 +147,60 @@ def test_polynomial_in_powers_random(p, n):
         for i, coeff in enumerate(prod.coeffs):
             if i % n != 0:
                 assert not coeff, (f, n)
+
+
+def _solve_dependency(rows, ctx):
+    """Coefficients c_0..c_k (c_k = 1) with sum c_i rows[i] = 0, if they exist
+    with the last row pivotal; Gaussian elimination over F_q on FF entries."""
+    k = len(rows) - 1
+    d = len(rows[0])
+    # solve rows[k] = sum_{i<k} x_i rows[i]
+    mat = [[rows[i][j] for i in range(k)] + [rows[k][j]] for j in range(d)]
+    pivots = []
+    r = 0
+    for col in range(k):
+        pivot = next((i for i in range(r, d) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][col].inv()
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(d):
+            if i != r and mat[i][col]:
+                c = mat[i][col]
+                mat[i] = [a - c * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    # consistent iff no row has zero coefficients but nonzero rhs
+    if any(mat[i][k] for i in range(r, d)):
+        return None
+    solution = [ctx.zero()] * k
+    for row_idx, col in enumerate(pivots):
+        solution[col] = mat[row_idx][k]
+    return [-c for c in solution] + [ctx.one()]
+
+
+def elimination_minimal_poly(h, n):
+    """The oracle: the first linear dependency among 1, beta, beta^2, ...
+    (beta = s^n mod h) as coefficient vectors of length deg h."""
+    ctx = h.ctx
+    d = h.degree()
+    beta = Poly.gen(ctx).powmod(n, h)
+    rows = []
+    cur = Poly.one(ctx)
+    for _ in range(d + 1):
+        rows.append([ctx.decode(c) for c in cur.coeffs] + [ctx.zero()] * (d - len(cur.coeffs)))
+        dependency = _solve_dependency(rows, ctx)
+        if dependency is not None:
+            return Poly(ctx, [ctx.encode(c) for c in dependency]).monic()
+        cur = (cur * beta) % h
+    raise AssertionError("no dependency within the field degree")
+
+
+@pytest.mark.parametrize("p,a,max_deg", [(3, 1, 5), (5, 1, 3), (7, 1, 3), (3, 2, 3)])
+def test_minimal_poly_of_root_power_matches_elimination(p, a, max_deg):
+    ctx = field_ctx(p, a)
+    for d in range(1, max_deg + 1):
+        for h in irreducibles(ctx, d):
+            for n in range(1, 11):
+                assert _minimal_poly_of_root_power(h, n) == elimination_minimal_poly(h, n), (h, n)

@@ -71,7 +71,7 @@ def test_residue_reduction_is_ring_hom(f3):
         y = rand_ratfunc(f3, rng, nonzero=True)
         if valuation(x, pl) != 0 or valuation(y, pl) != 0:
             continue
-        assert rf.reduce(x * y) == rf.mul(rf.reduce(x), rf.reduce(y))
+        assert rf.reduce(x * y) == (rf.reduce(x) * rf.reduce(y)) % pl.poly
 
 
 def test_factor_place_in_tower_examples(f3):

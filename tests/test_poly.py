@@ -4,8 +4,10 @@ from itertools import islice
 import pytest
 
 from kummerwit.base_algebra import (NEG_INF, Poly, all_polys, crt, factor,
-                                    irreducibles, is_irreducible, poly_ext_gcd,
-                                    poly_gcd, squarefree_decomposition)
+                                    field_ctx, irreducibles, is_irreducible,
+                                    poly_ext_gcd, poly_gcd,
+                                    squarefree_decomposition)
+from kummerwit.base_algebra.intarith import factorint
 from kummerwit.errors import BothZero, NotCoprime
 
 
@@ -205,3 +207,59 @@ def test_gcd_with_zero(f3):
     s = Poly.gen(f3)
     assert poly_gcd(s, Poly.zero(f3)) == s
     assert poly_gcd(Poly.zero(f3), s + Poly.one(f3)) == s + Poly.one(f3)
+
+
+def rabin_is_irreducible(f):
+    """Rabin's test, the oracle for is_irreducible: deg >= 1, s^(q^d) = s
+    mod f, and gcd(s^(q^(d/ell)) - s, f) = 1 for each prime ell | d.  Before
+    it, f of degree >= 2 is rejected when s divides it or when f has a root
+    in F_q."""
+    d = f.degree()
+    if d is NEG_INF or d < 1:
+        return False
+    if d == 1:
+        return True
+    if not f.coeffs[0]:  # s divides f
+        return False
+    q, s = f.ctx.q, Poly.gen(f.ctx)
+    powers = [s, s.powmod(q, f)]  # s^(q^k) mod f
+    if not poly_gcd(powers[1] - s, f).is_one():  # a root in F_q
+        return False
+    for _ in range(2, d + 1):
+        powers.append(powers[-1].powmod(q, f))
+    if powers[d] != s % f:
+        return False
+    return all(poly_gcd(powers[d // ell] - s, f).is_one() for ell in factorint(d))
+
+
+@pytest.mark.parametrize("p,a,max_deg", [(3, 1, 6), (5, 1, 3), (7, 1, 3), (3, 2, 2), (13, 1, 2)])
+def test_is_irreducible_matches_rabin_on_every_poly(p, a, max_deg):
+    ctx = field_ctx(p, a)
+    for f in all_polys(ctx, max_deg):
+        assert is_irreducible(f) == rabin_is_irreducible(f), f
+
+
+def random_irreducible(ctx, rng, deg):
+    while True:
+        f = Poly(ctx, [rng.randrange(ctx.q) for _ in range(deg)] + [ctx.unit])
+        if is_irreducible(f):
+            return f
+
+
+@pytest.mark.parametrize("p,a,degs", [(3, 1, (20, 40)), (7, 1, (20, 40)), (3, 2, (20, 30)),
+                                      (257, 1, (20, 30))])
+def test_is_irreducible_matches_rabin_high_degree(p, a, degs):
+    """Random polynomials of degree 20-40, and products built from a random
+    irreducible h and a small irreducible g: h^2, h^2 * g and h * g."""
+    ctx = field_ctx(p, a)
+    rng = random.Random(p * a)
+    lo, hi = degs
+    for _ in range(4):
+        f = Poly(ctx, [rng.randrange(ctx.q) for _ in range(rng.randrange(lo, hi + 1))]
+                 + [rng.randrange(1, ctx.q)])
+        assert is_irreducible(f) == rabin_is_irreducible(f), f
+    h = random_irreducible(ctx, rng, rng.randrange(lo, hi + 1))
+    g = next(irreducibles(ctx, 2))
+    assert rabin_is_irreducible(h) and is_irreducible(h.scale(ctx.decode(rng.randrange(1, ctx.q))))
+    for f in (h * h, h * h * g, h * g):
+        assert not is_irreducible(f) and not rabin_is_irreducible(f)

@@ -324,7 +324,7 @@ def test_is_irreducible_early_rejections():
     assert not is_irreducible((s + one) * (s ** 3 + s + one))   # root -1
     quad = s * s + Poly.const(ctx, 2)
     assert is_irreducible(quad)
-    assert not is_irreducible(quad * quad)  # no roots, yet reducible: Rabin decides
+    assert not is_irreducible(quad * quad)  # no roots: the split's first part is quad
 
 
 @pytest.mark.parametrize("p,a", [(3, 2), (3, 6), (7, 3), (257, 2)])

@@ -176,3 +176,12 @@ def test_axiom_instances(f3):
     assert axiom_instance_check(4, 4, f3).passed
     with pytest.raises(ValueError):
         axiom_instance_check(9, 0, f3)
+
+
+def test_psi_delta_cache_is_bounded_and_reused(f3):
+    from kummerwit.witnesses import _AXIOM_CAP, _psi_delta
+    _psi_delta.cache_clear()
+    axiom_instance_check(2, 3, f3)
+    info = _psi_delta.cache_info()
+    assert info.maxsize >= (_AXIOM_CAP + 1) ** 2
+    assert info.hits > 0 and info.currsize <= info.maxsize
