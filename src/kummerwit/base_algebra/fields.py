@@ -13,14 +13,17 @@ are stable; a supplied modulus is checked with poly.is_irreducible.  For
 a = 1 the modulus is the identity convention z and is unused.
 
 Poly stores elements as codes (encode, decode): the vector as base-p digits,
-first coordinate most significant.  Inversion for a > 1 is extended Euclid in
-F_p[z] on poly's int-list kernel.
+first coordinate most significant.  FF inversion for a > 1 (_raw_inv) is
+extended Euclid in F_p[z] on poly's int-list kernel.
 
 FieldCtx.logs gives discrete logarithms over codes to the base g, the first
 element of order q - 1 in canonical order, with Zech logarithms
 Z(k) = log(1 + g^k), so that g^i + g^j = g^(i + Z(j - i)) (Lidl and
 Niederreiter, Finite Fields, ch. 2 and 9).  The tables hold O(q) ints; they
-are built on first use (the curve point search) and kept on the context.
+are built on first use and kept on the context.  The curve point search
+reads square classes off them, and poly's kernel does every coefficient
+product, sum and inverse of the extension fields up to poly._TABLE_MAX
+elements on them.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from .intarith import is_prime
 class FieldCtx:
     """The field F_q, q = p^a, with an explicit monic irreducible modulus."""
 
-    __slots__ = ("p", "a", "q", "modulus", "unit", "_weights", "_one", "_zero", "_logs")
+    __slots__ = ("p", "a", "q", "modulus", "unit", "_weights", "_one", "_zero", "_logs",
+                 "_prime")
 
     def __init__(self, p: int, a: int, modulus: tuple[int, ...] | None = None):
         if p < 3 or p % 2 == 0 or not is_prime(p):
@@ -50,9 +54,10 @@ class FieldCtx:
         if a == 1:
             # identity convention: modulus "z", never used in arithmetic
             self.modulus = (0, 1)
+            self._prime = self
         else:
             from .poly import Poly, irreducibles, is_irreducible
-            prime_field = FieldCtx(p, 1)
+            self._prime = prime_field = FieldCtx(p, 1)  # _raw_inv's Euclid runs over it
             if modulus is None:
                 modulus = next(irreducibles(prime_field, a)).coeffs
             else:
@@ -126,10 +131,10 @@ class FieldCtx:
             one, cofactors = self.one(), [m // ell for ell in factorint(m)]
             g = next(x for x in map(self.decode, range(1, q))
                      if all(x ** e != one for e in cofactors))
-            exp, x = [unit], one
+            exp, x, g = [unit], one.coeffs, g.coeffs
             for _ in range(m - 1):
-                x = x * g
-                exp.append(self.encode(x))
+                x = self._raw_mul(x, g)
+                exp.append(self._code(x))
             log = [None] * q
             for k, c in enumerate(exp):
                 log[c] = k
@@ -174,7 +179,7 @@ class FieldCtx:
             return (pow(u[0], p - 2, p),)
         # s*u + t*modulus = 1 in F_p[z]; the modulus is irreducible
         from .poly import _ext_gcd, _trim
-        _, s = _ext_gcd(FieldCtx(p, 1), _trim(list(u)), list(self.modulus))
+        _, s = _ext_gcd(self._prime, _trim(list(u)), list(self.modulus))
         return tuple(s) + (0,) * (a - len(s))
 
 

@@ -8,14 +8,27 @@ base-p digits are the element's vector, first coordinate most significant,
 so int order is element order.  FF is the scalar at the API edges (lc,
 evaluate, scale, const, monomial, the grammar).
 
-One int-list kernel serves every field.  _mul is Kronecker substitution: the
-operands are packed into ints with byte slots wide enough for any product
-slot, multiplied once, unpacked and reduced.  _divmod does schoolbook long
-division when quotient length times divisor length is below
-_LONG_DIVISION_MAX (short Euclid steps); else it takes the quotient from the
-power-series inverse of the reversed divisor (Newton iteration on _mul),
-which powmod computes once per call (Barrett reduction).  gcd, extended gcd
-and CRT run on int lists and box a Poly only when they return.
+One int-list kernel serves every field; the field and the operand sizes
+pick the path.
+- Scalars: residues for a = 1.  Extension fields of at most _TABLE_MAX
+  elements (table fields) add, multiply and invert on the Zech logarithms
+  of FieldCtx.logs, one or two list lookups each.  Larger ones convert each
+  code to its z-digits and back (sums, and inverses by extended Euclid).
+- _mul: schoolbook for short products (a = 1: below _KRONECKER_MIN pairs;
+  table fields: below _LOG_SCHOOLBOOK pairs per slot), else Kronecker
+  substitution: the operands' slots (for a > 1, each code's z-digits,
+  spread column by column) are packed into ints with byte slots wide enough
+  for any product slot, multiplied once, unpacked, and for a > 1 folded
+  back by the modulus column by column.
+- _divmod: schoolbook long division (on logarithms for table fields) when
+  quotient length times divisor length is below _LONG_DIVISION_MAX (a = 1)
+  or _TABLE_LONG_DIVISION_MAX (table fields); larger extension fields never
+  long-divide.  Else the quotient comes from the power-series inverse of the
+  reversed divisor (Newton iteration on _mul).  _powmod takes that inverse
+  from its caller (Barrett reduction): powmod computes it once per call,
+  the distinct-degree split once per modulus.
+gcd, extended gcd and CRT run on int lists and box a Poly only when they
+return.
 
 Factorization is squarefree decomposition (characteristic-p aware), then
 distinct-degree splitting (lazy, by increasing degree), then randomized
@@ -190,26 +203,26 @@ class Poly:
 
     def powmod(self, n: int, mod: "Poly") -> "Poly":
         ctx, m = self.ctx, mod.coeffs
-        result, base = (Poly.one(ctx) % mod).coeffs, (self % mod).coeffs
-        # Barrett: a product of two residues has a quotient shorter than m - 1
-        minv = _inv_series(ctx, m[::-1], max(len(m) - 2, 1))
-        while n:
-            if n & 1:
-                result = _divmod(ctx, _mul(ctx, result, base), m, minv)[1]
-            n >>= 1
-            if n:
-                base = _divmod(ctx, _mul(ctx, base, base), m, minv)[1]
-        return Poly(ctx, result)
+        return Poly(ctx, _powmod(ctx, (self % mod).coeffs, n, m, _barrett(ctx, m)))
 
 
 # -- the int-list kernel ------------------------------------------------------------
 # Lists hold codes low-to-high.  _mul and _inv_series may end in zeros;
 # _addsub, _divmod's remainder and the gcd routines return trimmed lists.
 
-_KRONECKER_MIN = 32  # products of fewer coefficient pairs go by schoolbook
+_KRONECKER_MIN = 32  # prime-field products of fewer coefficient pairs go by schoolbook
 # quotient length * divisor length below this: long division, unless the
 # caller holds the divisor's inverse series (Barrett, as in powmod)
 _LONG_DIVISION_MAX = 384
+# Table fields: a > 1 and at most _TABLE_MAX elements.  They do their scalar
+# work on Zech logarithms (FieldCtx.logs).  A product goes by schoolbook on
+# logarithms while its coefficient pairs number fewer than _LOG_SCHOOLBOOK
+# times its slots, a * (len f + len g), which Kronecker's cost grows with.
+# Their divisions take _TABLE_LONG_DIVISION_MAX for _LONG_DIVISION_MAX.
+# Larger extension fields always divide by inverse series.
+_TABLE_MAX = 1024
+_LOG_SCHOOLBOOK = 3
+_TABLE_LONG_DIVISION_MAX = 6000
 
 
 def _trim(f: list) -> list:
@@ -245,34 +258,83 @@ def _unpack_mod(n: int, width: int, count: int, p: int) -> list:
     return list(acc.to_bytes(count, "little").translate(tables[0]))
 
 
+def _zech(ctx: FieldCtx):
+    """FieldCtx.logs() of an extension field of at most _TABLE_MAX elements, else None."""
+    return ctx.logs() if ctx.a > 1 and ctx.q <= _TABLE_MAX else None
+
+
 def _mul(ctx: FieldCtx, f, g) -> list:
-    """f * g as len(f) + len(g) - 1 codes: slot lists (for a > 1 each code's
-    z-digits and a - 1 zeros) convolved by one bigint product (Kronecker) or,
-    below _KRONECKER_MIN pairs, by schoolbook; for a > 1 then reduced by the modulus."""
+    """f * g as len(f) + len(g) - 1 codes.  Short products go by schoolbook,
+    on residues for a = 1 and on Zech logarithms for table fields.  The rest
+    are one bigint product (Kronecker) of slot lists, which for a > 1 are
+    spread from z-digits and folded back by the modulus."""
     if not f or not g:
         return []
     p, a = ctx.p, ctx.a
-    n, count = min(len(f), len(g)), (len(f) + len(g) - 1) * (2 * a - 1)
-    schoolbook, square = len(f) * len(g) < _KRONECKER_MIN, f is g
-    if a > 1:
-        vec, pad = ctx._vec, (0,) * (a - 1)
-        f, g = ([x for c in h for x in vec(c) + pad] for h in (f, g))
-    if schoolbook:
+    if a == 1 and len(f) * len(g) < _KRONECKER_MIN:
         prod = [0] * (len(f) + len(g) - 1)
         for i, x in enumerate(f):
             if x:
                 for j, y in enumerate(g, i):
                     prod[j] += x * y
-        prod = [v % p for v in prod[:count]]
-    else:
-        width = -(-(a * (p - 1) ** 2 * n).bit_length() // 8)  # bytes for any product slot
-        packed = _pack(f, width, p)  # a square packs once and squares faster
-        prod = packed * (packed if square else _pack(g, width, p))
-        prod = _unpack_mod(prod, width, count, p)
-    if a == 1:
-        return prod
-    step = 2 * a - 1  # each block of product slots is one s-coefficient
-    return [ctx._code(ctx._reduce(prod[i:i + step])) for i in range(0, count, step)]
+        return [v % p for v in prod]
+    tables = _zech(ctx)
+    if tables is not None and len(f) * len(g) < _LOG_SCHOOLBOOK * a * (len(f) + len(g)):
+        return _log_mul(tables, f, g)
+    n, count = min(len(f), len(g)), (len(f) + len(g) - 1) * (2 * a - 1)
+    square = f is g  # a square packs once and squares faster
+    if a > 1:
+        f, g = _spread(ctx, f), _spread(ctx, g)
+    width = -(-(a * (p - 1) ** 2 * n).bit_length() // 8)  # bytes for any product slot
+    packed = _pack(f, width, p)
+    prod = _unpack_mod(packed * (packed if square else _pack(g, width, p)), width, count, p)
+    return prod if a == 1 else _fold(ctx, prod)
+
+
+def _spread(ctx: FieldCtx, codes) -> list:
+    """The slot list of codes, a > 1: each code's z-digits, then a - 1 zeros."""
+    p, step = ctx.p, 2 * ctx.a - 1
+    slots = [0] * (len(codes) * step)
+    for i, w in enumerate(ctx._weights):
+        slots[i::step] = [c // w % p for c in codes]
+    return slots
+
+
+def _fold(ctx: FieldCtx, slots) -> list:
+    """The codes of a product's slot list, a > 1: each block of 2a - 1 slots
+    is a z-polynomial, reduced by the monic modulus column by column."""
+    p, a, mod = ctx.p, ctx.a, ctx.modulus
+    cols = [slots[i::2 * a - 1] for i in range(2 * a - 1)]
+    for k in range(2 * a - 2, a - 1, -1):  # z^k = -sum_j mod[j] z^(k - a + j)
+        top = [x % p for x in cols[k]]
+        for j, mj in enumerate(mod[:a], k - a):
+            if mj:
+                cols[j] = [x - mj * t for x, t in zip(cols[j], top)]
+    codes = [x % p for x in cols[0]]
+    for col in cols[1:a]:
+        codes = [c * p + x % p for c, x in zip(codes, col)]
+    return codes
+
+
+def _log_mul(tables, f, g) -> list:
+    """Schoolbook f * g with each product slot summed as a Zech logarithm
+    (None while the slot is 0)."""
+    log, exp, zech = tables
+    m = len(exp)
+    acc = [None] * (len(f) + len(g) - 1)
+    lg = [(j, log[y]) for j, y in enumerate(g) if y]
+    for i, x in enumerate(f):
+        if x:
+            lx = log[x]
+            for j, ly in lg:
+                k, t = i + j, lx + ly
+                s = acc[k]
+                if s is None:
+                    acc[k] = t % m
+                else:  # g^s + g^t = g^(s + Z(t - s))
+                    z = zech[(t - s) % m]
+                    acc[k] = None if z is None else (s + z) % m
+    return [0 if s is None else exp[s] for s in acc]
 
 
 def _addsub(ctx: FieldCtx, f, g, sign: int) -> list:
@@ -281,15 +343,35 @@ def _addsub(ctx: FieldCtx, f, g, sign: int) -> list:
     pairs = zip_longest(f, g, fillvalue=0)
     if ctx.a == 1:
         return _trim([(x + sign * y) % p for x, y in pairs])
-    vec, code = ctx._vec, ctx._code
-    return _trim([code([(u + sign * v) % p for u, v in zip(vec(x), vec(y))])
-                  for x, y in pairs])
+    tables = _zech(ctx)
+    if tables is None:
+        vec, code = ctx._vec, ctx._code
+        return _trim([code([(u + sign * v) % p for u, v in zip(vec(x), vec(y))])
+                      for x, y in pairs])
+    log, exp, zech = tables
+    m = len(exp)
+    neg = 0 if sign == 1 else m // 2  # -1 = g^(m/2)
+    out = []
+    for x, y in pairs:
+        if not y:
+            out.append(x)
+        elif not x:
+            out.append(exp[(log[y] + neg) % m])
+        else:
+            lx = log[x]
+            z = zech[(log[y] + neg - lx) % m]
+            out.append(0 if z is None else exp[(lx + z) % m])
+    return _trim(out)
 
 
 def _inv(ctx: FieldCtx, c: int) -> int:
     if ctx.a == 1:
         return pow(c, ctx.p - 2, ctx.p)
-    return ctx._code(ctx._raw_inv(ctx._vec(c)))
+    tables = _zech(ctx)
+    if tables is None:
+        return ctx._code(ctx._raw_inv(ctx._vec(c)))
+    log, exp, _ = tables
+    return exp[-log[c] % len(exp)]
 
 
 def _inv_series(ctx: FieldCtx, b, n: int) -> list:
@@ -304,6 +386,25 @@ def _inv_series(ctx: FieldCtx, b, n: int) -> list:
     return g
 
 
+def _barrett(ctx: FieldCtx, m) -> list:
+    """The inverse series of reversed m for _divmod to reduce products of two
+    residues by: their quotients are shorter than len(m) - 1."""
+    return _inv_series(ctx, m[::-1], max(len(m) - 2, 1))
+
+
+def _powmod(ctx: FieldCtx, f, n: int, m, minv) -> list:
+    """f^n mod m by square-and-multiply, for f reduced mod m and
+    minv = _barrett(ctx, m)."""
+    result = _divmod(ctx, [ctx.unit], m)[1]
+    while n:
+        if n & 1:
+            result = _divmod(ctx, _mul(ctx, result, f), m, minv)[1]
+        n >>= 1
+        if n:
+            f = _divmod(ctx, _mul(ctx, f, f), m, minv)[1]
+    return result
+
+
 def _divmod(ctx: FieldCtx, f, g, ginv=None) -> tuple[list, list]:
     """(quotient, remainder) for g nonzero and trimmed.  ginv, when given, is
     the inverse series of reversed g to at least the quotient's length."""
@@ -313,7 +414,7 @@ def _divmod(ctx: FieldCtx, f, g, ginv=None) -> tuple[list, list]:
     if len(g) == 1:  # a unit divides exactly
         return _mul(ctx, f, [_inv(ctx, g[0])]), []
     if ginv is None:
-        if m * len(g) < _LONG_DIVISION_MAX:
+        if m * len(g) < _long_division_max(ctx):
             return _long_divmod(ctx, f, g)
         ginv = _inv_series(ctx, g[::-1], m)
     quo = _mul(ctx, f[:-m - 1:-1], ginv[:m])[m - 1::-1]
@@ -321,13 +422,22 @@ def _divmod(ctx: FieldCtx, f, g, ginv=None) -> tuple[list, list]:
     return quo, _addsub(ctx, f[:dg], _mul(ctx, quo[:dg], g[:dg])[:dg], -1)
 
 
+def _long_division_max(ctx: FieldCtx) -> int:
+    """Quotient length * divisor length below which _divmod long-divides,
+    unless the caller holds the divisor's inverse series."""
+    if ctx.a == 1:
+        return _LONG_DIVISION_MAX
+    return _TABLE_LONG_DIVISION_MAX if ctx.q <= _TABLE_MAX else 0
+
+
 def _long_divmod(ctx: FieldCtx, f, g) -> tuple[list, list]:
-    """_divmod by schoolbook long division.  Remainder slots accumulate
-    unreduced: residues for a = 1, z-polynomials of degree < 2a - 1 else;
-    each is reduced when read as the next leading term and at the end."""
-    p, a, dg, m = ctx.p, ctx.a, len(g) - 1, len(f) - len(g) + 1
+    """_divmod by schoolbook long division, for a = 1 and table fields.
+    Remainder slots hold residues reduced only when read (a = 1), or Zech
+    logarithms (None for 0)."""
+    dg, m = len(g) - 1, len(f) - len(g) + 1
     quo = [0] * m
-    if a == 1:  # 3-7x faster than the z-vector loop below run at a = 1
+    if ctx.a == 1:
+        p = ctx.p
         inv, rem = _inv(ctx, g[-1]), list(f)
         for k in range(m - 1, -1, -1):
             c = rem[k + dg] % p * inv % p
@@ -335,20 +445,25 @@ def _long_divmod(ctx: FieldCtx, f, g) -> tuple[list, list]:
                 quo[k] = c
                 rem[k:k + dg] = [x - c * y for x, y in zip(rem[k:k + dg], g)]
         return quo, _trim([x % p for x in rem[:dg]])
-    vec, reduce, pad = ctx._vec, ctx._reduce, [0] * (a - 1)
-    inv, gv = vec(_inv(ctx, g[-1])), [vec(y) for y in g[:dg]]
-    rem = [list(vec(x)) + pad for x in f]
+    log, exp, zech = ctx.logs()
+    n = len(exp)
+    lg = [(j, log[y]) for j, y in enumerate(g[:dg]) if y]
+    lc = log[g[-1]]
+    rem = [log[x] for x in f]
     for k in range(m - 1, -1, -1):
-        top = reduce(rem[k + dg])
-        if any(top):
-            c = ctx._raw_mul(top, inv)
-            quo[k] = ctx._code(c)
-            for acc, y in zip(rem[k:k + dg], gv):
-                for i, ci in enumerate(c):
-                    if ci:
-                        for j, yj in enumerate(y, i):
-                            acc[j] -= ci * yj
-    return quo, _trim([ctx._code(reduce(x)) for x in rem[:dg]])
+        top = rem[k + dg]
+        if top is not None:  # quotient term c = g^(top - lc); -c*y = g^(c + n/2 + log y)
+            quo[k] = exp[(top - lc) % n]
+            c = top - lc + n // 2
+            for j, ly in lg:
+                j += k
+                t, s = c + ly, rem[j]
+                if s is None:
+                    rem[j] = t % n
+                else:
+                    z = zech[(t - s) % n]
+                    rem[j] = None if z is None else (s + z) % n
+    return quo, _trim([0 if s is None else exp[s] for s in rem[:dg]])
 
 
 def _gcd(ctx: FieldCtx, f, g) -> list:
@@ -549,17 +664,19 @@ def _ddf(f: Poly):
     h = s % f
     d = 0
     rest = f
+    rinv = _barrett(ctx, rest.coeffs)  # kept while rest is unchanged
     while rest.degree() > 0:
         d += 1
         if 2 * d > rest.degree():
             yield rest, rest.degree()
             return
-        h = h.powmod(ctx.q, rest)
+        h = Poly(ctx, _powmod(ctx, h.coeffs, ctx.q, rest.coeffs, rinv))
         g = poly_gcd(h - s, rest) if (h - s) else rest
         if not g.is_one():
             yield g, d
             rest = rest // g
             h = h % rest
+            rinv = _barrett(ctx, rest.coeffs)
 
 
 def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base_algebra.poly import (Poly, all_polys, factor, poly_lcm,
-                                poly_valuation)
+from .base_algebra.poly import (Poly, _barrett, _powmod, all_polys, factor,
+                                poly_lcm, poly_valuation)
 from .base_algebra.ratfunc import RatFunc, ratfunc_sqrt
 from .curve_ff import CurveParams, ECPoint, _add_step, is_torsion
 from .errors import DistinctnessFailure, TorsionPoint, ZeroInput
@@ -147,11 +147,13 @@ def _minimal_poly_of_root_power(h: Poly, n: int) -> Poly:
     irreducible h: the product of X - beta^(q^i) over the Frobenius orbit of
     beta, multiplied out in F_q[s]/(h).  Frobenius fixes the product, so its
     coefficients are constants."""
-    ctx = h.ctx
-    beta = Poly.gen(ctx).powmod(n, h)
+    ctx, m = h.ctx, h.coeffs
+    minv = _barrett(ctx, m)  # one inverse series of h for every power
+    beta = _powmod(ctx, (Poly.gen(ctx) % h).coeffs, n, m, minv)
     orbit = [beta]
-    while (conj := orbit[-1].powmod(ctx.q, h)) != beta:
+    while (conj := _powmod(ctx, orbit[-1], ctx.q, m, minv)) != beta:
         orbit.append(conj)
+    orbit = [Poly(ctx, b) for b in orbit]
     zero = Poly.zero(ctx)
     coeffs = [Poly.one(ctx)]  # low to high, each reduced mod h
     for b in orbit:  # times X - b

@@ -1,13 +1,19 @@
 """Cross-checks of the int-list F_q[s] kernel (Kronecker multiply, long or
 Newton division, Barrett powmod, gcds and CRT on int lists) against the boxed
 schoolbook multiply and long division it replaced, kept here as the oracle,
-and against sympy over prime fields.
+and against sympy over prime fields.  The table fields (a > 1, at most
+_TABLE_MAX elements), which compute on Zech logarithms, are also checked
+against the long division on z-digit vectors that they replaced, and their
+inverses against extended Euclid (FieldCtx._raw_inv).  FIELDS holds the
+largest odd prime power with a > 1 below _TABLE_MAX (31^2) and the smallest
+above it (11^3).
 
 Operand lengths run from 1 to 301 (degree 0 to 300) and include, each +-1,
 every length at which the multiply changes strategy: the schoolbook/Kronecker
-cutoff and every change of slot width.  Division shapes include, each +-1,
-the quotient * divisor size at which _divmod leaves long division.  All
-randomness is seeded.
+cutoffs and every change of slot width.  Division shapes include, each +-1,
+the quotient * divisor sizes at which _divmod leaves long division.  Some
+operands cancel, so that sums of Zech logarithms reach 0.  All randomness is
+seeded.
 """
 
 import random
@@ -18,7 +24,7 @@ from kummerwit.base_algebra import (Poly, crt, factor, field_ctx, is_irreducible
                                     poly_ext_gcd, poly_gcd)
 from kummerwit.base_algebra import poly as kernel
 
-FIELDS = [(p, a) for p in (3, 5, 7, 13, 257) for a in (1, 2, 3)]
+FIELDS = [(p, a) for p in (3, 5, 7, 13, 257) for a in (1, 2, 3)] + [(31, 2), (11, 3)]
 FIELD_IDS = [f"F{p}^{a}" for p, a in FIELDS]
 
 
@@ -76,6 +82,39 @@ def odivmod(f, g):
     return unboxed(f.ctx, quo), unboxed(f.ctx, rem)
 
 
+def zvector_long_divmod(ctx, f, g):
+    """Long division of code lists, a > 1, on z-digit vectors: remainder slots
+    accumulate unreduced z-polynomials of degree < 2a - 1, each reduced when
+    read as the next leading term and at the end."""
+    a, dg, m = ctx.a, len(g) - 1, len(f) - len(g) + 1
+    vec, reduce, pad = ctx._vec, ctx._reduce, [0] * (a - 1)
+    inv, gv = ctx._raw_inv(vec(g[-1])), [vec(y) for y in g[:dg]]
+    rem, quo = [list(vec(x)) + pad for x in f], [0] * m
+    for k in range(m - 1, -1, -1):
+        top = reduce(rem[k + dg])
+        if any(top):
+            c = ctx._raw_mul(top, inv)
+            quo[k] = ctx._code(c)
+            for acc, y in zip(rem[k:k + dg], gv):
+                for i, ci in enumerate(c):
+                    if ci:
+                        for j, yj in enumerate(y, i):
+                            acc[j] -= ci * yj
+    return quo, kernel._trim([ctx._code(reduce(x)) for x in rem[:dg]])
+
+
+def is_table_field(p, a):
+    return a > 1 and p ** a <= kernel._TABLE_MAX
+
+
+def negate_odd(f):
+    """f(-s): f times g(s) = f(-s) has every odd coefficient 0, each a sum
+    that cancels."""
+    ctx, minus = f.ctx, -f.ctx.one()
+    return Poly(ctx, [ctx.encode(minus * c) if i % 2 else ctx.encode(c)
+                      for i, c in enumerate(boxed(f))])
+
+
 # -- inputs ------------------------------------------------------------------------
 
 
@@ -96,17 +135,20 @@ def sparse_codes(ctx, rng, length):
 def cutoff_lengths(p, a):
     """Operand lengths at which _mul changes strategy, each +-1."""
     marks = {kernel._KRONECKER_MIN}
+    if is_table_field(p, a):  # n x n leaves the log schoolbook at n = 2a * _LOG_SCHOOLBOOK
+        marks.add(2 * a * kernel._LOG_SCHOOLBOOK)
     for width in (1, 2, 3):  # first length whose product slots outgrow `width` bytes
         marks.add(-(-256 ** width // (a * (p - 1) ** 2)))
     return sorted({n for m in marks for n in (m - 1, m, m + 1) if 1 <= n <= 301})
 
 
-def long_division_shapes():
-    """(quotient length, divisor length >= 2) with product at the cutoff of
+def long_division_shapes(ctx):
+    """(quotient length, divisor length >= 2) with product at the cutoffs of
     _divmod's long division, each +-1: the factor pairs with the shortest and
     the longest quotient, and the most nearly square one."""
     shapes = set()
-    for t in (kernel._LONG_DIVISION_MAX + d for d in (-1, 0, 1)):
+    cutoffs = {kernel._LONG_DIVISION_MAX, kernel._long_division_max(ctx)} - {0}
+    for t in (c + d for c in cutoffs for d in (-1, 0, 1)):
         pairs = [(m, t // m) for m in range(1, t // 2 + 1) if t % m == 0]
         shapes |= {pairs[0], pairs[-1], min(pairs, key=lambda mn: abs(mn[0] - mn[1]))}
     return sorted(shapes)
@@ -126,7 +168,7 @@ def ctx_of(p, a):
 @pytest.mark.parametrize("p,a", FIELDS, ids=FIELD_IDS)
 def test_mul_matches_boxed_schoolbook(p, a):
     ctx = ctx_of(p, a)
-    rng = random.Random(1000 * p + a)
+    rng, cancel_rng = random.Random(1000 * p + a), random.Random(1500 * p + a)
     for n in lengths(p, a):
         f, g = rand_poly(ctx, rng, n), rand_poly(ctx, rng, n + rng.randrange(0, 20))
         assert f * g == omul(f, g) == g * f, (p, a, n)
@@ -139,12 +181,19 @@ def test_mul_matches_boxed_schoolbook(p, a):
     for n in lengths(p, a):
         f, g = (Poly(ctx, sparse_codes(ctx, rng, k)) for k in (n, n + rng.randrange(0, 20)))
         assert f * g == omul(f, g), (p, a, n)
+        if n > 50:
+            continue
+        # odd product coefficients cancel to 0, and so do sums and differences
+        f = rand_poly(ctx, cancel_rng, n)
+        assert f * negate_odd(f) == omul(f, negate_odd(f)), (p, a, n)
+        assert f - f == f + -f == Poly.zero(ctx) == oadd(f, -f), (p, a, n)
+        assert oadd(f, negate_odd(f)) == f + negate_odd(f), (p, a, n)
 
 
 @pytest.mark.parametrize("p,a", FIELDS, ids=FIELD_IDS)
 def test_divmod_matches_boxed_long_division(p, a):
     ctx = ctx_of(p, a)
-    rng = random.Random(2000 * p + a)
+    rng, cancel_rng = random.Random(2000 * p + a), random.Random(2200 * p + a)
     for n in lengths(p, a):
         g = rand_poly(ctx, rng, n)
         # quotient lengths around each Newton doubling, plus a long quotient
@@ -152,13 +201,19 @@ def test_divmod_matches_boxed_long_division(p, a):
             f = rand_poly(ctx, rng, n + extra)
             q, r = divmod(f, g)
             assert (q, r) == odivmod(f, g), (p, a, n, extra)
+            if is_table_field(p, a):
+                assert (list(q.coeffs), list(r.coeffs)) == zvector_long_divmod(
+                    ctx, f.coeffs, g.coeffs), (p, a, n, extra)
+        # an exact multiple: every remainder slot cancels to 0
+        h = rand_poly(ctx, cancel_rng, cancel_rng.randrange(1, 12))
+        assert divmod(omul(g, h), g) == (h, Poly.zero(ctx)), (p, a, n)
         short = rand_poly(ctx, rng, n - 1)
         assert divmod(short, g) == (Poly.zero(ctx), short)
         f, g = (Poly(ctx, sparse_codes(ctx, rng, k)) for k in (n + 9, n))
         if g:
             assert divmod(f, g) == odivmod(f, g), (p, a, n)
     # quotient length * divisor length at the long-division cutoff, each +-1
-    for m, n in long_division_shapes():
+    for m, n in long_division_shapes(ctx):
         g = rand_poly(ctx, rng, n)
         f = rand_poly(ctx, rng, m + n - 1)
         assert divmod(f, g) == odivmod(f, g), (p, a, m, n)
@@ -325,6 +380,14 @@ def test_is_irreducible_early_rejections():
     quad = s * s + Poly.const(ctx, 2)
     assert is_irreducible(quad)
     assert not is_irreducible(quad * quad)  # no roots: the split's first part is quad
+
+
+@pytest.mark.parametrize("p,a", [f for f in FIELDS if is_table_field(*f)],
+                         ids=[i for f, i in zip(FIELDS, FIELD_IDS) if is_table_field(*f)])
+def test_table_inverse_matches_euclid(p, a):
+    ctx = ctx_of(p, a)
+    for c in range(1, ctx.q):
+        assert kernel._inv(ctx, c) == ctx._code(ctx._raw_inv(ctx._vec(c))), (p, a, c)
 
 
 @pytest.mark.parametrize("p,a", [(3, 2), (3, 6), (7, 3), (257, 2)])
