@@ -27,8 +27,15 @@ pick the path.
   reversed divisor (Newton iteration on _mul).  _powmod takes that inverse
   from its caller (Barrett reduction): powmod computes it once per call,
   the distinct-degree split once per modulus.
-gcd, extended gcd and CRT run on int lists and box a Poly only when they
-return.
+- gcd and extended gcd (_euclid, behind poly_gcd, poly_ext_gcd, crt,
+  squarefree decomposition, the distinct-degree split and RatFunc
+  normalisation): extension fields take one _divmod per Euclid step.  Prime
+  fields take _divmod only for leading steps whose quotient is at least as
+  long as the divisor's degree; the rest of the remainder sequence runs in
+  _packed_euclid on ints with 8-byte-word slots, one shift-and-add per
+  quotient term, an operand's slots reduced mod p only when the next
+  addend could overflow one.
+gcd, extended gcd and CRT box a Poly only when they return.
 
 Factorization is squarefree decomposition (characteristic-p aware), then
 distinct-degree splitting (lazy, by increasing degree), then randomized
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from functools import lru_cache
 from itertools import zip_longest
 
@@ -209,6 +217,9 @@ class Poly:
 # -- the int-list kernel ------------------------------------------------------------
 # Lists hold codes low-to-high.  _mul and _inv_series may end in zeros;
 # _addsub, _divmod's remainder and the gcd routines return trimmed lists.
+# _pack and _unpack_mod convert between lists and slot-packed ints, for
+# Kronecker products in _mul and for the prime-field remainders of
+# _packed_euclid, whose slots are whole 8-byte words.
 
 _KRONECKER_MIN = 32  # prime-field products of fewer coefficient pairs go by schoolbook
 # quotient length * divisor length below this: long division, unless the
@@ -233,6 +244,8 @@ def _trim(f: list) -> list:
 
 def _pack(vals: list, width: int, p: int) -> int:
     """One int holding vals (each below p) in slots of width bytes, first lowest."""
+    if width == 8:
+        return int.from_bytes(array("Q", vals), "little")
     if p * width >= 256:
         return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in vals), "little")
     data = bytearray(width * len(vals))
@@ -249,6 +262,8 @@ def _byte_tables(p: int, width: int) -> list[bytes]:
 def _unpack_mod(n: int, width: int, count: int, p: int) -> list:
     """The count slots of n, each reduced mod p."""
     data = n.to_bytes(width * count, "little")
+    if width == 8:
+        return [x % p for x in array("Q", data)]
     if p * width >= 256:
         return [int.from_bytes(data[i:i + width], "little") % p
                 for i in range(0, len(data), width)]
@@ -468,22 +483,95 @@ def _long_divmod(ctx: FieldCtx, f, g) -> tuple[list, list]:
 
 def _gcd(ctx: FieldCtx, f, g) -> list:
     """Monic gcd of two lists, not both zero."""
-    while g:
-        f, g = g, _divmod(ctx, f, g)[1]
-    return _mul(ctx, f, [_inv(ctx, f[-1])])
+    r = _euclid(ctx, f, g, False)[0]
+    return _mul(ctx, r, [_inv(ctx, r[-1])])
 
 
 def _ext_gcd(ctx: FieldCtx, f, g) -> tuple[list, list]:
     """(d, u) with d = gcd(f, g) monic and u*f = d mod g, for f, g not both
     zero; the cofactor of g is left out, since (d - u*f) / g recovers it."""
-    r0, r1 = f, g
-    u0, u1 = [ctx.unit], []
-    while r1:
-        quo, rem = _divmod(ctx, r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, _addsub(ctx, u0, _mul(ctx, quo, u1), -1)
-    scale = [_inv(ctx, r0[-1])]
-    return _mul(ctx, r0, scale), _mul(ctx, u0, scale)
+    r, u = _euclid(ctx, f, g, True)
+    scale = [_inv(ctx, r[-1])]
+    return _mul(ctx, r, scale), _mul(ctx, u, scale)
+
+
+def _euclid(ctx: FieldCtx, f, g, cofactor: bool) -> tuple[list, list]:
+    """(r, u) for lists f, g, not both zero: r the last nonzero remainder of
+    Euclid's sequence and, when cofactor is set, u with u*f = r mod g;
+    neither is made monic.  Extension fields divide with _divmod at every
+    step.  Prime fields do so only while the quotient is at least as long as
+    the divisor's degree, since each of its terms would cost _packed_euclid
+    a shift-and-add over all of the dividend, and run the rest packed."""
+    (a, ua), (b, ub) = (f, [ctx.unit]), (g, [])
+    if len(a) < len(b):  # Euclid's first step only swaps
+        (a, ua), (b, ub) = (b, ub), (a, ua)
+    while len(b) > 1 and (ctx.a > 1 or len(a) + 2 >= 2 * len(b)):
+        quo, rem = _divmod(ctx, a, b)
+        u = _addsub(ctx, ua, _mul(ctx, quo, ub), -1) if cofactor else []
+        (a, ua), (b, ub) = (b, ub), (rem, u)
+    if not b:
+        return a, ua
+    if len(b) == 1:  # b is a unit: the next remainder is 0
+        return b, ub
+    return _packed_euclid(ctx.p, a, ua, b, ub, cofactor)
+
+
+def _packed_euclid(p: int, a, ua, b, ub, cofactor: bool) -> tuple[list, list]:
+    """_euclid's (r, u) over F_p, from the remainders a, b with 2 <= len(b)
+    <= len(a) and their cofactors ua, ub (ignored unless cofactor is set).
+
+    Each remainder is one int of slots of whole 8-byte words with room for
+    (p - 1)^2 * 2^16.  A quotient term adds c * s^k * b to a, with
+    c = -lead(a)/lead(b) mod p, as one nonnegative shift-and-add, so slots
+    only grow.  Each operand's bound tracks its largest slot, and an operand
+    is reduced mod p (unpacked and repacked) only when the next addend could
+    overflow a slot.  When a division ends, the slots it cleared are masked
+    off, and so is each top slot divisible by p, which leaves the
+    remainder's true degree.  The cofactors ride along with their own
+    bounds."""
+    width = -(-((p - 1) ** 2 << 16).bit_length() // 64) * 8  # bytes per slot
+    w = 8 * width
+    top = (1 << w) - 1  # one slot's mask, and the bound no slot may pass
+
+    def slots(n: int) -> int:
+        return -(-n.bit_length() // w)
+
+    def reduce(n: int) -> int:
+        return _pack(_unpack_mod(n, width, slots(n), p), width, p)
+
+    da, db = len(a) - 1, len(b) - 1
+    a, ba, ua, bua = _pack(a, width, p), p - 1, _pack(ua, width, p), p - 1
+    b, bb, ub, bub = _pack(b, width, p), p - 1, _pack(ub, width, p), p - 1
+    while db > 0:
+        inv = pow((b >> db * w) % p, p - 2, p)
+        for k in range(da - db, -1, -1):
+            lead = (a >> (k + db) * w & top) % p
+            if not lead:
+                continue
+            c = (p - lead) * inv % p
+            if ba + c * bb > top:
+                a, ba = reduce(a), p - 1
+                if ba + c * bb > top:  # a divisor swapped in with a large bound
+                    b, bb = reduce(b), p - 1
+            a += c * b << k * w
+            ba += c * bb
+            if cofactor and ub:
+                if bua + c * bub > top:
+                    ua, bua = reduce(ua), p - 1
+                    if bua + c * bub > top:
+                        ub, bub = reduce(ub), p - 1
+                ua += c * ub << k * w
+                bua += c * bub
+        a &= (1 << db * w) - 1
+        da = slots(a) - 1
+        while da >= 0 and not (a >> da * w) % p:
+            a &= (1 << da * w) - 1
+            da = slots(a) - 1
+        if da < 0:  # b divides a
+            break
+        a, da, ba, ua, bua, b, db, bb, ub, bub = b, db, bb, ub, bub, a, da, ba, ua, bua
+    u = _trim(_unpack_mod(ub, width, slots(ub), p)) if cofactor else []
+    return _unpack_mod(b, width, db + 1, p), u
 
 
 # -- gcd family ---------------------------------------------------------------------
@@ -500,6 +588,8 @@ def poly_valuation(f: Poly, pi: Poly) -> int:
     """Largest v with pi^v dividing f, for f nonzero and pi nonconstant."""
     if f.is_zero():
         raise ZeroInput("valuation of zero is undefined")
+    if pi.is_constant():
+        raise ValueError("valuation needs a nonconstant pi")
     v = 0
     while True:
         q, r = divmod(f, pi)

@@ -8,6 +8,7 @@ from kummerwit.base_algebra import (NEG_INF, Poly, all_polys, crt, factor,
                                     poly_ext_gcd, poly_gcd,
                                     squarefree_decomposition)
 from kummerwit.base_algebra.intarith import factorint
+from kummerwit.base_algebra.poly import poly_valuation
 from kummerwit.errors import BothZero, NotCoprime
 
 
@@ -103,6 +104,15 @@ def test_crt_examples(f3):
 
     with pytest.raises(NotCoprime):
         crt([(one, s), (Poly.zero(f3), s)])
+
+
+def test_valuation_needs_nonconstant_pi(f3):
+    s, one = Poly.gen(f3), Poly.one(f3)
+    f = (s + one) ** 3 * s
+    assert poly_valuation(f, s + one) == 3 and poly_valuation(f, s) == 1
+    for pi in (Poly.const(f3, 2), one, Poly.zero(f3)):  # pi^v divides f for every v
+        with pytest.raises(ValueError):
+            poly_valuation(f, pi)
 
 
 def test_crt_property(f3):

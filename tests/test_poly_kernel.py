@@ -4,7 +4,9 @@ schoolbook multiply and long division it replaced, kept here as the oracle,
 and against sympy over prime fields.  The table fields (a > 1, at most
 _TABLE_MAX elements), which compute on Zech logarithms, are also checked
 against the long division on z-digit vectors that they replaced, and their
-inverses against extended Euclid (FieldCtx._raw_inv).  FIELDS holds the
+inverses against extended Euclid (FieldCtx._raw_inv).  Prime-field gcds and
+extended gcds, which run packed, are checked against the Euclid on code
+lists that they replaced, for primes up to 2^31 - 1.  FIELDS holds the
 largest odd prime power with a > 1 below _TABLE_MAX (31^2) and the smallest
 above it (11^3).
 
@@ -272,6 +274,89 @@ def test_ext_gcd_bezout_and_divisibility(p, a):
             for h in (x, y):
                 assert odivmod(h, d)[1].is_zero()
             assert odivmod(d, common)[1].is_zero()
+
+
+def list_gcd(ctx, f, g):
+    """Euclid on code lists, one _divmod per step: the prime-field _gcd
+    before its remainders were packed, kept as the oracle."""
+    while g:
+        f, g = g, kernel._divmod(ctx, f, g)[1]
+    return kernel._mul(ctx, f, [kernel._inv(ctx, f[-1])])
+
+
+def list_ext_gcd(ctx, f, g):
+    """Extended Euclid on code lists, one _divmod per step: the prime-field
+    _ext_gcd before its remainders were packed, kept as the oracle."""
+    r0, r1, u0, u1 = f, g, [ctx.unit], []
+    while r1:
+        quo, rem = kernel._divmod(ctx, r0, r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, kernel._addsub(ctx, u0, kernel._mul(ctx, quo, u1), -1)
+    scale = [kernel._inv(ctx, r0[-1])]
+    return kernel._mul(ctx, r0, scale), kernel._mul(ctx, u0, scale)
+
+
+# the primes of FIELDS, the largest prime below 2^16, and 2^31 - 1, whose
+# packed Euclid slots take two 8-byte words
+EUCLID_PRIMES = [3, 5, 7, 13, 257, 65521, 2 ** 31 - 1]
+
+
+def euclid_pairs(ctx, rng):
+    """(f, g) code lists: zero, constant and equal-degree operands, common
+    factors of degree 0 to 10, long quotients first and in mid-sequence,
+    and sparse operands whose remainders drop many degrees at once."""
+    def poly(n):
+        return list(rand_poly(ctx, rng, n).coeffs)
+
+    pairs = [([], poly(1)), (poly(1), []), ([], poly(9)), (poly(9), []),
+             (poly(1), poly(1)), (poly(1), poly(7)), (poly(7), poly(1))]
+    pairs += [(poly(n), poly(n)) for n in (2, 3, 4, 5, 8, 31)]
+    for deg in range(11):
+        common = poly(deg + 1)
+        pairs += [(kernel._mul(ctx, common, poly(rng.randrange(1, 30))),
+                   kernel._mul(ctx, common, poly(rng.randrange(1, 30))))]
+    pairs += [(poly(90), poly(3)), (poly(3), poly(90)), (poly(60), poly(35))]
+    # f mod mid has degree 2, so a long quotient follows in mid-sequence
+    mid = kernel._mul(ctx, poly(50), poly(3))
+    pairs += [(kernel._addsub(ctx, kernel._mul(ctx, mid, poly(5)), poly(3), 1), mid)]
+    for n in (81, 243):  # s^n + c against s^(n - 1) + c' s^k
+        pairs += [([rng.randrange(1, ctx.q)] + [0] * (n - 1) + [1],
+                   [0] * 5 + [rng.randrange(1, ctx.q)] + [0] * (n - 7) + [1])]
+    return pairs
+
+
+@pytest.mark.parametrize("p", EUCLID_PRIMES)
+def test_packed_euclid_matches_list_euclid(p):
+    ctx = field_ctx(p, 1)
+    rng = random.Random(7000 + p)
+    for f, g in euclid_pairs(ctx, rng):
+        d, u = kernel._ext_gcd(ctx, f, g)
+        assert (d, u) == list_ext_gcd(ctx, f, g), (p, len(f), len(g))
+        assert kernel._gcd(ctx, f, g) == list_gcd(ctx, f, g) == d, (p, len(f), len(g))
+        uf = kernel._mul(ctx, u, f)
+        if g:  # u*f = d mod g
+            assert kernel._divmod(ctx, kernel._addsub(ctx, uf, d, -1), g)[1] == []
+        else:
+            assert uf == d
+
+
+@pytest.mark.parametrize("p", EUCLID_PRIMES)
+def test_packed_euclid_reduces_slots_on_long_sequences(p, monkeypatch):
+    """Euclid's sequence on operands of degree 200 runs long enough to
+    overflow unreduced slots, for every slot width; the reductions (every
+    _unpack_mod call but the last two) must keep it exact."""
+    ctx = field_ctx(p, 1)
+    rng = random.Random(8000 + p)
+    calls = []
+    unpack = kernel._unpack_mod
+    monkeypatch.setattr(kernel, "_unpack_mod", lambda *args: calls.append(1) or unpack(*args))
+    for n in (200, 201):
+        f, g = (list(rand_poly(ctx, rng, k).coeffs) for k in (n, 200))
+        calls.clear()
+        r, u = kernel._packed_euclid(p, f, [1], g, [], True)
+        assert len(calls) > 2, (p, n)
+        scale = [kernel._inv(ctx, r[-1])]
+        assert (kernel._mul(ctx, r, scale), kernel._mul(ctx, u, scale)) == list_ext_gcd(ctx, f, g)
 
 
 @pytest.mark.parametrize("p,a", FIELDS, ids=FIELD_IDS)
