@@ -194,6 +194,8 @@ def boundedness_probe(place: Place, r: int, ell: int, n_max: int,
     """
     if not is_prime(ell) or ell == ctx.p or ell == r:
         raise BadEll(f"l = {ell} must be a prime outside {{p, r}}")
+    if n_max < 0:
+        raise ValueError("tower level must be >= 0")
 
     def search(current: Place, depth: int) -> bool:
         if depth == n_max:

@@ -12,17 +12,16 @@ long division by the integer cyclotomic polynomial gives the unique
 coordinates, so the test is exact.
 
 x is *balanced* mod m exactly when no odd character chi mod m with nonzero
-half-interval sum sum_{0<k<m/2} chi(k) has chi(x) = 1; is_balanced decides
-this by exhaustive scan, is_balanced_fast by the Legendre shortcuts
-(non-residue mod an odd prime; residue mod a prime = 3 mod 4; and descent
-through m = y*z with y an odd prime dividing z).
-
-The scan sums one character per odd cyclic subgroup <chi> (an even one
-holds no witness) and gives its verdict to every generator chi^j.  This
-is exact: chi^j = chi^j' for a j' = j mod ord chi prime to lambda, and the
-automorphism zeta -> zeta^j' maps chi(-1) and the half sum of chi to those
-of chi^j', so it keeps oddness and fixes 0 (Washington, Introduction to
-Cyclotomic Fields, ch. 4).
+half sum sum_{0<k<m/2} chi(k) has chi(x) = 1, that is, when every coset of
+<x> in (Z/m)^x holds as many units below m/2 as above it.  With f(a) = +1
+for a unit a < m/2 and -1 for a > m/2, and F(c) the sum of f over a coset c:
+    f is odd, so sum_a f(a) chi(a) = (1 - chi(-1)) * (half sum of chi);
+    for chi(x) = 1 the left side is sum_c F(c) chi(c), F's Fourier coefficient;
+    so F = 0 on (Z/m)^x/<x> exactly when no odd such chi has nonzero half sum
+(orthogonality; Washington, Introduction to Cyclotomic Fields, ch. 3-4).
+is_balanced counts cosets in integers; balance_witness builds Z[zeta] only
+to name a witness for an unbalanced x; is_balanced_fast tries the Legendre
+shortcuts.
 """
 
 from __future__ import annotations
@@ -256,41 +255,39 @@ def char_props(chi: Character) -> tuple[bool, Cyclotomic]:
 
 @lru_cache(maxsize=None)
 def _unbalanced_witness_exponents(m: int):
-    """The odd characters mod m with nonzero half sum, in enumeration order.
-
-    x is not balanced mod m exactly when one of these characters sends x
-    to 1; caching them makes repeated balance queries for one modulus cheap.
-    """
-    pending: dict[tuple[int, ...], bool] = {}
-    witnesses = []
-    for chi in characters_enum(m):
-        verdict = pending.pop(chi.exps, None)
-        if verdict is None:
-            verdict = chi.is_odd() and not char_props(chi)[1].is_zero()
-            order = chi.order()
-            for j in range(2, order):
-                if gcd(j, order) == 1:
-                    pending[tuple(j * e % d for e, (_, d) in zip(chi.exps, chi.gens))] = verdict
-        if verdict:
-            witnesses.append(chi)
-    return tuple(witnesses)
+    """The odd characters mod m in enumeration order: balance_witness's
+    candidates, kept so that repeated unbalanced queries share one list."""
+    return tuple(chi for chi in characters_enum(m) if chi.is_odd())
 
 
 def is_balanced(x: int, m: int) -> bool:
-    """Exhaustive character scan for the balanced predicate."""
-    return balance_witness(x, m) is None
-
-
-def balance_witness(x: int, m: int):
-    """An odd character with nonzero half sum and chi(x) = 1, if one exists."""
+    """Coset count: every coset of <x> in (Z/m)^x holds as many units below
+    m/2 as above it."""
     if m < 3:
         raise BadModulus(f"modulus {m} must be >= 3")
     if gcd(x, m) != 1:
         raise NotCoprime(f"gcd({x}, {m}) > 1")
-    for chi in _unbalanced_witness_exponents(m):
-        if chi.value_exponent(x) == 0:
-            return chi
-    return None
+    seen = bytearray(m)  # marks non-units, then each coset as it is walked
+    for p in factorint(m):
+        seen[::p] = b"\1" * len(range(0, m, p))
+    for a in range(1, m):
+        count, b = 0, a
+        while not seen[b]:
+            seen[b] = 1
+            count += 1 if 2 * b < m else -1
+            b = b * x % m
+        if count:
+            return False
+    return True
+
+
+def balance_witness(x: int, m: int):
+    """None when x is balanced mod m; otherwise the first odd character in
+    enumeration order with chi(x) = 1 and nonzero half sum."""
+    if is_balanced(x, m):
+        return None
+    return next(chi for chi in _unbalanced_witness_exponents(m)
+                if chi.value_exponent(x) == 0 and not char_props(chi)[1].is_zero())
 
 
 def legendre_symbol(x: int, m: int) -> int:
@@ -313,11 +310,13 @@ def is_balanced_fast(x: int, m: int, below=None):
 
     below(x, z) decides the smaller modulus z: is_balanced_fast itself by
     default; BalanceRouter passes its cached, oracle-backed decision.
-    Coprimality is checked here.
+    The modulus and coprimality are checked here.
     """
+    if m < 3:
+        raise BadModulus(f"modulus {m} must be >= 3")
     if gcd(x, m) != 1:
         raise NotCoprime(f"gcd({x}, {m}) > 1")
-    if m >= 3 and m % 2 == 1 and is_prime(m):
+    if m % 2 == 1 and is_prime(m):
         sym = legendre_symbol(x, m)
         if sym == -1:
             return True

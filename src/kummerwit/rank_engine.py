@@ -5,7 +5,7 @@ The rank equals the sum, over divisors e > 2 of q*r^n with p balanced
 mod e, of the index phi(e)/ord(p^a mod e).  Balance checks route through
 the Legendre shortcuts first, then propagate not-balanced verdicts up
 prime-power ladders (m = y*z with y | z, is_balanced_fast asking the router
-about z), and only then fall back to the exhaustive character oracle;
+about z), and only then fall back to the coset count of is_balanced;
 results are cached per (x, e).  rank_formula validates the parameters.
 """
 
@@ -24,6 +24,8 @@ def find_r(p: int, count: int) -> list[int]:
     """First `count` primes r != p with r = 3 mod 4 and (p/r) = 1, ascending."""
     if not is_prime(p) or p % 2 == 0:
         raise BadModulus(f"p = {p} must be an odd prime")
+    if count < 0:
+        raise ValueError("count must be >= 0")
     out: list[int] = []
     for r in primes_from(3):
         if len(out) == count:

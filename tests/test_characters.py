@@ -5,7 +5,6 @@ from functools import lru_cache
 import pytest
 
 from kummerwit import characters
-from kummerwit.base_algebra.intarith import is_prime
 from kummerwit.characters import (Character, Cyclotomic, balance_witness,
                                   char_props, characters_enum,
                                   cyclotomic_polynomial, is_balanced,
@@ -233,11 +232,30 @@ def test_char_props_matches_lambda_wide_half_sum():
             assert reduce_by_table(embedded, lam) == old_half, (m, chi)
 
 
-def test_orbit_scan_matches_per_character_scan():
-    for m in list(range(3, 151)) + [215, 281, 283]:
-        per_character = tuple(chi.exps for chi in characters_enum(m) if is_witness(chi))
-        orbit = tuple(chi.exps for chi in characters._unbalanced_witness_exponents(m))
-        assert orbit == per_character, m
+def test_coset_count_and_witness_match_per_character_scan():
+    # the first odd character with nonzero half sum and chi(x) = 1, from
+    # is_witness alone, decides and names every coprime (x, m), m < 300
+    for m in range(3, 300):
+        odd = tuple(chi for chi in characters_enum(m) if chi.is_odd())
+        assert characters._unbalanced_witness_exponents(m) == odd, m
+        witnesses = [chi for chi in odd if is_witness(chi)]
+        for x in range(1, m):
+            if math.gcd(x, m) == 1:
+                expected = next((chi for chi in witnesses if chi.value_exponent(x) == 0), None)
+                assert is_balanced(x, m) == (expected is None), (x, m)
+                assert balance_witness(x, m) == expected, (x, m)
+
+
+def test_is_balanced_needs_no_characters(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("is_balanced built character machinery")
+
+    monkeypatch.setattr(characters, "unit_group", forbidden)
+    monkeypatch.setattr(characters, "char_props", forbidden)
+    assert is_balanced(3, 5929) is False
+    assert is_balanced(57, 355) is True
+    assert is_balanced(65, 128) is True
+    assert is_balanced(2, 1009) is True
 
 
 def test_galois_conjugates_share_parity_and_half_sum_vanishing():
@@ -250,29 +268,6 @@ def test_galois_conjugates_share_parity_and_half_sum_vanishing():
                 if math.gcd(j, order) == 1:
                     odd_j, half_j = char_props(by_exps[power_exps(chi, j)])
                     assert (odd_j, half_j.is_zero()) == (odd, half.is_zero()), (m, chi, j)
-
-
-def test_orbit_scan_calls_char_props_once_per_cyclic_subgroup(monkeypatch):
-    calls = []
-
-    def counting(chi):
-        calls.append(chi)
-        return char_props(chi)
-
-    monkeypatch.setattr(characters, "char_props", counting)
-    for m in (15, 16, 21, 35, 105, 120, 281, 283):
-        calls.clear()
-        characters._unbalanced_witness_exponents.__wrapped__(m)
-        subgroups = {frozenset(power_exps(chi, j) for j in range(character_order(chi)))
-                     for chi in characters_enum(m) if chi.is_odd()}
-        assert all(chi.is_odd() for chi in calls), m
-        assert len(calls) == len(subgroups), m
-        if is_prime(m):  # cyclic of order m - 1: the odd subgroups have full 2-part
-            odd_part = m - 1
-            while odd_part % 2 == 0:
-                odd_part //= 2
-            assert len(calls) == sum(1 for d in range(1, odd_part + 1) if odd_part % d == 0)
-    assert len(calls) == 4  # 282 = 2 * 141 and 141 = 3 * 47
 
 
 def test_is_balanced_large_moduli():
@@ -303,6 +298,9 @@ def test_is_balanced_fast_worked_examples():
     assert is_balanced_fast(3, 121) is False
     with pytest.raises(NotCoprime):
         is_balanced_fast(5, 35)
+    for m in (2, 1, 0, -7):
+        with pytest.raises(BadModulus):
+            is_balanced_fast(3, m)
 
 
 def test_fast_oracle_agreement_small():

@@ -124,6 +124,18 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["search-primes", "-p", "3", "--count", "-1"],
+    ["tower", "bounded", "-p", "3", "--place", "1*s+1", "-r", "5", "-l", "7", "--n-max", "-1"],
+    ["balanced", "3", "2", "--mode", "fast"],
+    ["balanced", "3", "-7", "--mode", "fast"],
+])
+def test_out_of_range_arguments_exit_2(capsys, argv):
+    # each is refused before any work: no hang, no deep recursion, no null verdict
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_tsv_format(capsys):
     code = dispatch(["--format", "tsv", "search-primes", "-p", "3", "--count", "1"])
     out = capsys.readouterr().out.strip()

@@ -125,6 +125,8 @@ def test_boundedness_probe(f3):
         boundedness_probe(t_minus_1, 11, 11, 2, f3)  # l = r excluded
     with pytest.raises(BadEll):
         boundedness_probe(t_minus_1, 11, 3, 2, f3)   # l = p excluded
+    with pytest.raises(ValueError):
+        boundedness_probe(t_minus_1, 5, 7, -1, f3)
 
 
 def test_boundedness_probe_all_small_places(f3):

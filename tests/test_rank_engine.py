@@ -20,6 +20,8 @@ def test_find_r_examples():
     assert find_r(3, 2) == [11, 23]
     assert find_r(5, 1) == [11]
     assert find_r(3, 0) == []
+    with pytest.raises(ValueError):
+        find_r(3, -1)
     # every returned r satisfies both defining conditions
     for r in find_r(7, 4):
         assert r % 4 == 3 and legendre_symbol(7, r) == 1 and r != 7
