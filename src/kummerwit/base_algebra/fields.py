@@ -20,10 +20,9 @@ FieldCtx.logs gives discrete logarithms over codes to the base g, the first
 element of order q - 1 in canonical order, with Zech logarithms
 Z(k) = log(1 + g^k), so that g^i + g^j = g^(i + Z(j - i)) (Lidl and
 Niederreiter, Finite Fields, ch. 2 and 9).  The tables hold O(q) ints; they
-are built on first use and kept on the context.  The curve point search
-reads square classes off them, and poly's kernel does every coefficient
-product, sum and inverse of the extension fields up to poly._TABLE_MAX
-elements on them.
+are built on first use and kept on the context.  Their one reader is poly's
+kernel, which does every coefficient product, sum and inverse of the
+extension fields up to poly._TABLE_MAX elements on them.
 """
 
 from __future__ import annotations
@@ -124,7 +123,8 @@ class FieldCtx:
         """(log, exp, zech) over codes, built on the first call.  With m = q - 1
         and g the first element of order m: exp[k] is the code of g^k for
         0 <= k < m, log[code] its k (None for 0), and zech[k] = log(1 + g^k)
-        (None for k = m/2, where 1 + g^k = 0)."""
+        (None for k = m/2, where 1 + g^k = 0).  poly's kernel reads them for
+        table fields (a > 1, q <= poly._TABLE_MAX) and for no other field."""
         if self._logs is None:
             from .intarith import factorint
             q, m, unit = self.q, self.q - 1, self.unit

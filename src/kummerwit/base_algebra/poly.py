@@ -35,6 +35,9 @@ pick the path.
   _packed_euclid on ints with 8-byte-word slots, one shift-and-add per
   quotient term, an operand's slots reduced mod p only when the next
   addend could overflow one.
+- _sqrt_monic (behind ratfunc_sqrt): the monic square root, from the
+  inverse square root of the reversed polynomial by Newton iteration on
+  _mul, checked by squaring.
 gcd, extended gcd and CRT box a Poly only when they return.
 
 Factorization is squarefree decomposition (characteristic-p aware), then
@@ -401,6 +404,26 @@ def _inv_series(ctx: FieldCtx, b, n: int) -> list:
     return g
 
 
+def _sqrt_monic(ctx: FieldCtx, f) -> list | None:
+    """The monic g with g * g = f, for f monic and trimmed, or None.  Reversed,
+    f is a power series F with F(0) = 1; Newton's iteration
+    h <- h - h * (F * h^2 - 1) / 2 doubles the precision of h = F^(-1/2), and
+    F * h gives the reversed g, checked by squaring."""
+    if len(f) % 2 == 0:  # odd degree
+        return None
+    n, rev = (len(f) + 1) // 2, f[::-1]
+    neg_half = (ctx.p - 1) // 2 * ctx.unit  # the code of -1/2
+    h = [ctx.unit]
+    while len(h) < n:
+        m = len(h)
+        k = min(2 * m, n)
+        e = _mul(ctx, rev[:k], _mul(ctx, h, h))[m:k]  # F * h^2 = 1 + s^m * e mod s^k
+        t = _mul(ctx, _mul(ctx, h, e)[:k - m], [neg_half])
+        h += t + [0] * (k - m - len(t))
+    g = _mul(ctx, rev[:n], h)[n - 1::-1]
+    return g if _mul(ctx, g, g) == list(f) else None
+
+
 def _barrett(ctx: FieldCtx, m) -> list:
     """The inverse series of reversed m for _divmod to reduce products of two
     residues by: their quotients are shorter than len(m) - 1."""
@@ -642,15 +665,9 @@ def polys_of_degree(ctx: FieldCtx, deg: int, monic: bool = False):
     """All polynomials of exactly this degree (monic ones only if asked), in
     lexicographic coefficient order: constant coefficient slowest, leading
     coefficient fastest."""
-    for coeffs in itertools.product(*coefficient_slots(ctx, deg, monic)):
-        yield Poly(ctx, coeffs)
-
-
-def coefficient_slots(ctx: FieldCtx, deg: int, monic: bool = False) -> list:
-    """The codes each coefficient of a polys_of_degree polynomial runs over,
-    constant term first; polys_of_degree is their itertools.product."""
     elems = range(ctx.q)  # codes, in element order
-    return [elems] * deg + [[ctx.unit] if monic else elems[1:]]
+    for coeffs in itertools.product(*[elems] * deg, [ctx.unit] if monic else elems[1:]):
+        yield Poly(ctx, coeffs)
 
 
 def irreducibles(ctx: FieldCtx, deg: int):

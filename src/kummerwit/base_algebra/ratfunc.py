@@ -1,16 +1,18 @@
 """Rational functions over F_q(s), always kept in canonical reduced form.
 
 Canonical form: denominator monic and nonzero, gcd(num, den) = 1, and the
-zero element is 0/1.  n-th power membership and square roots are decided by
-squarefree decomposition of numerator and denominator (all exponents must be
-divisible) together with an n-th power test on the leading unit in F_q.
+zero element is 0/1.  n-th power membership is decided by squarefree
+decomposition of numerator and denominator (all exponents must be divisible)
+together with an n-th power test on the leading unit in F_q.  Square roots
+skip the decomposition: a monic square has one monic square root, which one
+Newton iteration finds and one squaring checks.
 """
 
 from __future__ import annotations
 
 from ..errors import ZeroInput
 from .fields import FF, FieldCtx
-from .poly import Poly, poly_gcd, squarefree_decomposition
+from .poly import Poly, _sqrt_monic, poly_gcd, squarefree_decomposition
 
 
 class RatFunc:
@@ -159,28 +161,25 @@ def is_nth_power(f: RatFunc, n: int) -> bool:
 def ratfunc_sqrt(f: RatFunc):
     """g with g*g = f if f is a square in F_q(s), else None.
 
-    Decided by squarefree decomposition of num and den (all exponents even)
-    plus squareness of the leading unit; the returned representative has
-    the canonically least leading coefficient (monic over a prime field).
+    The leading unit must be a square; then the monic parts of num and den
+    must have monic square roots (poly._sqrt_monic, one Newton iteration
+    checked by squaring), and only then is the leading unit's root taken.
+    The returned representative has the canonically least leading
+    coefficient (monic over a prime field).
     """
     ctx = f.ctx
     if f.is_zero():
         return RatFunc.zero(ctx)
     c = f.leading_unit()
-    root_c = c.sqrt()
-    if root_c is None:
+    if not c.is_square():
         return None
-    half_num = Poly.one(ctx)
-    for g, e in squarefree_decomposition(f.num) if not f.num.is_constant() else []:
-        if e % 2 != 0:
-            return None
-        half_num = half_num * g ** (e // 2)
-    half_den = Poly.one(ctx)
-    for g, e in squarefree_decomposition(f.den) if not f.den.is_constant() else []:
-        if e % 2 != 0:
-            return None
-        half_den = half_den * g ** (e // 2)
-    root = RatFunc(half_num.scale(root_c), half_den, reduce=False)
+    half_num = _sqrt_monic(ctx, f.num.monic().coeffs)
+    if half_num is None:
+        return None
+    half_den = _sqrt_monic(ctx, f.den.coeffs)
+    if half_den is None:
+        return None
+    root = RatFunc(Poly(ctx, half_num).scale(c.sqrt()), Poly(ctx, half_den), reduce=False)
     return _canonical_sign(root)
 
 

@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, mul
 
 from .base_algebra.intarith import euler_phi, factorint, is_prime, multiplicative_order
 from .errors import BadModulus, NotCoprime
@@ -152,15 +152,18 @@ def unit_group(m: int):
             lifted = (1 + other * inv * (g - 1)) % m
         gens.append(lifted)
         orders.append(order)
-    # dlog table doubles as the construction check
-    dlog: dict[int, tuple[int, ...]] = {}
-    for exps in itertools.product(*(range(d) for d in orders)):
-        val = 1
-        for g, e in zip(gens, exps):
-            val = val * pow(g, e, m) % m
-        if val in dlog:
-            raise ArithmeticError(f"unit group construction collision mod {m}")
-        dlog[val] = exps
+    # dlog table doubles as the construction check: running products, one
+    # multiplication per entry, each generator's exponent in turn
+    dlog: dict[int, tuple[int, ...]] = {1: ()}
+    for g, d in zip(gens, orders):
+        table: dict[int, tuple[int, ...]] = {}
+        for val, exps in dlog.items():
+            for e in range(d):
+                if val in table:
+                    raise ArithmeticError(f"unit group construction collision mod {m}")
+                table[val] = exps + (e,)
+                val = val * g % m
+        dlog = table
     if len(dlog) != euler_phi(m):
         raise ArithmeticError(f"unit group construction incomplete mod {m}")
     for g, d in zip(gens, orders):
@@ -256,8 +259,14 @@ def char_props(chi: Character) -> tuple[bool, Cyclotomic]:
 @lru_cache(maxsize=None)
 def _unbalanced_witness_exponents(m: int):
     """The odd characters mod m in enumeration order: balance_witness's
-    candidates, kept so that repeated unbalanced queries share one list."""
-    return tuple(chi for chi in characters_enum(m) if chi.is_odd())
+    candidates, kept so that repeated unbalanced queries share one list.
+    chi(-1) = zeta_lambda^(sum e_i * a_i * lambda/d_i) with a = dlog[m - 1],
+    so oddness is read off the exponents before any Character is built."""
+    gens, exponent, dlog = unit_group(m)
+    weights = [a * (exponent // d) for a, (_, d) in zip(dlog[m - 1], gens)]
+    return tuple(Character(m, gens, exps, exponent, dlog)
+                 for exps in itertools.product(*(range(d) for _, d in gens))
+                 if 2 * (sum(map(mul, exps, weights)) % exponent) == exponent)
 
 
 def is_balanced(x: int, m: int) -> bool:

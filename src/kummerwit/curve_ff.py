@@ -10,27 +10,36 @@ exponents can carry four-torsion (on N = 2 over F_3(s) the point
 (s, s(s+1)) doubles to (0,0)), so there is_torsion certifies only
 two-torsion membership.
 
-point_search enumerates x = u/w over coprime pairs with w monic within the
-degree bounds and keeps the x for which x(x+1)(x+s^N) is a square.  Cheap
-exact tests run before the full square-root decision, cheapest first:
-squareness at sample points of F_q, read off the parity of discrete logs on
-integer tables (FieldCtx.logs); then degree parity and leading-unit
-squareness of the three factors u, u+w, u+w*s^N; then the gcd test that
-keeps u/w in lowest terms.  All are exact, so the order does not change the
-points found.
+point_search finds every x = u/w, u and w coprime, w monic, within the
+degree bounds, for which x(x+1)(x+s^N) = u(u+w)(u+w*s^N)/w^3 is a square,
+that is, for which F = w*u*(u+w)*(u+w*s^N) is a square in F_q[s].  Only
+pairs of a forced shape can qualify (Silverman, AEC X.1).  Take N >= 1 and
+F nonzero.
+- A prime dividing w divides none of u, u + w and u + w*s^N, since each
+  shares with w exactly the factors of gcd(u, w) = 1.  So every valuation
+  of w is even, and w = b^2 with b monic.
+- A prime pi dividing u does not divide u + w.  If v_pi(u) is odd, then
+  v_pi(u + w*s^N) is odd too, so pi divides gcd(u, u + w*s^N), which
+  divides w*s^N.  As pi does not divide w, pi = s.  So u = c*s^e*a^2 with c
+  the leading unit, e in {0, 1} and a monic.
+- A zero factor makes u = 0, -w or -w*s^N, coprime to w only for w = 1:
+  x = 0, -1 or -s^N, which have that shape as well.
+So the search walks u = 0 and u = c*s^e*a^2 against w = b^2, about the
+square root of the raw pair count, and decides each candidate exactly:
+degree parity of F, then the gcd that keeps u/w in lowest terms, then
+ratfunc_sqrt.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 from .base_algebra.fields import FieldCtx, field_ctx
-from .base_algebra.poly import Poly, coefficient_slots, poly_gcd
+from .base_algebra.poly import Poly, poly_gcd, polys_of_degree
 from .base_algebra.ratfunc import RatFunc, ratfunc_sqrt
 from .errors import BadN, OffCurve
 
@@ -192,18 +201,17 @@ def is_torsion(pt: ECPoint, curve: CurveParams) -> bool:
 
 # -- bounded point search ------------------------------------------------------------
 
-_U_BLOCK = 4096  # numerators (and their logs) a shard holds at once
-
 
 def point_search(curve: CurveParams, num_deg: int, den_deg: int,
                  workers: int = 1) -> list[ECPoint]:
     """All affine points with x = u/w, deg u <= num_deg, deg w <= den_deg,
     u, w coprime and w monic; exhaustive within bounds, deterministic order.
 
+    Only the candidates of the forced shape are tried (module docstring).
     Only the bounds and workers, in [1, os.cpu_count()], are checked; found
     points are on the curve by construction.  Shard i of `workers` processes
-    takes the raw (u, w) pairs i, i + workers, ... (see _filtered_pairs); the
-    merged points are sorted.
+    takes the candidates i, i + workers, ... (see _candidates); the merged
+    points are sorted.
     """
     if num_deg < 0 or den_deg < 0:
         raise ValueError("bounds must be >= 0")
@@ -221,126 +229,41 @@ def point_search(curve: CurveParams, num_deg: int, den_deg: int,
 
 def _search_shard(curve: CurveParams, num_deg: int, den_deg: int,
                   shard: int, stride: int) -> list[ECPoint]:
-    """The points over one shard's pairs that pass the sample filter."""
+    """The points over the candidates shard, shard + stride, ..."""
     out: list[ECPoint] = []
-    for u, w in _filtered_pairs(curve.ctx, curve.N, num_deg, den_deg, shard, stride):
+    for u, w in itertools.islice(_candidates(curve.ctx, num_deg, den_deg), shard, None, stride):
         out.extend(_points_from_x(curve, u, w))
     return out
 
 
-def _filtered_pairs(ctx: FieldCtx, N: int, num_deg: int, den_deg: int,
-                    shard: int, stride: int):
-    """The raw pairs (u, w), w monic, with index w_index * #u + u_index in
-    shard, shard + stride, ... (u in all_polys order, w by degree then
-    polys_of_degree order) that pass the sample filter, by blocks of
-    _U_BLOCK numerators and within a block by w.
-
-    The filter: a square function takes square values off its poles, and
-    where w(c) != 0 the value of w*u*(u+w)*(u+w*s^N) at s = c has the square
-    class of x(x+1)(x+c^N) at x = u(c)/w(c).  So a pair fails when that value
-    is a nonsquare at some sample c, i.e. when its log is odd (q - 1 is
-    even); a zero factor passes and w(c) = 0 skips c.  log u(c) is computed
-    once per shard for every u and sample, and per w each sample gets a
-    table over log u(c) (_nonsquare_table)."""
-    log, _, zech = ctx.logs()
-    m = ctx.q - 1
-    samples = range(ctx.q if ctx.q <= 16 else 8)  # codes: all of F_q, or the first 8
-    nu = ctx.q ** (num_deg + 1)  # len(all_polys(ctx, num_deg))
-    numerators = _polys_with_logs(ctx, num_deg, False, samples)
-    tables: dict[tuple, bytes] = {}
-    for u0 in range(0, nu, _U_BLOCK):
-        block = list(itertools.islice(numerators, _U_BLOCK))
-        for wi, (w, lws) in enumerate(_polys_with_logs(ctx, den_deg, True, samples)):
-            checks = []
-            for i, (c, lw) in enumerate(zip(samples, lws)):
-                if lw == m:
-                    continue
-                key = (lw, (lw + N * log[c]) % m if c else None)
-                if key not in tables:
-                    tables[key] = _nonsquare_table(*key, zech, m)
-                checks.append((i, tables[key]))
-            for ui in range((shard - wi * nu - u0) % stride, len(block), stride):
-                u, lu = block[ui]
-                for i, table in checks:
-                    if table[lu[i]]:
-                        break
-                else:
-                    yield u, w
-
-
-def _polys_with_logs(ctx: FieldCtx, max_deg: int, monic: bool, samples):
-    """(f, logs) for f in all_polys(ctx, max_deg), or for the monic f by
-    degree when asked, with logs[i] = log f(c) at the i-th sample c (m = q - 1
-    for 0).  Over each degree's coefficient slots the logs are partial sums,
-    each slot adding its terms e*c^i to every sum by Zech logarithms, in the
-    order of itertools.product over the same slots; the slowest slots are
-    fixed one value at a time so that at most _U_BLOCK sums are held."""
-    log, _, zech = ctx.logs()
-    m = ctx.q - 1
-    if not monic:
-        yield Poly.zero(ctx), (m,) * len(samples)
-    for d in range(max_deg + 1):
-        slots = coefficient_slots(ctx, d, monic)
-        k = 0
-        while math.prod(map(len, slots[k:])) > _U_BLOCK:
-            k += 1
-        for head in itertools.product(*slots[:k]):
-            fixed = [[e] for e in head] + slots[k:]
-            cols = []
-            for c in samples:
-                lc, sums = log[c] if c else 0, [m]  # the empty sum
-                for i, codes in enumerate(fixed):
-                    terms = [m if not e or (i and not c) else (log[e] + i * lc) % m
-                             for e in codes]  # log(e * c^i)
-                    sums = _log_sums(sums, terms, zech, m)
-                cols.append(sums)
-            yield from zip((Poly(ctx, f) for f in itertools.product(*fixed)), zip(*cols))
-
-
-def _log_sums(xs: list, ys: list, zech: list, m: int) -> list:
-    """log(x + y) for x in xs for y in ys, given and returned as logs (m for 0)."""
-    out = []
-    for lx in xs:
-        if lx == m:
-            out += ys
-            continue
-        for ly in ys:
-            if ly == m:
-                out.append(lx)
-            else:
-                z = zech[(ly - lx) % m]
-                out.append(m if z is None else (lx + z) % m)
-    return out
-
-
-def _nonsquare_table(lw: int, lwn, zech: list, m: int) -> bytes:
-    """t[l] = 1 exactly when w*u*(u+w)*(u+w*c^N) is a nonsquare at a sample c,
-    for l = log u(c) (m for u(c) = 0), lw = log w(c) and lwn = log w(c)c^N
-    (None for c = 0, where the last factor is u(c)).  The log of the product
-    is lw + l + (l + zech[lw - l]) + (l + zech[lwn - l]); a zero factor passes."""
-    t = bytearray(m + 1)
-    for l in range(m):
-        a = zech[(lw - l) % m]
-        b = 0 if lwn is None else zech[(lwn - l) % m]
-        if a is not None and b is not None:
-            t[l] = (lw + l + a + b) & 1
-    return bytes(t)
+def _candidates(ctx: FieldCtx, num_deg: int, den_deg: int):
+    """(0, 1), then the pairs (c*s^e*a^2, b^2) within the bounds, b and a
+    monic, c a unit and e in {0, 1}: by b, then e, then a, then c, each
+    polynomial in polys_of_degree order by degree."""
+    yield Poly.zero(ctx), Poly.one(ctx)
+    units = [c for c in ctx.elements() if c]
+    for db in range(den_deg // 2 + 1):
+        for b in polys_of_degree(ctx, db, monic=True):
+            w = b * b
+            for e in (0, 1):
+                for da in range((num_deg - e) // 2 + 1):
+                    for a in polys_of_degree(ctx, da, monic=True):
+                        square = (a * a).shift(e)
+                        for c in units:
+                            yield square.scale(c), w
 
 
 def _points_from_x(curve: CurveParams, u: Poly, w: Poly) -> list[ECPoint]:
     """The points with x = u/w, or none when u and w have a common factor.
-    x(x+1)(x+s^N) is u(u+w)(u+w*s^N) / w^3; the cheap exact tests on the
-    three factors come before the gcd and before any product."""
+    x(x+1)(x+s^N) is u(u+w)(u+w*s^N) / w^3; the degree parity of the three
+    factors is tested before the gcd and before any product."""
     ctx = curve.ctx
     x = RatFunc(u, w, reduce=False)
     factors = (u, u + w, u + w.shift(curve.N))
     if not all(factors):  # a zero factor is a multiple of w: coprime only for w = 1
         return [ECPoint.affine(x, RatFunc.zero(ctx))] if w.is_one() else []
-    # even degree at infinity (deg w^3 has the parity of deg w), square leading unit
+    # even degree at infinity (deg w^3 has the parity of deg w)
     if (sum(f.degree() for f in factors) + w.degree()) % 2:
-        return []
-    log = ctx.logs()[0]
-    if sum(log[f.coeffs[-1]] for f in factors) % 2:
         return []
     if not (w.is_one() or poly_gcd(u, w).is_one()):
         return []

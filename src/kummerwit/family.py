@@ -66,6 +66,8 @@ def membership_witness(x: Poly, lam: Poly, curve: CurveParams):
 
 def family_members(lam: Poly, curve: CurveParams, deg_bound: int) -> FamilyResult:
     """All ring elements of degree <= deg_bound in C_lambda, with witnesses."""
+    if deg_bound < 0:
+        raise ValueError("deg_bound must be >= 0")
     ctx = curve.ctx
     if lam.is_zero():
         zero = Poly.zero(ctx)

@@ -129,6 +129,7 @@ def test_usage_errors(capsys):
     ["tower", "bounded", "-p", "3", "--place", "1*s+1", "-r", "5", "-l", "7", "--n-max", "-1"],
     ["balanced", "3", "2", "--mode", "fast"],
     ["balanced", "3", "-7", "--mode", "fast"],
+    ["family", "members", "-p", "3", "-N", "2", "--deg-bound", "-1"],
 ])
 def test_out_of_range_arguments_exit_2(capsys, argv):
     # each is refused before any work: no hang, no deep recursion, no null verdict

@@ -1,17 +1,17 @@
-import functools
 import random
 
 import pytest
 
 from kummerwit.base_algebra import Poly, RatFunc, field_ctx, parse_point
 from kummerwit import curve_ff
-from kummerwit.base_algebra.poly import all_polys, polys_of_degree
-from kummerwit.curve_ff import (CurveParams, ECPoint, _filtered_pairs, curve_make,
+from kummerwit.base_algebra.poly import all_polys, poly_gcd, polys_of_degree
+from kummerwit.curve_ff import (CurveParams, ECPoint, curve_make,
                                 ec_add, ec_mul, ec_neg, is_on_curve, is_torsion,
                                 j_invariant, point_search, stabilization_probe,
                                 two_torsion)
 from kummerwit.errors import BadN, OffCurve
 from kummerwit.family import family_grow
+from tests.test_ratfunc import squarefree_sqrt
 
 
 def sample_point(f3):
@@ -158,27 +158,6 @@ def test_point_search_rejects_worker_counts_out_of_range(f3, monkeypatch):
             stabilization_probe(3, 1, 5, 2, 1, (1, 0), workers=workers)
 
 
-@pytest.mark.parametrize("stride", [2, 3])
-@pytest.mark.parametrize("block", [4096, 10])
-def test_shards_partition_the_raw_pairs(f3, stride, block, monkeypatch):
-    """Over F_3 at bounds (2, 1) there are 27 numerators, an odd count, so the
-    cut at raw index w_index * 27 + u_index starts each w row of a shard at
-    alternating offsets; the shards still partition the filtered pairs, also
-    when a shard holds the numerators 10 at a time (the 18 of degree 2 then
-    come with their constant term fixed, 6 at a time)."""
-    us = [u.coeffs for u in all_polys(f3, 2)]
-    ws = [w.coeffs for d in (0, 1) for w in polys_of_degree(f3, d, monic=True)]
-    assert len(us) == 27
-    index = lambda pairs: [ws.index(w.coeffs) * 27 + us.index(u.coeffs) for u, w in pairs]
-    everything = index(_filtered_pairs(f3, 5, 2, 1, 0, 1))
-    assert everything == sorted(everything)
-    monkeypatch.setattr(curve_ff, "_U_BLOCK", block)
-    shards = [index(_filtered_pairs(f3, 5, 2, 1, i, stride)) for i in range(stride)]
-    for i, shard in enumerate(shards):
-        assert all(k % stride == i for k in shard)
-    assert sorted(k for shard in shards for k in shard) == everything
-
-
 def test_small_multiples_on_lemma_scope_curve():
     """On the N = 3 curve over F_5 (an odd prime exponent) the two-torsion set
     certifies torsion: the search finds a point outside it, and that point
@@ -223,61 +202,38 @@ def test_stabilization_probe_small_tower():
     assert rep.as_record() == rep2.as_record()
 
 
-# -- the sample filter against the FF predicate it replaced ---------------------------
+# -- the search against an exhaustive oracle ------------------------------------------
 
 
-def ff_sample_filter(ctx, N):
-    """The old prefilter on FF objects, as a predicate on (u, w, seen): at each
-    sample c with w(c) != 0, w*u*(u+w)*(u+w*c^N) must be a square (zero
-    counts as a square).  Evaluations and square tests are memoized."""
-    elems = list(ctx.elements())
-    samples = [(c, c ** N) for c in (elems if ctx.q <= 16 else elems[:8])]
-    value = functools.cache(lambda f, c: f.evaluate(c))
-    is_square = functools.cache(lambda x: x.is_square())
-
-    def passes(u, w, seen):
-        for c, cN in samples:
-            wc = value(w, c)
-            if not wc:
-                seen.add("w(c) = 0")
-                continue
-            uc = value(u, c)
-            if not c:
-                seen.add("c = 0")
-            if not uc + wc:
-                seen.add("u(c) + w(c) = 0")
-            if not is_square(wc * uc * (uc + wc) * (uc + wc * cN)):
-                return False
-        return True
-    return passes
+def exhaustive_search(curve, num_deg, den_deg):
+    """Every coprime (u, w) within the bounds, w monic, decided by the
+    squarefree-decomposition square root: the oracle for point_search."""
+    ctx = curve.ctx
+    points = set()
+    for w in (w for d in range(den_deg + 1) for w in polys_of_degree(ctx, d, monic=True)):
+        for u in all_polys(ctx, num_deg):
+            if poly_gcd(u, w).is_one():
+                x = RatFunc(u, w, reduce=False)
+                y = squarefree_sqrt(RatFunc(u * (u + w) * (u + w.shift(curve.N)), w ** 3))
+                if y is not None:
+                    points |= {ECPoint.affine(x, y), ECPoint.affine(x, -y)}
+    return sorted(points, key=ECPoint.sort_key)
 
 
-# (p, a, bounds, stride, Ns): every raw pair for p in {3, 5, 7, 13} and a in
-# {1, 2}, with den_deg 1 (so that w(c) = 0 occurs) and num_deg 2 where the
-# pair count allows (over F_3, c^2 = c^4, so a wrong power of c in a degree-2
-# term shows only over larger fields); the fields with q > 16 take the
-# 8-sample branch; F_27 takes every 14th pair from an offset, as a shard
-# does; F_169 has 28,730 pairs and is checked at one N
-FILTER_CASES = [(3, 1, (2, 1), 1, (2, 5)), (5, 1, (2, 1), 1, (2, 7)),
-                (7, 1, (2, 1), 1, (2, 5)), (13, 1, (1, 1), 1, (2, 5)),
-                (3, 2, (1, 1), 1, (2, 5)), (5, 2, (0, 1), 1, (2, 7)),
-                (7, 2, (0, 1), 1, (2, 5)), (13, 2, (0, 1), 1, (5,)),
-                (3, 3, (1, 1), 14, (2, 5))]
+# (p, a, bounds, Ns): N odd and even, below and above num_deg; over F_3 at
+# bounds (3, 2) and N = 4 there are points with deg b = 1 and with e = 1,
+# deg a = 1 (x = u/b^2, u = c*s^e*a^2); F_5 at N = 3 and F_9 at N = 4 also
+# need deg b = 1
+SEARCH_CASES = [(3, 1, (3, 2), (1, 2, 4, 5)), (5, 1, (2, 2), (1, 3)),
+                (7, 1, (1, 2), (2, 3)), (13, 1, (1, 1), (1, 2)),
+                (3, 2, (0, 2), (1, 4)), (3, 2, (1, 1), (2,)), (5, 2, (0, 1), (1, 2)),
+                (7, 2, (0, 1), (3,)), (13, 2, (0, 0), (1,))]
 
 
-@pytest.mark.parametrize("p,a,bounds,stride,Ns", FILTER_CASES,
-                         ids=[f"F{case[0]}^{case[1]}" for case in FILTER_CASES])
-def test_log_filter_matches_ff_predicate(p, a, bounds, stride, Ns):
+@pytest.mark.parametrize("p,a,bounds,Ns", SEARCH_CASES,
+                         ids=[f"F{c[0]}^{c[1]}-{c[2][0]}-{c[2][1]}" for c in SEARCH_CASES])
+def test_search_matches_exhaustive_oracle(p, a, bounds, Ns):
     ctx = field_ctx(p, a)
-    num_deg, den_deg = bounds
-    us = list(all_polys(ctx, num_deg))
-    ws = [w for d in range(den_deg + 1) for w in polys_of_degree(ctx, d, monic=True)]
-    raw = [(u, w) for w in ws for u in us]
-    shard = stride // 2
     for N in Ns:
-        seen: set[str] = set()
-        passes = ff_sample_filter(ctx, N)
-        want = [(u, w) for u, w in raw[shard::stride] if passes(u, w, seen)]
-        assert list(_filtered_pairs(ctx, N, num_deg, den_deg, shard, stride)) == want, (p, a, N)
-        assert seen == {"c = 0", "w(c) = 0", "u(c) + w(c) = 0"}, (p, a, N, seen)
-        assert 0 < len(want) < len(raw[shard::stride])
+        curve = curve_make(ctx, N)
+        assert point_search(curve, *bounds) == exhaustive_search(curve, *bounds), (p, a, N)

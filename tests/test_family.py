@@ -18,6 +18,13 @@ def test_members_lambda_zero(f3):
     assert res.exhaustive
 
 
+def test_members_reject_negative_bound(f3):
+    E2 = curve_make(f3, 2)
+    for lam in (Poly.one(f3), Poly.zero(f3)):
+        with pytest.raises(ValueError, match="deg_bound"):
+            family_members(lam, E2, -1)
+
+
 def test_zero_always_member(f3):
     E2 = curve_make(f3, 2)
     for lam_ints in ([1], [0, 1], [1, 2], [2, 0, 1]):

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from kummerwit.base_algebra import (Poly, RatFunc, factor, field_ctx, is_nth_power,
-                                    poly_gcd, ratfunc_sqrt)
+                                    poly_gcd, ratfunc_sqrt, squarefree_decomposition)
+from kummerwit.base_algebra.poly import _TABLE_MAX
+from kummerwit.base_algebra.ratfunc import _canonical_sign
 from kummerwit.errors import ZeroInput
 from tests.test_poly import rand_poly
 
@@ -81,6 +83,47 @@ def test_sqrt_none_cross_checked_by_full_factorization(f3, f7):
             else:
                 assert not odd_val and not lc_nonsquare
                 assert root * root == f
+
+
+def squarefree_sqrt(f):
+    """ratfunc_sqrt by squarefree decomposition of num and den (all
+    exponents even) plus squareness of the leading unit: the oracle for the
+    Newton square root."""
+    ctx = f.ctx
+    if f.is_zero():
+        return RatFunc.zero(ctx)
+    root_c = f.leading_unit().sqrt()
+    if root_c is None:
+        return None
+    halves = []
+    for part in (f.num, f.den):
+        half = Poly.one(ctx)
+        for g, e in squarefree_decomposition(part) if not part.is_constant() else []:
+            if e % 2:
+                return None
+            half = half * g ** (e // 2)
+        halves.append(half)
+    return _canonical_sign(RatFunc(halves[0].scale(root_c), halves[1], reduce=False))
+
+
+@pytest.mark.parametrize("p,a", [(7, 1), (5, 2), (3, 7)])
+def test_sqrt_matches_squarefree_oracle(p, a):
+    """Squares, squares times a unit or a linear factor, and p-th powers, over
+    a prime field, a table field and a field above _TABLE_MAX."""
+    ctx = field_ctx(p, a)
+    assert (ctx.q <= _TABLE_MAX) == (a < 7)
+    rng = random.Random(13 * p + a)
+    s, unit = Poly.gen(ctx), ctx.decode(rng.randrange(1, ctx.q))
+    outcomes = set()
+    for _ in range(15):
+        g = rand_ratfunc(ctx, rng, max_deg=4, nonzero=True)
+        h = rand_ratfunc(ctx, rng, max_deg=2, nonzero=True)
+        linear = RatFunc.from_poly(s - Poly.const(ctx, rng.randrange(p)))
+        for f in (g * g, (g * g).scale(unit), g * g * linear, g ** p, (g * h) ** (2 * p)):
+            root = ratfunc_sqrt(f)
+            assert root == squarefree_sqrt(f)
+            outcomes.add(root is None)
+    assert outcomes == {True, False}
 
 
 def test_is_nth_power(f7):
