@@ -22,7 +22,9 @@ Z(k) = log(1 + g^k), so that g^i + g^j = g^(i + Z(j - i)) (Lidl and
 Niederreiter, Finite Fields, ch. 2 and 9).  The tables hold O(q) ints; they
 are built on first use and kept on the context.  Their one reader is poly's
 kernel, which does every coefficient product, sum and inverse of the
-extension fields up to poly._TABLE_MAX elements on them.
+extension fields up to poly._TABLE_MAX elements on them.  FF.sqrt keeps the
+power of a non-square that Tonelli-Shanks needs on the context the same way
+(Cohen, A Course in Computational Algebraic Number Theory, 1.5.1).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class FieldCtx:
     """The field F_q, q = p^a, with an explicit monic irreducible modulus."""
 
     __slots__ = ("p", "a", "q", "modulus", "unit", "_weights", "_one", "_zero", "_logs",
-                 "_prime")
+                 "_prime", "_shanks")
 
     def __init__(self, p: int, a: int, modulus: tuple[int, ...] | None = None):
         if p < 3 or p % 2 == 0 or not is_prime(p):
@@ -68,7 +70,7 @@ class FieldCtx:
             self.modulus = modulus
         self._zero = FF(self, (0,) * a)
         self._one = FF(self, (1,) + (0,) * (a - 1))
-        self._logs = None
+        self._logs = self._shanks = None
 
     def __eq__(self, other):
         return (isinstance(other, FieldCtx) and self.p == other.p
@@ -214,7 +216,12 @@ class FF:
         return self * other.inv()
 
     def __pow__(self, n: int) -> "FF":
-        return self.inv() ** (-n) if n < 0 else power(self, n, self.ctx.one())
+        ctx = self.ctx
+        if n < 0:
+            return self.inv() ** (-n)
+        if ctx.a == 1:
+            return FF(ctx, (pow(self.coeffs[0], n, ctx.p),))
+        return power(self, n, ctx.one())
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -249,30 +256,32 @@ class FF:
         return self ** ((q - 1) // g) == self.ctx.one()
 
     def sqrt(self):
-        """A square root, or None.  Tonelli-Shanks in the cyclic group F_q^x."""
+        """A square root, or None.  Tonelli-Shanks in the cyclic group F_q^x,
+        which meets a non-square as an element of order 2^e at its first
+        step, so no separate Euler test runs (for q = 3 mod 4 the candidate
+        root is squared)."""
         ctx = self.ctx
         if not self:
             return ctx.zero()
-        if not self.is_square():
-            return None
-        q = ctx.q
+        q, one = ctx.q, ctx.one()
         if q % 4 == 3:
-            return self ** ((q + 1) // 4)
-        # split q - 1 = 2^e * m with m odd
-        m, e = q - 1, 0
-        while m % 2 == 0:
-            m //= 2
-            e += 1
-        z = next(x for x in ctx.elements() if x and not x.is_square())
-        c = z ** m
+            r = self ** ((q + 1) // 4)
+            return r if r * r == self else None
+        if ctx._shanks is None:  # q - 1 = 2^e * m with m odd, and c = z^m for a non-square z
+            e = ((q - 1) & (1 - q)).bit_length() - 1
+            z = next(x for x in ctx.elements() if x and not x.is_square())
+            ctx._shanks = (e, (q - 1) >> e, z ** ((q - 1) >> e))
+        e, m, c = ctx._shanks
         t = self ** m
         r = self ** ((m + 1) // 2)
-        while t != ctx.one():
-            # find least i with t^(2^i) = 1
+        while t != one:
+            # find least i with t^(2^i) = 1; i = e only for a non-square, at the first pass
             i, t2 = 0, t
-            while t2 != ctx.one():
+            while t2 != one:
                 t2 = t2 * t2
                 i += 1
+            if i == e:
+                return None
             b = c ** (1 << (e - i - 1))
             r = r * b
             c = b * b
@@ -282,14 +291,16 @@ class FF:
 
 
 def power(x, n: int, one):
-    """x^n for n >= 0 by square-and-multiply (shared by FF and Poly)."""
-    result = one
-    while n:
+    """x^n for n >= 0 by square-and-multiply (shared by FF and Poly): one
+    squaring per bit below the top and one product per further set bit."""
+    result = None
+    while True:
         if n & 1:
-            result = result * x
-        x = x * x
+            result = x if result is None else result * x
         n >>= 1
-    return result
+        if not n:
+            return one if result is None else result
+        x = x * x
 
 
 def field_ctx(p: int, a: int, modulus=None) -> FieldCtx:

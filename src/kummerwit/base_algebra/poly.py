@@ -35,9 +35,13 @@ pick the path.
   _packed_euclid on ints with 8-byte-word slots, one shift-and-add per
   quotient term, an operand's slots reduced mod p only when the next
   addend could overflow one.
-- _sqrt_monic (behind ratfunc_sqrt): the monic square root, from the
-  inverse square root of the reversed polynomial by Newton iteration on
-  _mul, checked by squaring.
+- _sqrt_monic (behind ratfunc_sqrt): the monic square root.  Where _divmod
+  would long-divide a quotient and divisor as long as the root, it is read
+  off the top half coefficient by coefficient, like a long division (on
+  logarithms for table fields), and the bottom half is checked term by term,
+  so a non-square stops at its first wrong coefficient.  Longer roots come
+  from the inverse square root of the reversed polynomial by Newton
+  iteration on _mul, checked by squaring.
 gcd, extended gcd and CRT box a Poly only when they return.
 
 Factorization is squarefree decomposition (characteristic-p aware), then
@@ -49,6 +53,7 @@ deterministic.  is_irreducible reads only the first distinct-degree part.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from array import array
 from functools import lru_cache
@@ -406,11 +411,55 @@ def _inv_series(ctx: FieldCtx, b, n: int) -> list:
 
 def _sqrt_monic(ctx: FieldCtx, f) -> list | None:
     """The monic g with g * g = f, for f monic and trimmed, or None.  Reversed,
-    f is a power series F with F(0) = 1; Newton's iteration
-    h <- h - h * (F * h^2 - 1) / 2 doubles the precision of h = F^(-1/2), and
-    F * h gives the reversed g, checked by squaring."""
+    f is r_0 + r_1 s + ... + r_d s^d with r_0 = 1 and g is h_0 + ... + h_(n-1)
+    s^(n-1), n = d/2 + 1.  Where long division would run (n^2 below
+    _long_division_max), the square root is read off like a long division:
+    h_0 = 1, h_k = (r_k - sum_{0<i<k} h_i h_(k-i)) / 2 for k < n, then each
+    r_k for k >= n is checked against sum h_i h_(k-i) and the first that
+    differs returns None; on residues for a = 1 and on Zech logarithms for
+    table fields.  Longer roots go by _newton_sqrt_monic."""
     if len(f) % 2 == 0:  # odd degree
         return None
+    n, rev = (len(f) + 1) // 2, f[::-1]
+    if n * n >= _long_division_max(ctx):
+        return _newton_sqrt_monic(ctx, f)
+    p, half = ctx.p, (ctx.p + 1) // 2  # the residue of 1/2
+    if ctx.a == 1:
+        h = [1]
+        for k in range(1, len(rev)):
+            lo, hi = max(1, k - n + 1), min(k, n)  # r_k - sum_{lo<=i<hi} h_i h_(k-i)
+            r = (rev[k] - sum(map(operator.mul, h[lo:hi], h[k - lo:k - hi:-1]))) % p
+            if k < n:
+                h.append(r * half % p)
+            elif r:
+                return None
+        return h[::-1]
+    log, exp, zech = ctx.logs()
+    m = len(exp)
+    lhalf, neg = log[half * ctx.unit], m // 2  # -1 = g^(m/2)
+    h = [0]  # logarithms, None for 0
+    for k in range(1, len(rev)):
+        r = log[rev[k]]
+        for i in range(max(1, k - n + 1), min(k, n)):
+            x, y = h[i], h[k - i]
+            if x is not None and y is not None:  # r <- r + g^t, g^t = -h_i h_(k-i)
+                t = x + y + neg
+                if r is None:
+                    r = t % m
+                else:
+                    z = zech[(t - r) % m]
+                    r = None if z is None else (r + z) % m
+        if k < n:
+            h.append(None if r is None else (r + lhalf) % m)
+        elif r is not None:
+            return None
+    return [0 if x is None else exp[x] for x in reversed(h)]
+
+
+def _newton_sqrt_monic(ctx: FieldCtx, f) -> list | None:
+    """_sqrt_monic for f of odd length by Newton iteration on _mul: with F the
+    reversed f, h <- h - h * (F * h^2 - 1) / 2 doubles the precision of
+    h = F^(-1/2), and F * h gives the reversed g, checked by squaring."""
     n, rev = (len(f) + 1) // 2, f[::-1]
     neg_half = (ctx.p - 1) // 2 * ctx.unit  # the code of -1/2
     h = [ctx.unit]

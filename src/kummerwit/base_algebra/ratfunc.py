@@ -4,8 +4,9 @@ Canonical form: denominator monic and nonzero, gcd(num, den) = 1, and the
 zero element is 0/1.  n-th power membership is decided by squarefree
 decomposition of numerator and denominator (all exponents must be divisible)
 together with an n-th power test on the leading unit in F_q.  Square roots
-skip the decomposition: a monic square has one monic square root, which one
-Newton iteration finds and one squaring checks.
+skip the decomposition: a monic square has one monic square root, which
+poly._sqrt_monic reads off the top half of its coefficients and checks
+against the bottom half.
 """
 
 from __future__ import annotations
@@ -161,17 +162,17 @@ def is_nth_power(f: RatFunc, n: int) -> bool:
 def ratfunc_sqrt(f: RatFunc):
     """g with g*g = f if f is a square in F_q(s), else None.
 
-    The leading unit must be a square; then the monic parts of num and den
-    must have monic square roots (poly._sqrt_monic, one Newton iteration
-    checked by squaring), and only then is the leading unit's root taken.
-    The returned representative has the canonically least leading
+    The leading unit must have a square root (FF.sqrt, None otherwise); then
+    the monic parts of num and den must have monic square roots
+    (poly._sqrt_monic, which stops at the first coefficient that rules one
+    out).  The returned representative has the canonically least leading
     coefficient (monic over a prime field).
     """
     ctx = f.ctx
     if f.is_zero():
         return RatFunc.zero(ctx)
-    c = f.leading_unit()
-    if not c.is_square():
+    root_c = f.leading_unit().sqrt()
+    if root_c is None:
         return None
     half_num = _sqrt_monic(ctx, f.num.monic().coeffs)
     if half_num is None:
@@ -179,7 +180,7 @@ def ratfunc_sqrt(f: RatFunc):
     half_den = _sqrt_monic(ctx, f.den.coeffs)
     if half_den is None:
         return None
-    root = RatFunc(Poly(ctx, half_num).scale(c.sqrt()), Poly(ctx, half_den), reduce=False)
+    root = RatFunc(Poly(ctx, half_num).scale(root_c), Poly(ctx, half_den), reduce=False)
     return _canonical_sign(root)
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kummerwit.base_algebra import Poly, field_ctx, is_irreducible
-from kummerwit.base_algebra.fields import FF
+from kummerwit.base_algebra.fields import FF, power
 from kummerwit.errors import CompositeP, ReducibleModulus
 
 
@@ -83,16 +83,39 @@ def test_nth_power_membership_against_direct_powering():
 
 
 def test_pow_matches_repeated_multiplication():
-    ctx = field_ctx(5, 2)
-    rng = random.Random(3)
-    elems = [e for e in ctx.elements() if e]
-    for _ in range(20):
-        x = rng.choice(elems)
-        acc = ctx.one()
-        for k in range(8):
-            assert x ** k == acc
-            acc = acc * x
-        assert x ** (ctx.q - 1) == ctx.one()
+    # F_25 by square-and-multiply, prime fields by the built-in pow
+    for p, a in ((5, 2), (3, 1), (13, 1), (257, 1), (65521, 1)):
+        ctx = field_ctx(p, a)
+        rng = random.Random(3)
+        for _ in range(20):
+            x = ctx.decode(rng.randrange(1, ctx.q))
+            acc = ctx.one()
+            for k in range(8):
+                assert x ** k == acc
+                acc = acc * x
+            assert x ** (ctx.q - 1) == ctx.one()
+            assert x ** -3 == (x * x * x).inv()
+        zero = ctx.zero()
+        assert zero ** 0 == ctx.one() and zero ** 1 == zero ** 7 == zero
+
+
+class Counted:
+    """A ring element standing for x^e that counts the products taken."""
+
+    def __init__(self, e, log):
+        self.e, self.log = e, log
+
+    def __mul__(self, other):
+        self.log.append(1)
+        return Counted(self.e + other.e, self.log)
+
+
+def test_power_squares_only_while_bits_remain():
+    for n in range(65):
+        log = []
+        assert power(Counted(1, log), n, Counted(0, log)).e == n
+        # one squaring per bit below the top, one product per further set bit
+        assert len(log) == (n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0), n
 
 
 def test_canonical_element_order():

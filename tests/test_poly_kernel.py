@@ -6,7 +6,9 @@ _TABLE_MAX elements), which compute on Zech logarithms, are also checked
 against the long division on z-digit vectors that they replaced, and their
 inverses against extended Euclid (FieldCtx._raw_inv).  Prime-field gcds and
 extended gcds, which run packed, are checked against the Euclid on code
-lists that they replaced, for primes up to 2^31 - 1.  FIELDS holds the
+lists that they replaced, for primes up to 2^31 - 1.  Monic square roots,
+read off by the coefficient recurrence, are checked against the Newton
+iteration that still serves long roots.  FIELDS holds the
 largest odd prime power with a > 1 below _TABLE_MAX (31^2) and the smallest
 above it (11^3).
 
@@ -18,6 +20,7 @@ operands cancel, so that sums of Zech logarithms reach 0.  All randomness is
 seeded.
 """
 
+import math
 import random
 
 import pytest
@@ -427,6 +430,51 @@ def test_prime_field_kernel_matches_sympy(p):
         want = sorted(((from_sympy(ctx, h).monic(), k) for h, k in pairs),
                       key=lambda kv: (kv[0].sort_key(), kv[1]))
         assert factor(f) == want
+
+
+# -- square roots ----------------------------------------------------------------------
+
+SQRT_FIELDS = [(p, 1) for p in (3, 5, 7, 13, 257, 65521)] + [(3, 2), (5, 2), (3, 7)]
+
+
+def sqrt_root_lengths(ctx):
+    """Root lengths 1 to 4 and, each +-1, the first at which _sqrt_monic
+    leaves the recurrence for Newton's iteration (n^2 >= _long_division_max);
+    a field above _TABLE_MAX takes Newton at every length."""
+    limit = kernel._long_division_max(ctx)
+    first = math.isqrt(limit - 1) + 1 if limit else 1
+    return sorted({1, 2, 3, 4} | {n for n in (first - 1, first, first + 1) if n >= 1})
+
+
+@pytest.mark.parametrize("p,a", SQRT_FIELDS, ids=[f"F{p}^{a}" for p, a in SQRT_FIELDS])
+def test_sqrt_monic_matches_newton(p, a):
+    """Squares of a dense and a sparse monic root, each with one coefficient
+    changed at every position below the leading one, and random monics of
+    odd and even degree.  A change in the bottom half (reversed index k >= n)
+    leaves the top half, hence the only candidate root, as it was, so the
+    result is not a square and the recurrence stops at its check of r_k."""
+    ctx = ctx_of(p, a)
+    rng = random.Random(29 * p + a)
+    newton = kernel._newton_sqrt_monic
+    for n in sqrt_root_lengths(ctx):
+        dense = [rng.randrange(ctx.q) for _ in range(n - 1)] + [ctx.unit]
+        sparse = sparse_codes(ctx, rng, n - 1)[:n - 1] + [ctx.unit]
+        for g in (dense, sparse):
+            f = kernel._mul(ctx, g, g)
+            assert kernel._sqrt_monic(ctx, f) == g == newton(ctx, f), (p, a, n)
+            for j in range(len(f) - 1):
+                changed = list(f)
+                changed[j] = (f[j] + rng.randrange(1, ctx.q)) % ctx.q
+                root = kernel._sqrt_monic(ctx, changed)
+                assert root == newton(ctx, changed), (p, a, n, j)
+                if j <= n - 2:
+                    assert root is None, (p, a, n, j)
+        odd_degree = [rng.randrange(ctx.q) for _ in range(2 * n - 1)] + [ctx.unit]
+        assert kernel._sqrt_monic(ctx, odd_degree) is None
+        even_degree = odd_degree[1:]
+        root = kernel._sqrt_monic(ctx, even_degree)
+        assert root == newton(ctx, even_degree)
+        assert root is None or kernel._mul(ctx, root, root) == even_degree
 
 
 # -- representation guards --------------------------------------------------------------
