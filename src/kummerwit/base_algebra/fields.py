@@ -33,7 +33,7 @@ import itertools
 from math import gcd
 
 from ..errors import CompositeP, ReducibleModulus
-from .intarith import is_prime
+from .intarith import factorint, is_prime
 
 
 class FieldCtx:
@@ -128,7 +128,6 @@ class FieldCtx:
         (None for k = m/2, where 1 + g^k = 0).  poly's kernel reads them for
         table fields (a > 1, q <= poly._TABLE_MAX) and for no other field."""
         if self._logs is None:
-            from .intarith import factorint
             q, m, unit = self.q, self.q - 1, self.unit
             one, cofactors = self.one(), [m // ell for ell in factorint(m)]
             g = next(x for x in map(self.decode, range(1, q))

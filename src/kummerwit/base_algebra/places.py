@@ -19,8 +19,9 @@ from math import gcd
 
 from ..errors import BadEll, ZeroInput
 from .fields import FieldCtx
+from .grammar import format_place
 from .intarith import is_prime
-from .poly import Poly, factor, is_irreducible, poly_valuation
+from .poly import Poly, factor, is_irreducible, poly_ext_gcd, poly_valuation
 from .ratfunc import RatFunc
 
 
@@ -61,7 +62,6 @@ class Place:
         return hash(("place", self.poly))
 
     def __repr__(self):
-        from .grammar import format_place
         return format_place(self)
 
     def sort_key(self):
@@ -117,7 +117,6 @@ class ResidueField:
         return self.reduce(shifted)
 
     def _inv_mod(self, f: Poly) -> Poly:
-        from .poly import poly_ext_gcd
         d, u, _ = poly_ext_gcd(f, self.place.poly)
         if not d.is_one():
             raise ZeroDivisionError("non-invertible residue")
@@ -158,8 +157,8 @@ def place_data(x: RatFunc, place: Place, ell: int, ctx: FieldCtx):
     return v, residue, rf.is_nth_power(residue, ell)
 
 
-def factor_place_in_tower(place: Place, r: int, n: int, ctx: FieldCtx,
-                          seed: int = 0) -> list[tuple[Place, int, int]]:
+def factor_place_in_tower(place: Place, r: int, n: int,
+                          ctx: FieldCtx) -> list[tuple[Place, int, int]]:
     """Places above a place of F_q(t) in F_q(s) with t = s^(r^n).
 
     Returns [(place above, e, f)] with e the ramification index and f the
@@ -177,7 +176,7 @@ def factor_place_in_tower(place: Place, r: int, n: int, ctx: FieldCtx,
     composed = place.poly.compose_monomial(m)
     base_deg = place.poly.degree()
     out = []
-    for irr, mult in factor(composed, seed=seed):
+    for irr, mult in factor(composed):
         out.append((Place(irr), mult, irr.degree() // base_deg))
     out.sort(key=lambda t: (t[0].sort_key(),))
     assert sum(e * f for _, e, f in out) == m
@@ -185,7 +184,7 @@ def factor_place_in_tower(place: Place, r: int, n: int, ctx: FieldCtx,
 
 
 def boundedness_probe(place: Place, r: int, ell: int, n_max: int,
-                      ctx: FieldCtx, seed: int = 0) -> bool:
+                      ctx: FieldCtx) -> bool:
     """Depth-first search for a chain of places up the s -> s^(1/r) tower
     whose stepwise local degrees e*f all avoid divisibility by ell.
 
@@ -200,7 +199,7 @@ def boundedness_probe(place: Place, r: int, ell: int, n_max: int,
     def search(current: Place, depth: int) -> bool:
         if depth == n_max:
             return True
-        options = factor_place_in_tower(current, r, 1, ctx, seed=seed)
+        options = factor_place_in_tower(current, r, 1, ctx)
         options.sort(key=lambda t: (t[1] * t[2], t[0].sort_key()))
         for above, e, f in options:
             if (e * f) % ell != 0 and search(above, depth + 1):

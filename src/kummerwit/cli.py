@@ -275,12 +275,12 @@ def cmd_tower(args) -> int:
     ctx = _ctx(args)
     place = parse_place(args.place, ctx)
     if args.action == "factor":
-        out = factor_place_in_tower(place, args.r, args.n, ctx, seed=args.seed)
+        out = factor_place_in_tower(place, args.r, args.n, ctx)
         _emit({"place": format_place(place), "r": args.r, "n": args.n,
                "above": [{"place": format_place(pl), "e": e, "f": f}
                          for pl, e, f in out]}, args.format)
         return 0
-    ok = boundedness_probe(place, args.r, args.l, args.n_max, ctx, seed=args.seed)
+    ok = boundedness_probe(place, args.r, args.l, args.n_max, ctx)
     _emit({"place": format_place(place), "r": args.r, "l": args.l,
            "n_max": args.n_max, "bounded": ok}, args.format)
     return 0 if ok else 1
@@ -337,7 +337,6 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="kummerwit", description=__doc__)
     top.add_argument("--format", choices=("json", "tsv"), default="json")
-    top.add_argument("--seed", type=int, default=0, help="factorization seed")
     top.add_argument("--workers", type=int,
                      default=os.environ.get("KUMMERWIT_WORKERS", "1"))
     sub = top.add_subparsers(dest="command", required=True)

@@ -39,9 +39,11 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .base_algebra.fields import FieldCtx, field_ctx
+from .base_algebra.grammar import format_point
+from .base_algebra.intarith import is_prime
 from .base_algebra.poly import Poly, poly_gcd, polys_of_degree
-from .base_algebra.ratfunc import RatFunc, ratfunc_sqrt
-from .errors import BadN, OffCurve
+from .base_algebra.ratfunc import RatFunc, poly_subs_monomial, ratfunc_sqrt
+from .errors import BadModulus, BadN, OffCurve
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,6 @@ class ECPoint:
         return hash((self.x, self.y))
 
     def __repr__(self):
-        from .base_algebra.grammar import format_point
         return format_point(self)
 
     def sort_key(self):
@@ -286,8 +287,8 @@ class StabilizationReport:
     this equals the true stabilization level."""
 
     n_est: int
-    heuristic: bool
     levels: list[dict] = field(default_factory=list)
+    heuristic = True  # an estimate, never a certified level
 
     def as_record(self) -> dict:
         return {"n_est": self.n_est, "heuristic": self.heuristic, "levels": self.levels}
@@ -303,16 +304,13 @@ def stabilization_probe(p: int, a: int, q: int, r: int, n_max: int,
     accepted here (the tower identification is generic in r) even though
     the rank statements need r = 3 mod 4.
     """
-    from .base_algebra.grammar import format_point
-    from .base_algebra.intarith import is_prime
-    from .errors import BadModulus
     if not (is_prime(q) and is_prime(r)) or len({p, q, r}) != 3:
         raise BadModulus(f"q = {q}, r = {r} must be primes distinct from p = {p}")
     if n_max < 0 or bounds[0] < 0 or bounds[1] < 0:
         raise ValueError("n_max and bounds must be >= 0")
     ctx = field_ctx(p, a)
     num_deg, den_deg = bounds
-    report = StabilizationReport(0, True)
+    report = StabilizationReport(0)
     prev_levels: list[list[ECPoint]] = []
     for n in range(n_max + 1):
         scale = r ** n
@@ -339,5 +337,4 @@ def stabilization_probe(p: int, a: int, q: int, r: int, n_max: int,
 def _lift_point(pt: ECPoint, factor: int) -> ECPoint:
     if pt.is_infinity or factor == 1:
         return pt
-    from .base_algebra.ratfunc import poly_subs_monomial
     return ECPoint.affine(poly_subs_monomial(pt.x, factor), poly_subs_monomial(pt.y, factor))

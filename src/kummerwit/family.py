@@ -6,6 +6,18 @@ y^2 * lambda = x * (x + lambda) * (x + lambda * s^N); scaling a curve point
 (x0, y0) by lambda lands (lambda*x0, lambda*y0) in that equation, so enough
 multiples of a non-torsion point force the family beyond any target size.
 
+Conversely, family_members finds the members as scaled curve points.  For
+lambda != 0 of degree d, x = lambda*X and y = lambda*Y show that x is a
+member exactly when X is the x-coordinate of a point (X, Y) on
+y^2 = x(x+1)(x+s^N) and lambda*Y is a polynomial.
+- Write X = u/w in lowest terms, w monic.  The point search's proof
+  (curve_ff) gives w = b^2 and u in {0} and {c*s^e*a^2}, b and a monic; the
+  zero factors X = 0, -1, -s^N have that shape too.
+- x = lambda*u/w is a polynomial and gcd(u, w) = 1, so w divides lambda.
+- Y = a*z/b^3 with z^2 = c*s^e*(u+w)(u+w*s^N), and z is coprime to b, so
+  lambda*Y is a polynomial only if b^3 divides lambda.
+Hence deg w <= 2*floor(d/3) and deg u <= deg_bound - d + 2*floor(d/3).
+
 polynomial_in_powers(f, n) returns a monic complement fbar with
 f * fbar in F_q[s^n], built from the minimal polynomials of the n-th powers
 of the roots of f: for each irreducible factor h of multiplicity m, the
@@ -19,10 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base_algebra.poly import (Poly, _barrett, _powmod, all_polys, factor,
-                                poly_lcm, poly_valuation)
+from .base_algebra.grammar import format_poly
+from .base_algebra.poly import Poly, _barrett, _powmod, factor, poly_lcm, poly_valuation
 from .base_algebra.ratfunc import RatFunc, ratfunc_sqrt
-from .curve_ff import CurveParams, ECPoint, _add_step, is_torsion
+from .curve_ff import CurveParams, ECPoint, _add_step, _candidates, is_torsion
 from .errors import DistinctnessFailure, TorsionPoint, ZeroInput
 
 
@@ -32,11 +44,10 @@ class FamilyResult:
     N: int
     deg_bound: int
     members: list[Poly]
-    exhaustive: bool
     witnesses: dict  # member -> the recovered polynomial y
+    exhaustive = True  # every member within the bound is listed
 
     def as_record(self) -> dict:
-        from .base_algebra.grammar import format_poly
         return {
             "lambda": format_poly(self.lam),
             "curve_exponent": self.N,
@@ -48,39 +59,41 @@ class FamilyResult:
 
 
 def membership_witness(x: Poly, lam: Poly, curve: CurveParams):
-    """The polynomial y with y^2*lam = x(x+lam)(x+lam*s^N), or None."""
+    """The polynomial y with y^2*lam = x(x+lam)(x+lam*s^N), or None: the
+    root of the exact quotient by lam."""
     ctx = curve.ctx
     if lam.is_zero():
         # y^2 * 0 = x^3 forces x = 0, witnessed by y = 0
         return Poly.zero(ctx) if x.is_zero() else None
-    sN = Poly.monomial(ctx, curve.N)
-    rhs_poly = x * (x + lam) * (x + lam * sN)
-    val = RatFunc(rhs_poly, lam)
-    if val.is_zero():
-        return Poly.zero(ctx)
-    y = ratfunc_sqrt(val)
-    if y is None or not y.is_polynomial():
+    quo, rem = divmod(x * (x + lam) * (x + lam.shift(curve.N)), lam)
+    if rem:
         return None
-    return y.num
+    y = ratfunc_sqrt(RatFunc.from_poly(quo))
+    return None if y is None else y.num
 
 
 def family_members(lam: Poly, curve: CurveParams, deg_bound: int) -> FamilyResult:
-    """All ring elements of degree <= deg_bound in C_lambda, with witnesses."""
+    """All ring elements of degree <= deg_bound in C_lambda, with witnesses:
+    each member is lam*u/w for a point-search candidate (u, w) within the
+    bounds proved in the module docstring, w dividing lam, and each distinct
+    such x is decided once by membership_witness."""
     if deg_bound < 0:
         raise ValueError("deg_bound must be >= 0")
     ctx = curve.ctx
     if lam.is_zero():
         zero = Poly.zero(ctx)
-        return FamilyResult(lam, curve.N, deg_bound, [zero], True, {zero: zero})
-    members: list[Poly] = []
-    witnesses: dict = {}
-    for x in all_polys(ctx, deg_bound):
-        y = membership_witness(x, lam, curve)
-        if y is not None:
-            members.append(x)
-            witnesses[x] = y
-    members.sort(key=Poly.sort_key)
-    return FamilyResult(lam, curve.N, deg_bound, members, True, witnesses)
+        return FamilyResult(lam, curve.N, deg_bound, [zero], {zero: zero})
+    den_deg = 2 * (lam.degree() // 3)
+    found: dict = {}
+    for u, w in _candidates(ctx, deg_bound - lam.degree() + den_deg, den_deg):
+        cofactor, rem = divmod(lam, w)
+        if rem:
+            continue
+        x = cofactor * u
+        if x.degree() <= deg_bound and x not in found:
+            found[x] = membership_witness(x, lam, curve)
+    members = sorted((x for x, y in found.items() if y is not None), key=Poly.sort_key)
+    return FamilyResult(lam, curve.N, deg_bound, members, {x: found[x] for x in members})
 
 
 def family_grow(pt: ECPoint, curve: CurveParams, n_target: int) -> tuple[Poly, FamilyResult]:
@@ -108,13 +121,8 @@ def family_grow(pt: ECPoint, curve: CurveParams, n_target: int) -> tuple[Poly, F
     for mp in multiples:
         lam = poly_lcm(lam, mp.x.den)
         lam = poly_lcm(lam, mp.y.den)
-    scaled: list[Poly] = []
-    for mp in multiples:
-        sx = RatFunc.from_poly(lam) * mp.x
-        assert sx.is_polynomial()
-        scaled.append(sx.num)
-    bound = max(max((sx.degree() for sx in scaled if not sx.is_zero()), default=0),
-                0)
+    scaled = [lam // mp.x.den * mp.x.num for mp in multiples]  # lam*x, a polynomial
+    bound = max((sx.degree() for sx in scaled if sx), default=0)
     result = family_members(lam, curve, bound)
     for sx in scaled:
         assert sx in result.witnesses, "scaled multiple missing from the family"

@@ -26,8 +26,8 @@ from functools import lru_cache
 from itertools import islice
 
 from .base_algebra.fields import FieldCtx
-from .base_algebra.poly import (Poly, all_polys, irreducibles_stream,
-                                poly_ext_gcd)
+from .base_algebra.grammar import format_poly
+from .base_algebra.poly import Poly, all_polys, crt, irreducibles_stream, poly_ext_gcd
 from .errors import SizeMismatch, UnitA, ZeroInA
 
 
@@ -114,7 +114,6 @@ class InjectionWitness:
     m2: Poly | None = None
 
     def as_record(self) -> dict:
-        from .base_algebra.grammar import format_poly
         rec = {"disjunct": self.disjunct}
         for name in ("g", "m", "c", "d", "u", "g2", "m2"):
             val = getattr(self, name)
@@ -155,7 +154,6 @@ def injection_witness(set_a: list[Poly], set_b: list[Poly], ctx: FieldCtx) -> In
     b_images = b_items[: len(a_items)]
     g = comaximal_shift([ai - c for ai in a_items], s, ctx)
     g2 = comaximal_shift([bi - d for bi in b_images], u, ctx)
-    from .base_algebra.poly import crt
     m = crt([(bi, one + g * (ai - c)) for ai, bi in zip(a_items, b_images)])
     m2 = crt([(ai, one + g2 * (bi - d)) for ai, bi in zip(a_items, b_images)])
     return InjectionWitness("tuple", g=g, m=m, c=c, d=d, u=u, g2=g2, m2=m2)
@@ -247,7 +245,6 @@ class GammaTimesWitness:
     product_set: list[Poly]
 
     def as_record(self) -> dict:
-        from .base_algebra.grammar import format_poly
         return {"alpha": format_poly(self.alpha), "beta": format_poly(self.beta),
                 "product_set": [format_poly(v) for v in self.product_set]}
 

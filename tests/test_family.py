@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from kummerwit.base_algebra import Poly, RatFunc, all_polys, field_ctx, irreducibles
+from kummerwit import family
+from kummerwit.base_algebra import (Poly, RatFunc, all_polys, factor, field_ctx,
+                                    irreducibles)
 from kummerwit.curve_ff import ECPoint, curve_make
 from kummerwit.errors import DistinctnessFailure, TorsionPoint, ZeroInput
 from kummerwit.family import (_minimal_poly_of_root_power, family_grow, family_members,
@@ -82,6 +84,70 @@ def test_members_monotone_in_bound(f3):
     small = set(family_members(s, E2, 1).members)
     large = set(family_members(s, E2, 3).members)
     assert small <= large
+
+
+# -- members against the exhaustive walk ----------------------------------------------
+
+
+def exhaustive_members(lam, curve, deg_bound):
+    """Every polynomial of degree <= deg_bound decided by membership_witness:
+    the oracle for family_members, member -> witness."""
+    found = {}
+    for x in all_polys(curve.ctx, deg_bound):
+        y = membership_witness(x, lam, curve)
+        if y is not None:
+            found[x] = y
+    return found
+
+
+# (p, a, N, lambda as codes from s^0 up, deg_bound): lambda of degree 0-4,
+# with and without square and cube factors, some not monic, and lambda = 0;
+# the cube cases over F_3 (s^3, (s+1)^3, 2s^3, s^4+s^3), F_5 ((s+3)^3, 4(s+1)^3),
+# F_7 ((s+1)^3) and F_9 (s^3, code 5 * s^3) have members lambda*u/b^2 with
+# deg b = 1: over F_5, 4s^3+2s^2 = (s+3)^3 * 4s^2/(s+3)^2
+FAMILY_CASES = [(3, 1, 2, [], 3), (3, 1, 2, [2], 4), (3, 1, 1, [0, 1], 4),
+                (3, 1, 2, [1, 2, 1], 4), (3, 1, 4, [0, 0, 0, 1], 1),
+                (3, 1, 4, [1, 0, 0, 1], 4), (3, 1, 4, [0, 0, 0, 2], 2),
+                (3, 1, 5, [0, 0, 0, 0, 1], 4), (3, 1, 4, [0, 0, 0, 1, 1], 2),
+                (3, 1, 2, [0, 1, 0, 0, 1], 5), (5, 1, 3, [2, 2, 4, 1], 3),
+                (5, 1, 3, [4, 2, 2, 4], 2), (5, 1, 1, [0, 0, 1], 3),
+                (5, 1, 2, [3, 0, 0, 3], 3), (7, 1, 4, [1, 3, 3, 1], 4),
+                (7, 1, 1, [5], 2), (7, 1, 3, [1, 0, 1], 2),
+                (3, 2, 4, [0, 0, 0, 1], 1), (3, 2, 4, [0, 0, 0, 5], 2),
+                (3, 2, 2, [1, 0, 0, 1], 2), (3, 2, 1, [0, 7], 2)]
+
+
+@pytest.mark.parametrize("p,a,N,lam_codes,deg_bound", FAMILY_CASES,
+                         ids=[f"F{c[0]}^{c[1]}-N{c[2]}-{c[3]}-B{c[4]}" for c in FAMILY_CASES])
+def test_members_match_exhaustive_walk(p, a, N, lam_codes, deg_bound):
+    ctx = field_ctx(p, a)
+    curve = curve_make(ctx, N)
+    lam = Poly(ctx, lam_codes)
+    res = family_members(lam, curve, deg_bound)
+    expected = exhaustive_members(lam, curve, deg_bound)
+    assert res.members == sorted(expected, key=Poly.sort_key)
+    assert res.witnesses == expected
+
+
+def test_members_decided_once_within_the_cube_bound(monkeypatch):
+    """Each x family_members decides is decided once, and x/lambda in lowest
+    terms has a denominator dividing c^2, c^3 the largest cube dividing
+    lambda: the walk keeps only lambda*u/w with w dividing lambda."""
+    for p, a, N, lam_codes, deg_bound in FAMILY_CASES:
+        ctx = field_ctx(p, a)
+        lam = Poly(ctx, lam_codes)
+        if lam.is_zero():
+            continue
+        cube_root = Poly.one(ctx)
+        for h, mult in factor(lam):
+            cube_root = cube_root * h ** (mult // 3)
+        decided = []
+        monkeypatch.setattr(family, "membership_witness",
+                            lambda x, *args: decided.append(x) or membership_witness(x, *args))
+        family_members(lam, curve_make(ctx, N), deg_bound)
+        assert len(decided) == len(set(decided))
+        for x in decided:
+            assert not (cube_root * cube_root) % RatFunc(x, lam).den, (lam, x)
 
 
 @pytest.mark.parametrize("target", [1, 2, 3])
