@@ -1,10 +1,10 @@
 """Exact arithmetic in finite fields F_{p^a}, p an odd prime.
 
-An element of F_{p^a} is a coefficient vector of length a over F_p in the
-power basis of z modulo the field modulus, stored as a tuple of ints in
-[0, p).  Equality is structural, and the tuple order (first coordinate
-compared first) is the canonical element order used everywhere determinism
-matters.
+An element of F_{p^a} is its code: the int whose base-p digits are the
+element's coefficient vector in the power basis of z modulo the field
+modulus, first coordinate (the coefficient of z^0) most significant.  Code
+order is the canonical element order (first coordinate compared first) used
+everywhere determinism matters; FF.coeffs reads the vector back.
 
 The field context owns p, a and the modulus.  When no modulus is supplied,
 it is the first monic irreducible of degree a over F_p in the canonical
@@ -12,24 +12,25 @@ order of poly.irreducibles (constant coefficient slowest), so test vectors
 are stable; a supplied modulus is checked with poly.is_irreducible.  For
 a = 1 the modulus is the identity convention z and is unused.
 
-Poly stores elements as codes (encode, decode): the vector as base-p digits,
-first coordinate most significant.  FF inversion for a > 1 (_raw_inv) is
-extended Euclid in F_p[z] on poly's int-list kernel.
+One kernel serves FF and Poly: an FF operation is poly's int-list kernel on
+one code.  That is a residue for a = 1, Zech logarithms for the table fields
+(a > 1, at most poly._TABLE_MAX elements), where a power is one lookup, and
+a z-polynomial over F_p above that, inverted by extended Euclid against the
+modulus.
 
 FieldCtx.logs gives discrete logarithms over codes to the base g, the first
 element of order q - 1 in canonical order, with Zech logarithms
 Z(k) = log(1 + g^k), so that g^i + g^j = g^(i + Z(j - i)) (Lidl and
 Niederreiter, Finite Fields, ch. 2 and 9).  The tables hold O(q) ints; they
-are built on first use and kept on the context.  Their one reader is poly's
-kernel, which does every coefficient product, sum and inverse of the
-extension fields up to poly._TABLE_MAX elements on them.  FF.sqrt keeps the
-power of a non-square that Tonelli-Shanks needs on the context the same way
-(Cohen, A Course in Computational Algebraic Number Theory, 1.5.1).
+are built on first use, without FF (whose table-field powers read them),
+kept on the context and shared by equal contexts.  FF.sqrt keeps the power
+of a non-square that Tonelli-Shanks needs on the context (Cohen, A Course in
+Computational Algebraic Number Theory, 1.5.1).
 """
 
 from __future__ import annotations
 
-import itertools
+from functools import lru_cache
 from math import gcd
 
 from ..errors import CompositeP, ReducibleModulus
@@ -57,8 +58,7 @@ class FieldCtx:
             self.modulus = (0, 1)
             self._prime = self
         else:
-            from .poly import Poly, irreducibles, is_irreducible
-            self._prime = prime_field = FieldCtx(p, 1)  # _raw_inv's Euclid runs over it
+            self._prime = prime_field = FieldCtx(p, 1)  # z-polynomials are over it
             if modulus is None:
                 modulus = next(irreducibles(prime_field, a)).coeffs
             else:
@@ -68,8 +68,8 @@ class FieldCtx:
                 if not is_irreducible(Poly.from_ints(prime_field, modulus)):
                     raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
-        self._zero = FF(self, (0,) * a)
-        self._one = FF(self, (1,) + (0,) * (a - 1))
+        self._zero = FF(self, 0)
+        self._one = FF(self, self.unit)
         self._logs = self._shanks = None
 
     def __eq__(self, other):
@@ -97,20 +97,11 @@ class FieldCtx:
                 raise ValueError("element belongs to a different field")
             return coeffs
         if isinstance(coeffs, int):
-            return FF(self, (coeffs % self.p,) + (0,) * (self.a - 1))
-        vec = tuple(int(c) % self.p for c in coeffs)
+            return FF(self, coeffs % self.p * self.unit)
+        vec = [int(c) % self.p for c in coeffs]
         if len(vec) > self.a:
             raise ValueError(f"coefficient vector longer than a = {self.a}")
-        vec += (0,) * (self.a - len(vec))
-        return FF(self, vec)
-
-    def encode(self, x: "FF") -> int:
-        """The code of x: its vector read as base-p digits, first most significant."""
-        return self._code(x.coeffs)
-
-    def decode(self, n: int) -> "FF":
-        """The element with code n."""
-        return FF(self, self._vec(n))
+        return FF(self, self._code(vec + [0] * (self.a - len(vec))))
 
     def _code(self, vec) -> int:
         n = 0
@@ -125,91 +116,50 @@ class FieldCtx:
         """(log, exp, zech) over codes, built on the first call.  With m = q - 1
         and g the first element of order m: exp[k] is the code of g^k for
         0 <= k < m, log[code] its k (None for 0), and zech[k] = log(1 + g^k)
-        (None for k = m/2, where 1 + g^k = 0).  poly's kernel reads them for
-        table fields (a > 1, q <= poly._TABLE_MAX) and for no other field."""
+        (None for k = m/2, where 1 + g^k = 0).  poly's kernel and FF read them
+        for table fields (a > 1, q <= poly._TABLE_MAX) and for no other field.
+
+        Equal contexts share the tables (_log_tables)."""
         if self._logs is None:
-            q, m, unit = self.q, self.q - 1, self.unit
-            one, cofactors = self.one(), [m // ell for ell in factorint(m)]
-            g = next(x for x in map(self.decode, range(1, q))
-                     if all(x ** e != one for e in cofactors))
-            exp, x, g = [unit], one.coeffs, g.coeffs
-            for _ in range(m - 1):
-                x = self._raw_mul(x, g)
-                exp.append(self._code(x))
-            log = [None] * q
-            for k, c in enumerate(exp):
-                log[c] = k
-            # adding 1 adds 1 mod p to a code's first digit, whose weight is unit
-            self._logs = (log, exp, [log[(c + unit) % q] for c in exp])
+            self._logs = _log_tables(self)
         return self._logs
 
     def elements(self):
         """All field elements in canonical order (first coordinate slowest)."""
-        for vec in itertools.product(range(self.p), repeat=self.a):
-            yield FF(self, vec)
-
-    # -- raw kernels (tuples in, tuples out) -----------------------------------
-
-    def _raw_mul(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-        p, a = self.p, self.a
-        if a == 1:
-            return (u[0] * v[0] % p,)
-        prod = [0] * (2 * a - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    prod[i + j] += ui * vj
-        return self._reduce(prod)
-
-    def _reduce(self, prod: list[int]) -> tuple[int, ...]:
-        """The vector of a z-polynomial of degree < 2a - 1 (a list of ints,
-        overwritten) reduced by the monic modulus and mod p."""
-        p, a, mod = self.p, self.a, self.modulus
-        for k in range(len(prod) - 1, a - 1, -1):
-            c = prod[k] % p
-            if c:
-                for j in range(a):
-                    prod[k - a + j] -= c * mod[j]
-        return tuple(c % p for c in prod[:a])
-
-    def _raw_inv(self, u: tuple[int, ...]) -> tuple[int, ...]:
-        p, a = self.p, self.a
-        if all(c == 0 for c in u):
-            raise ZeroDivisionError("inverse of zero field element")
-        if a == 1:
-            return (pow(u[0], p - 2, p),)
-        # s*u + t*modulus = 1 in F_p[z]; the modulus is irreducible
-        from .poly import _ext_gcd, _trim
-        _, s = _ext_gcd(self._prime, _trim(list(u)), list(self.modulus))
-        return tuple(s) + (0,) * (a - len(s))
+        for code in range(self.q):
+            yield FF(self, code)
 
 
 class FF:
-    """An element of F_{p^a}: immutable coefficient tuple plus its context."""
+    """An element of F_{p^a}: its code plus its context."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "code")
 
-    def __init__(self, ctx: FieldCtx, coeffs: tuple[int, ...]):
+    def __init__(self, ctx: FieldCtx, code: int):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.code = code
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The coefficient vector, first coordinate first."""
+        return self.ctx._vec(self.code)
 
     def __add__(self, other: "FF") -> "FF":
-        p = self.ctx.p
-        return FF(self.ctx, tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs)))
+        return FF(self.ctx, _add(self.ctx, self.code, other.code, 1))
 
     def __sub__(self, other: "FF") -> "FF":
-        p = self.ctx.p
-        return FF(self.ctx, tuple((x - y) % p for x, y in zip(self.coeffs, other.coeffs)))
+        return FF(self.ctx, _add(self.ctx, self.code, other.code, -1))
 
     def __neg__(self) -> "FF":
-        p = self.ctx.p
-        return FF(self.ctx, tuple(-x % p for x in self.coeffs))
+        return FF(self.ctx, _add(self.ctx, 0, self.code, -1))
 
     def __mul__(self, other: "FF") -> "FF":
-        return FF(self.ctx, self.ctx._raw_mul(self.coeffs, other.coeffs))
+        return FF(self.ctx, _times(self.ctx, self.code, other.code))
 
     def inv(self) -> "FF":
-        return FF(self.ctx, self.ctx._raw_inv(self.coeffs))
+        if not self.code:
+            raise ZeroDivisionError("inverse of zero field element")
+        return FF(self.ctx, _inv(self.ctx, self.code))
 
     def __truediv__(self, other: "FF") -> "FF":
         return self * other.inv()
@@ -219,32 +169,35 @@ class FF:
         if n < 0:
             return self.inv() ** (-n)
         if ctx.a == 1:
-            return FF(ctx, (pow(self.coeffs[0], n, ctx.p),))
-        return power(self, n, ctx.one())
+            return FF(ctx, pow(self.code, n, ctx.p))
+        tables = _zech(ctx)
+        if tables is None or not self.code:
+            return power(self, n, ctx.one())
+        log, exp, _ = tables
+        return FF(ctx, exp[log[self.code] * n % len(exp)])
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return bool(self.code)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FF) and self.coeffs == other.coeffs \
+        return isinstance(other, FF) and self.code == other.code \
             and self.ctx.p == other.ctx.p and self.ctx.modulus == other.ctx.modulus
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.modulus, self.coeffs))
+        return hash(self.code)
 
     def __lt__(self, other: "FF") -> bool:
-        return self.coeffs < other.coeffs
+        return self.code < other.code
 
     def __repr__(self):
         if self.ctx.a == 1:
-            return str(self.coeffs[0])
+            return str(self.code)
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
     # -- multiplicative structure ------------------------------------------------
 
     def is_square(self) -> bool:
-        q = self.ctx.q
-        return not self or self ** ((q - 1) // 2) == self.ctx.one()
+        return self.is_nth_power(2)
 
     def is_nth_power(self, n: int) -> bool:
         """Whether the element lies in (F_q^x)^n (zero counts as a power)."""
@@ -289,6 +242,27 @@ class FF:
         return r
 
 
+@lru_cache(maxsize=8)
+def _log_tables(ctx: FieldCtx) -> tuple[list, list, list]:
+    """FieldCtx.logs for every context equal to ctx, so that a field built
+    afresh for each command does not build its tables again.  g is found by
+    powering z-polynomials modulo the modulus over F_p, and exp by doubling:
+    with n codes so far, exp[k] * g^(n-1) = exp[k + n - 1], all n products in
+    one Kronecker product."""
+    q, m, unit, prime, mod = ctx.q, ctx.q - 1, ctx.unit, ctx._prime, list(ctx.modulus)
+    cofactors = [m // ell for ell in factorint(m)]
+    g = next(c for c in range(1, q) if all(
+        _powmod(prime, _trim(list(ctx._vec(c))), e, mod, None) != [1] for e in cofactors))
+    exp = [unit, g]
+    while len(exp) < m:
+        exp += _kronecker(ctx, exp, exp[-1:])[1:m - len(exp) + 1]
+    log = [None] * q
+    for k, c in enumerate(exp):
+        log[c] = k
+    # adding 1 adds 1 mod p to a code's first digit, whose weight is unit
+    return log, exp, [log[(c + unit) % q] for c in exp]
+
+
 def power(x, n: int, one):
     """x^n for n >= 0 by square-and-multiply (shared by FF and Poly): one
     squaring per bit below the top and one product per further set bit."""
@@ -309,3 +283,8 @@ def field_ctx(p: int, a: int, modulus=None) -> FieldCtx:
             raise ReducibleModulus("modulus must have prime-field coefficients")
         modulus = modulus.coeffs
     return FieldCtx(p, a, modulus)
+
+
+# poly imports FF and FieldCtx from this module, so its kernel is bound last
+from .poly import (Poly, _add, _inv, _kronecker, _powmod, _times,  # noqa: E402
+                   _trim, _zech, irreducibles, is_irreducible)

@@ -97,7 +97,10 @@ def parse_ratfunc(text: str, ctx: FieldCtx) -> RatFunc:
     text = text.strip()
     if "/" in text:
         num_s, den_s = text.split("/", 1)
-        return RatFunc(parse_poly(num_s, ctx), parse_poly(den_s, ctx))
+        den = parse_poly(den_s, ctx)
+        if not den:
+            raise ValueError(f"zero denominator in {text!r}")
+        return RatFunc(parse_poly(num_s, ctx), den)
     return RatFunc.from_poly(parse_poly(text, ctx))
 
 

@@ -3,17 +3,18 @@
 A Poly stores its coefficients low-to-high as a tuple of ints with no
 trailing zero; the zero polynomial is the empty tuple and its degree is
 NEG_INF, float minus infinity.  A coefficient is its element's code
-(FieldCtx.encode): the residue in [0, p) for a = 1, else the int whose
-base-p digits are the element's vector, first coordinate most significant,
-so int order is element order.  FF is the scalar at the API edges (lc,
-evaluate, scale, const, monomial, the grammar).
+(FF.code): the residue in [0, p) for a = 1, else the int whose base-p
+digits are the element's vector, first coordinate most significant, so int
+order is element order.  FF, which holds one code, is the scalar at the API
+edges (lc, evaluate, scale, const, monomial, the grammar).
 
-One int-list kernel serves every field; the field and the operand sizes
-pick the path.
-- Scalars: residues for a = 1.  Extension fields of at most _TABLE_MAX
-  elements (table fields) add, multiply and invert on the Zech logarithms
-  of FieldCtx.logs, one or two list lookups each.  Larger ones convert each
-  code to its z-digits and back (sums, and inverses by extended Euclid).
+One int-list kernel serves every field and FF; the field and the operand
+sizes pick the path.
+- Scalars (_add, _times, _inv, on one code each for FF): residues for a = 1.
+  Extension fields of at most _TABLE_MAX elements (table fields) add,
+  multiply and invert on the Zech logarithms of FieldCtx.logs, one or two
+  list lookups each.  Larger ones add on z-digits, multiply by _kronecker,
+  and invert by extended Euclid over F_p against the field modulus.
 - _mul: schoolbook for short products (a = 1: below _KRONECKER_MIN pairs;
   table fields: below _LOG_SCHOOLBOOK pairs per slot), else Kronecker
   substitution: the operands' slots (for a > 1, each code's z-digits,
@@ -96,7 +97,7 @@ class Poly:
 
     @classmethod
     def const(cls, ctx: FieldCtx, c) -> "Poly":
-        return cls(ctx, (ctx.encode(ctx.elem(c)),))
+        return cls(ctx, (ctx.elem(c).code,))
 
     @classmethod
     def gen(cls, ctx: FieldCtx) -> "Poly":
@@ -105,7 +106,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, ctx: FieldCtx, k: int, c=1) -> "Poly":
-        return cls(ctx, (0,) * k + (ctx.encode(ctx.elem(c)),))
+        return cls(ctx, (0,) * k + (ctx.elem(c).code,))
 
     # -- structure ----------------------------------------------------------------
 
@@ -115,7 +116,7 @@ class Poly:
     def lc(self) -> FF:
         if not self.coeffs:
             raise ValueError("leading coefficient of zero")
-        return self.ctx.decode(self.coeffs[-1])
+        return FF(self.ctx, self.coeffs[-1])
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -166,7 +167,7 @@ class Poly:
     def scale(self, c: FF) -> "Poly":
         if not c:
             return Poly.zero(self.ctx)
-        return Poly(self.ctx, _mul(self.ctx, self.coeffs, [self.ctx.encode(c)]))
+        return Poly(self.ctx, _mul(self.ctx, self.coeffs, [c.code]))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by s^k."""
@@ -195,18 +196,17 @@ class Poly:
         return Poly(self.ctx, _mul(self.ctx, self.coeffs, [_inv(self.ctx, self.coeffs[-1])]))
 
     def derivative(self) -> "Poly":
-        ctx = self.ctx
-        p, vec, code = ctx.p, ctx._vec, ctx._code
-        return Poly(ctx, [code([x * i % p for x in vec(c)])
-                          for i, c in enumerate(self.coeffs) if i])
+        ctx, f = self.ctx, self.coeffs
+        out = [0] * max(len(f) - 1, 0)
+        for k in range(1, min(ctx.p, len(f))):  # the terms i*c*s^(i-1) with i = k mod p
+            out[k - 1::ctx.p] = _mul(ctx, f[k::ctx.p], [k * ctx.unit])
+        return Poly(ctx, out)
 
     def evaluate(self, x: FF) -> FF:
-        """Horner's rule on z-digit vectors."""
-        ctx = self.ctx
-        p, xv = ctx.p, x.coeffs
-        raw_mul, vec, acc = ctx._raw_mul, ctx._vec, ctx.zero().coeffs
+        """Horner's rule on codes."""
+        ctx, acc = self.ctx, 0
         for c in reversed(self.coeffs):
-            acc = tuple((u + v) % p for u, v in zip(raw_mul(acc, xv), vec(c)))
+            acc = _add(ctx, _times(ctx, acc, x.code), c, 1)
         return FF(ctx, acc)
 
     def compose_monomial(self, k: int) -> "Poly":
@@ -288,22 +288,27 @@ def _zech(ctx: FieldCtx):
 
 def _mul(ctx: FieldCtx, f, g) -> list:
     """f * g as len(f) + len(g) - 1 codes.  Short products go by schoolbook,
-    on residues for a = 1 and on Zech logarithms for table fields.  The rest
-    are one bigint product (Kronecker) of slot lists, which for a > 1 are
-    spread from z-digits and folded back by the modulus."""
+    on residues for a = 1 and on Zech logarithms for table fields, the rest
+    by _kronecker."""
     if not f or not g:
         return []
-    p, a = ctx.p, ctx.a
-    if a == 1 and len(f) * len(g) < _KRONECKER_MIN:
+    if ctx.a == 1 and len(f) * len(g) < _KRONECKER_MIN:
         prod = [0] * (len(f) + len(g) - 1)
         for i, x in enumerate(f):
             if x:
                 for j, y in enumerate(g, i):
                     prod[j] += x * y
-        return [v % p for v in prod]
+        return [v % ctx.p for v in prod]
     tables = _zech(ctx)
-    if tables is not None and len(f) * len(g) < _LOG_SCHOOLBOOK * a * (len(f) + len(g)):
+    if tables is not None and len(f) * len(g) < _LOG_SCHOOLBOOK * ctx.a * (len(f) + len(g)):
         return _log_mul(tables, f, g)
+    return _kronecker(ctx, f, g)
+
+
+def _kronecker(ctx: FieldCtx, f, g) -> list:
+    """f * g, both nonempty, as one bigint product of slot lists, which for
+    a > 1 are spread from z-digits and folded back by the modulus."""
+    p, a = ctx.p, ctx.a
     n, count = min(len(f), len(g)), (len(f) + len(g) - 1) * (2 * a - 1)
     square = f is g  # a square packs once and squares faster
     if a > 1:
@@ -387,12 +392,30 @@ def _addsub(ctx: FieldCtx, f, g, sign: int) -> list:
     return _trim(out)
 
 
+def _add(ctx: FieldCtx, x: int, y: int, sign: int) -> int:
+    """x + sign * y for codes."""
+    return (_addsub(ctx, (x,), (y,), sign) or [0])[0]
+
+
+def _times(ctx: FieldCtx, x: int, y: int) -> int:
+    """x * y for codes."""
+    if ctx.a == 1:
+        return x * y % ctx.p
+    tables = _zech(ctx)
+    if tables is None or not x or not y:
+        return _mul(ctx, (x,), (y,))[0]
+    log, exp, _ = tables
+    return exp[(log[x] + log[y]) % len(exp)]
+
+
 def _inv(ctx: FieldCtx, c: int) -> int:
+    """1 / c for a nonzero code c."""
     if ctx.a == 1:
         return pow(c, ctx.p - 2, ctx.p)
     tables = _zech(ctx)
-    if tables is None:
-        return ctx._code(ctx._raw_inv(ctx._vec(c)))
+    if tables is None:  # u * c = 1 modulo the irreducible modulus, over F_p
+        u = _ext_gcd(ctx._prime, _trim(list(ctx._vec(c))), list(ctx.modulus))[1]
+        return ctx._code(u + [0] * (ctx.a - len(u)))
     log, exp, _ = tables
     return exp[-log[c] % len(exp)]
 
@@ -767,12 +790,8 @@ def is_irreducible(f: Poly) -> bool:
 def _pth_root(f: Poly) -> Poly:
     """Inverse Frobenius on a polynomial whose derivative vanishes."""
     ctx = f.ctx
-    p = ctx.p
-    root_exp = p ** (ctx.a - 1)  # c -> c^(p^(a-1)) inverts c -> c^p in F_{p^a}
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        out.append(ctx.encode(ctx.decode(f.coeffs[i]) ** root_exp))
-    return Poly(ctx, out)
+    root_exp = ctx.p ** (ctx.a - 1)  # c -> c^(p^(a-1)) inverts c -> c^p in F_{p^a}
+    return Poly(ctx, [(FF(ctx, c) ** root_exp).code for c in f.coeffs[::ctx.p]])
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:

@@ -137,6 +137,19 @@ def test_out_of_range_arguments_exit_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["kummer", "case", "-p", "7", "-l", "3", "--place", "1*s", "--b", "3/0"],
+    ["curve", "mul", "-p", "3", "-N", "2", "--P", "(1*s/0;1)", "-k", "2"],
+    ["family", "grow", "-p", "3", "-N", "2", "--point", "(1*s/0;1*s)", "--target", "2"],
+])
+def test_zero_denominator_literal_exit_2(capsys, argv):
+    # bad input, not a verifier's false: one error line and no output
+    assert dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "zero denominator" in err
+
+
 def test_tsv_format(capsys):
     code = dispatch(["--format", "tsv", "search-primes", "-p", "3", "--count", "1"])
     out = capsys.readouterr().out.strip()

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from kummerwit import family
-from kummerwit.base_algebra import (Poly, RatFunc, all_polys, factor, field_ctx,
+from kummerwit.base_algebra import (FF, Poly, RatFunc, all_polys, factor, field_ctx,
                                     irreducibles)
 from kummerwit.curve_ff import ECPoint, curve_make
 from kummerwit.errors import DistinctnessFailure, TorsionPoint, ZeroInput
@@ -202,7 +202,7 @@ def test_minimal_poly_of_root_power_properties(f3, f7):
                     beta = Poly.gen(ctx).powmod(n, h)
                     acc = Poly.zero(ctx)
                     for i, coeff in enumerate(qh.coeffs):
-                        acc = acc + (beta.powmod(i, h)).scale(ctx.decode(coeff))
+                        acc = acc + (beta.powmod(i, h)).scale(FF(ctx, coeff))
                     assert (acc % h).is_zero()
 
 
@@ -262,10 +262,10 @@ def elimination_minimal_poly(h, n):
     rows = []
     cur = Poly.one(ctx)
     for _ in range(d + 1):
-        rows.append([ctx.decode(c) for c in cur.coeffs] + [ctx.zero()] * (d - len(cur.coeffs)))
+        rows.append([FF(ctx, c) for c in cur.coeffs] + [ctx.zero()] * (d - len(cur.coeffs)))
         dependency = _solve_dependency(rows, ctx)
         if dependency is not None:
-            return Poly(ctx, [ctx.encode(c) for c in dependency]).monic()
+            return Poly(ctx, [c.code for c in dependency]).monic()
         cur = (cur * beta) % h
     raise AssertionError("no dependency within the field degree")
 

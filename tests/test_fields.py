@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from kummerwit.base_algebra import Poly, field_ctx, is_irreducible
 from kummerwit.base_algebra.fields import FF, power
 from kummerwit.errors import CompositeP, ReducibleModulus
+
+from tests.field_oracle import TupleField
 
 
 def brute_least_irreducible_quadratic(p):
@@ -88,7 +91,7 @@ def test_pow_matches_repeated_multiplication():
         ctx = field_ctx(p, a)
         rng = random.Random(3)
         for _ in range(20):
-            x = ctx.decode(rng.randrange(1, ctx.q))
+            x = FF(ctx, rng.randrange(1, ctx.q))
             acc = ctx.one()
             for k in range(8):
                 assert x ** k == acc
@@ -144,16 +147,105 @@ def test_log_tables_match_field_arithmetic(p, a):
     log, exp, zech = ctx.logs()
     assert ctx.logs() is ctx.logs()  # built once, kept on the context
     q, m = ctx.q, ctx.q - 1
-    elems = [ctx.decode(c) for c in range(q)]
+    elems = [FF(ctx, c) for c in range(q)]
     # the base is the first element of order q - 1 in canonical order
     order = lambda x: next(k for k in range(1, q) if x ** k == ctx.one())
     first = next(x for x in elems[1:] if order(x) == m)
-    assert exp[1] == ctx.encode(first) and sorted(exp) == list(range(1, q))
+    assert exp[1] == first.code and sorted(exp) == list(range(1, q))
     assert log[0] is None and all(exp[log[c]] == c for c in range(1, q))
     for x in elems[1:]:
-        lx = log[ctx.encode(x)]
+        lx = log[x.code]
         for y in elems[1:]:
-            ly = log[ctx.encode(y)]
-            assert exp[(lx + ly) % m] == ctx.encode(x * y)
+            ly = log[y.code]
+            assert exp[(lx + ly) % m] == (x * y).code
             z = zech[(ly - lx) % m]
-            assert (x + y == ctx.zero()) if z is None else exp[(lx + z) % m] == ctx.encode(x + y)
+            assert (x + y == ctx.zero()) if z is None else exp[(lx + z) % m] == (x + y).code
+
+
+# -- FF and FieldCtx.logs against the digit-tuple oracle ----------------------------
+
+
+def last_rootless(p, a):
+    """The last monic polynomial of degree a <= 3 over F_p without a root, in
+    the order of the default modulus search: irreducible, and not the default."""
+    for low in itertools.product(range(p - 1, -1, -1), repeat=a):
+        c = low + (1,)
+        if all(sum(ci * x ** i for i, ci in enumerate(c)) % p for x in range(p)):
+            return c
+
+
+# every element of the fields up to 31^2, 200 seeded ones of F_{3^7} and
+# F_{11^3} (above poly._TABLE_MAX); two fields with a supplied modulus
+FF_CASES = [(3, 2, None), (5, 2, None), (3, 3, None), (7, 2, None), (31, 2, None),
+            (3, 7, None), (11, 3, None), (5, 2, last_rootless(5, 2)),
+            (11, 3, last_rootless(11, 3))]
+FF_IDS = [f"F{p}^{a}" + ("-supplied" if m else "") for p, a, m in FF_CASES]
+
+
+def oracle_case(p, a, modulus):
+    ctx = field_ctx(p, a, modulus)
+    if modulus is not None:
+        assert ctx.modulus == modulus != field_ctx(p, a).modulus
+    F, rng = TupleField.of(ctx), random.Random(100 * p + a)
+    if ctx.q <= 31 ** 2:
+        codes = list(range(ctx.q))
+        assert [x.coeffs for x in ctx.elements()] == list(F.elements())
+    else:
+        codes = [0, ctx.unit] + sorted(rng.sample(range(1, ctx.q), 198))
+    return ctx, F, rng, [FF(ctx, c) for c in codes]
+
+
+@pytest.mark.parametrize("p,a,modulus", FF_CASES, ids=FF_IDS)
+def test_ff_unary_matches_tuple_oracle(p, a, modulus):
+    ctx, F, _, elems = oracle_case(p, a, modulus)
+    q = ctx.q
+    assert sorted(elems) == sorted(elems, key=lambda x: x.coeffs)
+    for x in elems:
+        u = F.vec(x.code)
+        assert x.coeffs == u and x == ctx.elem(u) and hash(x) == hash(ctx.elem(list(u)))
+        assert repr(x) == (str(u[0]) if a == 1 else "[" + ",".join(map(str, u)) + "]")
+        assert (-x).coeffs == F.neg(u)
+        for n in (-3, 0, 1, 2, (q - 1) // 2, q - 2, 10 ** 6 + 3):
+            if n >= 0 or x:
+                assert (x ** n).coeffs == F.pow(u, n), (x, n)
+        if x:
+            assert x.inv().coeffs == F.inv(u)
+        assert x.is_square() == F.is_square(u)
+        for n in (2, 3, 4, 5, 6, 8):
+            assert x.is_nth_power(n) == F.is_nth_power(u, n), (x, n)
+        root = x.sqrt()
+        assert (None if root is None else root.coeffs) == F.sqrt(u), x
+    zero = ctx.zero()
+    for bad in (zero.inv, lambda: zero ** -3, lambda: ctx.one() / zero):
+        with pytest.raises(ZeroDivisionError):
+            bad()
+    with pytest.raises(AttributeError):
+        ctx.one().coeffs = F.one
+
+
+@pytest.mark.parametrize("p,a,modulus", FF_CASES, ids=FF_IDS)
+def test_ff_binary_matches_tuple_oracle(p, a, modulus):
+    # all pairs up to F_49, else each element with three seeded partners
+    ctx, F, rng, elems = oracle_case(p, a, modulus)
+    for x in elems:
+        u = x.coeffs
+        for y in elems if ctx.q <= 49 else rng.sample(elems, 3):
+            v = y.coeffs
+            assert (x + y).coeffs == F.add(u, v) and (x - y).coeffs == F.sub(u, v)
+            assert (x * y).coeffs == F.mul(u, v), (x, y)
+            if y:
+                assert (x / y).coeffs == F.mul(u, F.inv(v)), (x, y)
+            assert (x < y) == (u < v) and (x == y) == (u == v)
+
+
+@pytest.mark.parametrize("p,a,modulus", [(3, 2, None), (3, 3, None), (5, 3, None), (31, 2, None),
+                                         (3, 7, None), (5, 2, last_rootless(5, 2))],
+                         ids=["F3^2", "F3^3", "F5^3", "F31^2", "F3^7", "F5^2-supplied"])
+def test_log_tables_match_tuple_oracle(p, a, modulus):
+    """The same base g (exp[1]) and identical log, exp and Zech lists; equal
+    fields share them, and a field with another modulus does not."""
+    ctx = field_ctx(p, a, modulus)
+    assert ctx.logs() == TupleField.of(ctx).logs()
+    assert field_ctx(p, a, modulus).logs() is ctx.logs()
+    if modulus is not None:
+        assert field_ctx(p, a).logs() != ctx.logs()

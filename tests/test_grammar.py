@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from kummerwit.base_algebra import (Place, Poly, RatFunc, format_place,
                                     format_poly, format_ratfunc, parse_place,
                                     parse_poly, parse_ratfunc)
@@ -18,7 +20,7 @@ def test_poly_literals(f3, f9):
     assert parse_poly(" 2*s + 1 ", f3) == Poly.from_ints(f3, [1, 2])
     assert parse_poly("0", f3) == Poly.zero(f3)
     # extension coefficients
-    x = Poly(f9, (f9.encode(f9.elem([1, 2])), f9.encode(f9.elem([0, 1]))))
+    x = Poly(f9, (f9.elem([1, 2]).code, f9.elem([0, 1]).code))
     assert format_poly(x) == "[0,1]*s+[1,2]"
     assert parse_poly("[0,1]*s+[1,2]", f9) == x
 
@@ -39,6 +41,9 @@ def test_ratfunc_literals(f3):
     assert format_ratfunc(x) == "1*s+1/1*s^2"
     assert parse_ratfunc("1*s+1/1*s^2", f3) == x
     assert parse_ratfunc("1*s+1", f3) == RatFunc.from_poly(s + Poly.one(f3))
+    for text in ("1*s/0", "0/0", "1/0*s^2"):  # a zero denominator is bad input
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_ratfunc(text, f3)
 
 
 def test_place_literals(f3):

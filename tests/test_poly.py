@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from kummerwit.base_algebra import (NEG_INF, Poly, all_polys, crt, factor,
+from kummerwit.base_algebra import (FF, NEG_INF, Poly, all_polys, crt, factor,
                                     field_ctx, irreducibles, is_irreducible,
                                     poly_ext_gcd, poly_gcd,
                                     squarefree_decomposition)
@@ -20,7 +20,7 @@ def rand_poly(ctx, rng, max_deg, nonzero=False):
         else:
             coeffs = [rng.choice(list(ctx.elements())) for _ in range(deg)]
             lead = rng.choice([e for e in ctx.elements() if e])
-            f = Poly(ctx, [ctx.encode(c) for c in coeffs + [lead]])
+            f = Poly(ctx, [c.code for c in coeffs + [lead]])
         if not nonzero or not f.is_zero():
             return f
 
@@ -270,6 +270,6 @@ def test_is_irreducible_matches_rabin_high_degree(p, a, degs):
         assert is_irreducible(f) == rabin_is_irreducible(f), f
     h = random_irreducible(ctx, rng, rng.randrange(lo, hi + 1))
     g = next(irreducibles(ctx, 2))
-    assert rabin_is_irreducible(h) and is_irreducible(h.scale(ctx.decode(rng.randrange(1, ctx.q))))
+    assert rabin_is_irreducible(h) and is_irreducible(h.scale(FF(ctx, rng.randrange(1, ctx.q))))
     for f in (h * h, h * h * g, h * g):
         assert not is_irreducible(f) and not rabin_is_irreducible(f)

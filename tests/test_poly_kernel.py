@@ -1,16 +1,17 @@
 """Cross-checks of the int-list F_q[s] kernel (Kronecker multiply, long or
 Newton division, Barrett powmod, gcds and CRT on int lists) against the boxed
-schoolbook multiply and long division it replaced, kept here as the oracle,
-and against sympy over prime fields.  The table fields (a > 1, at most
-_TABLE_MAX elements), which compute on Zech logarithms, are also checked
-against the long division on z-digit vectors that they replaced, and their
-inverses against extended Euclid (FieldCtx._raw_inv).  Prime-field gcds and
-extended gcds, which run packed, are checked against the Euclid on code
-lists that they replaced, for primes up to 2^31 - 1.  Monic square roots,
-read off by the coefficient recurrence, are checked against the Newton
-iteration that still serves long roots.  FIELDS holds the
-largest odd prime power with a > 1 below _TABLE_MAX (31^2) and the smallest
-above it (11^3).
+schoolbook multiply and long division it replaced, kept here as the oracle
+on the digit tuples of tests/field_oracle.py (independent of the kernel,
+which FF runs on too), and against sympy over prime fields.  The table
+fields (a > 1, at most _TABLE_MAX elements), which compute on Zech
+logarithms, are also checked against the long division on z-digit vectors
+that they replaced, and their inverses against the oracle's extended
+Euclid.  Prime-field gcds and extended gcds, which run packed, are checked
+against the Euclid on code lists that they replaced, for primes up to
+2^31 - 1.  Monic square roots, read off by the coefficient recurrence, are
+checked against the Newton iteration that still serves long roots.  FIELDS
+holds the largest odd prime power with a > 1 below _TABLE_MAX (31^2) and
+the smallest above it (11^3).
 
 Operand lengths run from 1 to 301 (degree 0 to 300) and include, each +-1,
 every length at which the multiply changes strategy: the schoolbook/Kronecker
@@ -25,65 +26,68 @@ import random
 
 import pytest
 
-from kummerwit.base_algebra import (Poly, crt, factor, field_ctx, is_irreducible,
+from kummerwit.base_algebra import (FF, Poly, crt, factor, field_ctx, is_irreducible,
                                     poly_ext_gcd, poly_gcd)
 from kummerwit.base_algebra import poly as kernel
+
+from tests.field_oracle import TupleField
 
 FIELDS = [(p, a) for p in (3, 5, 7, 13, 257) for a in (1, 2, 3)] + [(31, 2), (11, 3)]
 FIELD_IDS = [f"F{p}^{a}" for p, a in FIELDS]
 
 
-# -- the oracle: FF-per-coefficient schoolbook product and long division -------------
+# -- the oracle: schoolbook product and long division on digit tuples ---------------
 
 
 def boxed(f):
-    return [f.ctx.decode(c) for c in f.coeffs]
+    """The coefficients of f as digit tuples (field_oracle)."""
+    return [TupleField.of(f.ctx).vec(c) for c in f.coeffs]
 
 
 def unboxed(ctx, elems):
-    return Poly(ctx, [ctx.encode(c) for c in elems])
+    return Poly(ctx, [TupleField.of(ctx).code(c) for c in elems])
 
 
-def oracle_mul(ctx, a, b):
+def oracle_mul(F, a, b):
     if not a or not b:
         return []
-    out = [ctx.zero()] * (len(a) + len(b) - 1)
+    out = [F.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x:
+        if any(x):
             for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
+                out[i + j] = F.add(out[i + j], F.mul(x, y))
     return out
 
 
-def oracle_divmod(ctx, a, b):
+def oracle_divmod(F, a, b):
     dv = len(b) - 1
     if len(a) - 1 < dv:
         return [], list(a)
     rem = list(a)
-    inv_lc = b[-1].inv()
-    quo = [ctx.zero()] * (len(rem) - dv)
+    inv_lc = F.inv(b[-1])
+    quo = [F.zero] * (len(rem) - dv)
     for k in range(len(rem) - 1, dv - 1, -1):
         c = rem[k]
-        if c:
-            c = c * inv_lc
+        if any(c):
+            c = F.mul(c, inv_lc)
             quo[k - dv] = c
             for j in range(dv + 1):
-                rem[k - dv + j] = rem[k - dv + j] - c * b[j]
+                rem[k - dv + j] = F.sub(rem[k - dv + j], F.mul(c, b[j]))
     return quo, rem[:dv]
 
 
 def oadd(f, g):
-    a, b = boxed(f), boxed(g)
-    a, b = a + [f.ctx.zero()] * (len(b) - len(a)), b + [f.ctx.zero()] * (len(a) - len(b))
-    return unboxed(f.ctx, [x + y for x, y in zip(a, b)])
+    F, a, b = TupleField.of(f.ctx), boxed(f), boxed(g)
+    a, b = a + [F.zero] * (len(b) - len(a)), b + [F.zero] * (len(a) - len(b))
+    return unboxed(f.ctx, [F.add(x, y) for x, y in zip(a, b)])
 
 
 def omul(f, g):
-    return unboxed(f.ctx, oracle_mul(f.ctx, boxed(f), boxed(g)))
+    return unboxed(f.ctx, oracle_mul(TupleField.of(f.ctx), boxed(f), boxed(g)))
 
 
 def odivmod(f, g):
-    quo, rem = oracle_divmod(f.ctx, boxed(f), boxed(g))
+    quo, rem = oracle_divmod(TupleField.of(f.ctx), boxed(f), boxed(g))
     return unboxed(f.ctx, quo), unboxed(f.ctx, rem)
 
 
@@ -91,21 +95,21 @@ def zvector_long_divmod(ctx, f, g):
     """Long division of code lists, a > 1, on z-digit vectors: remainder slots
     accumulate unreduced z-polynomials of degree < 2a - 1, each reduced when
     read as the next leading term and at the end."""
-    a, dg, m = ctx.a, len(g) - 1, len(f) - len(g) + 1
-    vec, reduce, pad = ctx._vec, ctx._reduce, [0] * (a - 1)
-    inv, gv = ctx._raw_inv(vec(g[-1])), [vec(y) for y in g[:dg]]
+    F, a, dg, m = TupleField.of(ctx), ctx.a, len(g) - 1, len(f) - len(g) + 1
+    vec, reduce, pad = F.vec, F.reduce, [0] * (a - 1)
+    inv, gv = F.inv(vec(g[-1])), [vec(y) for y in g[:dg]]
     rem, quo = [list(vec(x)) + pad for x in f], [0] * m
     for k in range(m - 1, -1, -1):
         top = reduce(rem[k + dg])
         if any(top):
-            c = ctx._raw_mul(top, inv)
-            quo[k] = ctx._code(c)
+            c = F.mul(top, inv)
+            quo[k] = F.code(c)
             for acc, y in zip(rem[k:k + dg], gv):
                 for i, ci in enumerate(c):
                     if ci:
                         for j, yj in enumerate(y, i):
                             acc[j] -= ci * yj
-    return quo, kernel._trim([ctx._code(reduce(x)) for x in rem[:dg]])
+    return quo, kernel._trim([F.code(reduce(x)) for x in rem[:dg]])
 
 
 def is_table_field(p, a):
@@ -115,9 +119,8 @@ def is_table_field(p, a):
 def negate_odd(f):
     """f(-s): f times g(s) = f(-s) has every odd coefficient 0, each a sum
     that cancels."""
-    ctx, minus = f.ctx, -f.ctx.one()
-    return Poly(ctx, [ctx.encode(minus * c) if i % 2 else ctx.encode(c)
-                      for i, c in enumerate(boxed(f))])
+    F = TupleField.of(f.ctx)
+    return unboxed(f.ctx, [F.neg(c) if i % 2 else c for i, c in enumerate(boxed(f))])
 
 
 # -- inputs ------------------------------------------------------------------------
@@ -178,7 +181,7 @@ def test_mul_matches_boxed_schoolbook(p, a):
         f, g = rand_poly(ctx, rng, n), rand_poly(ctx, rng, n + rng.randrange(0, 20))
         assert f * g == omul(f, g) == g * f, (p, a, n)
     # all-maximal coefficients fill every product slot to its bound
-    top = ctx.encode(-ctx.one())
+    top = (-ctx.one()).code
     for n in cutoff_lengths(p, a):
         f = Poly(ctx, [top] * n)
         assert f * f == omul(f, f), (p, a, n)
@@ -232,14 +235,27 @@ def test_scale_and_evaluate_match_boxed(p, a):
     rng = random.Random(2500 * p + a)
     for n in (1, 2, 17, 301):
         f = rand_poly(ctx, rng, n)
-        c = ctx.decode(rng.randrange(1, ctx.q))
-        assert f.scale(c) == unboxed(ctx, [x * c for x in boxed(f)]), (p, a, n)
-        acc = ctx.zero()
+        c = FF(ctx, rng.randrange(1, ctx.q))
+        F, cv = TupleField.of(ctx), c.coeffs
+        assert f.scale(c) == unboxed(ctx, [F.mul(x, cv) for x in boxed(f)]), (p, a, n)
+        acc = F.zero
         for x in reversed(boxed(f)):
-            acc = acc * c + x
-        assert f.evaluate(c) == acc and f.evaluate(ctx.zero()) == boxed(f)[0], (p, a, n)
+            acc = F.add(F.mul(acc, cv), x)
+        assert f.evaluate(c).coeffs == acc, (p, a, n)
+        assert f.evaluate(ctx.zero()).coeffs == boxed(f)[0], (p, a, n)
     # scaling by zero returns at once, whatever the length
     assert Poly(ctx, [ctx.unit] * 100_000).scale(ctx.zero()) == Poly.zero(ctx)
+
+
+@pytest.mark.parametrize("p,a", FIELDS, ids=FIELD_IDS)
+def test_derivative_matches_boxed(p, a):
+    # lengths around p, where exponents wrap to 0 mod p, and one long operand
+    ctx = ctx_of(p, a)
+    rng = random.Random(2700 * p + a)
+    for n in sorted({0, 1, 2, p - 1, p, p + 1, 2 * p + 1, 301}):
+        f = rand_poly(ctx, rng, n)
+        want = [tuple(i * d % p for d in x) for i, x in enumerate(boxed(f))][1:]
+        assert f.derivative() == unboxed(ctx, want), (p, a, n)
 
 
 @pytest.mark.parametrize("p,a", FIELDS, ids=FIELD_IDS)
@@ -491,8 +507,8 @@ def test_polys_over_different_fields_differ():
 def test_codes_order_like_vectors():
     ctx = field_ctx(3, 2)
     elems = list(ctx.elements())
-    assert [ctx.encode(x) for x in elems] == list(range(9))
-    assert all(ctx.decode(ctx.encode(x)) == x for x in elems)
+    assert [x.code for x in elems] == list(range(9))
+    assert all(FF(ctx, x.code) == x for x in elems)
     assert Poly.one(ctx).coeffs == (3,) and Poly.from_ints(ctx, [2, 4]).coeffs == (6, 3)
 
 
@@ -518,9 +534,9 @@ def test_is_irreducible_early_rejections():
 @pytest.mark.parametrize("p,a", [f for f in FIELDS if is_table_field(*f)],
                          ids=[i for f, i in zip(FIELDS, FIELD_IDS) if is_table_field(*f)])
 def test_table_inverse_matches_euclid(p, a):
-    ctx = ctx_of(p, a)
+    ctx, F = ctx_of(p, a), TupleField.of(ctx_of(p, a))
     for c in range(1, ctx.q):
-        assert kernel._inv(ctx, c) == ctx._code(ctx._raw_inv(ctx._vec(c))), (p, a, c)
+        assert kernel._inv(ctx, c) == F.code(F.inv(F.vec(c))), (p, a, c)
 
 
 @pytest.mark.parametrize("p,a", [(3, 2), (3, 6), (7, 3), (257, 2)])
@@ -528,7 +544,7 @@ def test_extension_inverse(p, a):
     ctx = field_ctx(p, a)
     rng = random.Random(p + a)
     for _ in range(30):
-        x = ctx.decode(rng.randrange(1, ctx.q))
+        x = FF(ctx, rng.randrange(1, ctx.q))
         assert x * x.inv() == ctx.one()
         assert x.inv() == x ** (ctx.q - 2)  # Fermat's little theorem
 
@@ -539,4 +555,4 @@ def test_random_element_stream_unchanged():
     rng, ref = random.Random(9), random.Random(9)
     for _ in range(20):
         vec = tuple(ref.randrange(3) for _ in range(3))
-        assert kernel._rand_elem(ctx, rng) == ctx.encode(ctx.elem(vec))
+        assert kernel._rand_elem(ctx, rng) == ctx.elem(vec).code

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from kummerwit.base_algebra import (Poly, RatFunc, factor, field_ctx, is_nth_power,
+from kummerwit.base_algebra import (FF, Poly, RatFunc, factor, field_ctx, is_nth_power,
                                     poly_gcd, ratfunc_sqrt, squarefree_decomposition)
 from kummerwit.base_algebra.poly import _TABLE_MAX
 from kummerwit.base_algebra.ratfunc import _canonical_sign
@@ -113,7 +113,7 @@ def test_sqrt_matches_squarefree_oracle(p, a):
     ctx = field_ctx(p, a)
     assert (ctx.q <= _TABLE_MAX) == (a < 7)
     rng = random.Random(13 * p + a)
-    s, unit = Poly.gen(ctx), ctx.decode(rng.randrange(1, ctx.q))
+    s, unit = Poly.gen(ctx), FF(ctx, rng.randrange(1, ctx.q))
     outcomes = set()
     for _ in range(15):
         g = rand_ratfunc(ctx, rng, max_deg=4, nonzero=True)
