@@ -10,14 +10,36 @@ from factor's output, which is monic and irreducible already.
 
 factor_place_in_tower computes how a place splits when s is replaced by an
 r^n-th root: for a finite place this is the factorization of pi(s^(r^n));
-the infinite place is totally ramified at every level.
+the infinite place is totally ramified at every level.  It hands factor the
+degrees a factor can have, by this lemma (for binomials see Lidl and
+Niederreiter, Finite Fields, ch. 3):
+
+  Let pi != s be monic irreducible of degree k over F_q, m = r^n with r a
+  prime other than p, Q = q^k and o = ord_r(Q).  Every irreducible factor
+  of pi(s^m) has degree k*j with j = 1 or j = o*r^i <= m.
+
+  Proof.  Let beta be a root and alpha = beta^m.  Then F_q(alpha) = F_Q lies
+  in F_q(beta), and j = [F_Q(beta) : F_Q] is the order of Q modulo
+  ord(beta).  ord(beta) divides m*(Q - 1), so its part prime to r divides
+  Q - 1 and j = ord_{r^c}(Q), r^c the r-part of ord(beta).  That is 1 for
+  c = 0; else it is o*r^i, as the kernel of (Z/r^c)^x -> (Z/r)^x is an
+  r-group (for r = 2, o = 1).  And j <= m, the degree of beta over F_Q.
+  For pi = s, pi(s^m) = s^m has the one factor s, of degree 1 = k.
+
+A finite place's tower work is that of factoring pi(s^(r^n)), of degree
+deg(pi) * r^n.  factor_place_in_tower refuses that degree (r^n at infinity)
+above TOWER_DEGREE_MAX before composing.  boundedness_probe refuses a tower
+degree r^n_max above the cap before searching.  A place's degree grows by
+at most r per level, and the probe follows the chains of least local
+degree first, so small places probed to r^n_max <= the cap stay quick
+(every place of degree <= 2 over F_3 at r = 11, n_max = 3).
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from ..errors import BadEll, ZeroInput
+from ..errors import BadEll, WorkBound, ZeroInput
 from .fields import FieldCtx
 from .grammar import format_place
 from .intarith import is_prime
@@ -157,12 +179,46 @@ def place_data(x: RatFunc, place: Place, ell: int, ctx: FieldCtx):
     return v, residue, rf.is_nth_power(residue, ell)
 
 
+# The largest degree of pi(s^(r^n)) the tower commands factor: 3^7.  It
+# bounds the degree, not the time, which grows with q and with the largest
+# factor degree: at pi = s + 1 (Python 3.11, one core of a 2-CPU machine),
+# degree 2187 took 0.65 s over F_5 and 6.0 s over F_13 (r = 3), degree 2048
+# took 3.2 s over F_3 and 8.2 s over F_7 (r = 2), and 625 took 5.5 s over
+# F_9 (r = 5); 6561 over F_5 (r = 3) took 5.0 s.
+TOWER_DEGREE_MAX = 2187
+
+
+def _check_tower_work(k: int, r: int, n: int) -> None:
+    """Raise WorkBound when k * r^n exceeds TOWER_DEGREE_MAX."""
+    # r >= 2, so a level beyond the cap's bit length is over it
+    if n > TOWER_DEGREE_MAX.bit_length() or k * r ** n > TOWER_DEGREE_MAX:
+        raise WorkBound(f"{k} * {r}^{n} exceeds the tower degree cap {TOWER_DEGREE_MAX}")
+
+
+def tower_degrees(k: int, q: int, r: int, m: int) -> list[int]:
+    """The degrees k*j, j = 1 or o*r^i <= m with o = ord_r(q^k), that the
+    module docstring's lemma allows for a factor of pi(s^m), deg pi = k;
+    ascending.  r is a prime other than p, so q^k is a unit mod r."""
+    big_q = pow(q, k, r)
+    j, x = 1, big_q
+    while x != 1:  # j becomes o
+        x = x * big_q % r
+        j += 1
+    degrees = [k] if j > 1 else []
+    while j <= m:
+        degrees.append(k * j)
+        j *= r
+    return degrees
+
+
 def factor_place_in_tower(place: Place, r: int, n: int,
                           ctx: FieldCtx) -> list[tuple[Place, int, int]]:
     """Places above a place of F_q(t) in F_q(s) with t = s^(r^n).
 
     Returns [(place above, e, f)] with e the ramification index and f the
-    residue degree; the local degrees satisfy sum(e_i * f_i) = r^n.
+    residue degree; the local degrees satisfy sum(e_i * f_i) = r^n.  Raises
+    WorkBound when deg(pi) * r^n exceeds TOWER_DEGREE_MAX (deg = 1 at
+    infinity).
     """
     if not is_prime(r) or r == ctx.p:
         raise BadEll(f"r = {r} must be a prime different from p = {ctx.p}")
@@ -170,15 +226,15 @@ def factor_place_in_tower(place: Place, r: int, n: int,
         raise ValueError("tower level must be >= 0")
     if n == 0:
         return [(place, 1, 1)]
+    _check_tower_work(place.degree(), r, n)
     m = r ** n
     if place.is_infinite:
         return [(place, m, 1)]
     composed = place.poly.compose_monomial(m)
     base_deg = place.poly.degree()
-    out = []
-    for irr, mult in factor(composed):
-        out.append((Place(irr), mult, irr.degree() // base_deg))
-    out.sort(key=lambda t: (t[0].sort_key(),))
+    # factor's order is the places' order: the factors are distinct
+    out = [(Place(irr), mult, irr.degree() // base_deg)
+           for irr, mult in factor(composed, degrees=tower_degrees(base_deg, ctx.q, r, m))]
     assert sum(e * f for _, e, f in out) == m
     return out
 
@@ -190,11 +246,13 @@ def boundedness_probe(place: Place, r: int, ell: int, n_max: int,
 
     True exactly when such a chain reaches level n_max; branches with small
     local degree are explored first, so split chains are found immediately.
+    Raises WorkBound when r^n_max exceeds TOWER_DEGREE_MAX.
     """
     if not is_prime(ell) or ell == ctx.p or ell == r:
         raise BadEll(f"l = {ell} must be a prime outside {{p, r}}")
     if n_max < 0:
         raise ValueError("tower level must be >= 0")
+    _check_tower_work(1, r, n_max)
 
     def search(current: Place, depth: int) -> bool:
         if depth == n_max:

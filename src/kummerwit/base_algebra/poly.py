@@ -48,7 +48,10 @@ gcd, extended gcd and CRT box a Poly only when they return.
 Factorization is squarefree decomposition (characteristic-p aware), then
 distinct-degree splitting (lazy, by increasing degree), then randomized
 equal-degree splitting with a caller-fixed seed, so factor lists are
-deterministic.  is_irreducible reads only the first distinct-degree part.
+deterministic.  A caller that knows the possible factor degrees can hand
+them to factor, and the distinct-degree split then takes a gcd only at
+those (places.py does for pi(s^(r^n))).  is_irreducible reads only the
+first distinct-degree part.
 """
 
 from __future__ import annotations
@@ -829,23 +832,37 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return sorted(out.items(), key=lambda kv: kv[0].sort_key())
 
 
-def _ddf(f: Poly):
+def _ddf(f: Poly, degrees=None):
     """Distinct-degree split of a monic polynomial, lazily: yields (part, d)
     by increasing d, part the product of the degree-d irreducible factors
     when f is squarefree.  For any monic f the first part is (f, deg f)
-    exactly when f is irreducible (see is_irreducible)."""
+    exactly when f is irreducible (see is_irreducible).
+
+    degrees, when given, is a sorted list that the caller proves holds the
+    degree of every irreducible factor of f.  The Frobenius power still steps
+    once per d, but the gcd is taken only at listed d.  The split stops and
+    yields the rest whole as soon as the next degree to try (the next listed
+    one, or d + 1 without a list) exceeds half the rest's degree: the rest
+    is then irreducible, since a reducible rest has a factor of degree at
+    most half its own, and every factor degree below the next one to try
+    has been split off already."""
     ctx = f.ctx
     s = Poly.gen(ctx)
     h = s % f
     d = 0
     rest = f
     rinv = _barrett(ctx, rest.coeffs)  # kept while rest is unchanged
+    pending = iter(degrees) if degrees is not None else itertools.count(1)
+    target = next(pending, None)
     while rest.degree() > 0:
-        d += 1
-        if 2 * d > rest.degree():
+        if target is None or 2 * target > rest.degree():
             yield rest, rest.degree()
             return
+        d += 1
         h = Poly(ctx, _powmod(ctx, h.coeffs, ctx.q, rest.coeffs, rinv))
+        if d < target:
+            continue
+        target = next(pending, None)
         g = poly_gcd(h - s, rest) if (h - s) else rest
         if not g.is_one():
             yield g, d
@@ -861,6 +878,7 @@ def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         return [f]
     ctx = f.ctx
     exponent = (ctx.q ** d - 1) // 2
+    finv = _barrett(ctx, f.coeffs)  # one inverse for every retry
     while True:
         h = Poly(ctx, tuple(_rand_elem(ctx, rng) for _ in range(n)))
         if h.is_constant():
@@ -868,7 +886,8 @@ def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         g = poly_gcd(h, f) if h else f
         if not g.is_one() and g != f:
             break
-        g = h.powmod(exponent, f) - Poly.one(ctx)
+        # h has degree below n, so it is reduced mod f already
+        g = Poly(ctx, _powmod(ctx, h.coeffs, exponent, f.coeffs, finv)) - Poly.one(ctx)
         if not g:
             continue
         g = poly_gcd(g, f)
@@ -881,17 +900,20 @@ def _rand_elem(ctx: FieldCtx, rng: random.Random) -> int:
     return ctx._code([rng.randrange(ctx.p) for _ in range(ctx.a)])
 
 
-def factor(f: Poly, seed: int = 0) -> list[tuple[Poly, int]]:
+def factor(f: Poly, seed: int = 0, degrees=None) -> list[tuple[Poly, int]]:
     """Full factorization into monic irreducibles with multiplicities.
 
-    Deterministic for a fixed seed; factors sorted canonically.
+    Deterministic for a fixed seed; factors sorted canonically.  degrees,
+    when given, is a sorted list that the caller proves holds the degree of
+    every irreducible factor of f; the distinct-degree split then takes a
+    gcd only at those degrees (see _ddf).  The factors are the same.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     rng = random.Random(seed)
     out = []
     for g, e in squarefree_decomposition(f):
-        for part, d in _ddf(g):
+        for part, d in _ddf(g, degrees):
             for irr in _edf(part, d, rng):
                 out.append((irr, e))
     return sorted(out, key=lambda kv: (kv[0].sort_key(), kv[1]))

@@ -94,3 +94,7 @@ class UnitA(KummerwitError):
 
 class SearchExhausted(KummerwitError):
     """A guarded unbounded search hit its configured ceiling."""
+
+
+class WorkBound(KummerwitError):
+    """An input whose work would exceed a documented cap is refused."""

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kummerwit.base_algebra.places import TOWER_DEGREE_MAX
 from kummerwit.cli import dispatch
 
 
@@ -135,6 +136,24 @@ def test_out_of_range_arguments_exit_2(capsys, argv):
     # each is refused before any work: no hang, no deep recursion, no null verdict
     assert dispatch(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["tower", "factor", "-p", "5", "--place", "1*s+1", "-r", "3", "-n", "8"],
+    ["tower", "bounded", "-p", "5", "--place", "1*s+1", "-r", "3", "-l", "7", "--n-max", "8"],
+])
+def test_tower_work_bound_exit_2(capsys, argv):
+    # degree 3^8 is above the cap: refused before composing, one error line
+    assert dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: WorkBound: ") and err.count("\n") == 1, err
+
+
+def test_tower_work_bound_accepts_the_cap(capsys):
+    code, recs = run_cli(capsys, "tower", "factor", "-p", "5", "--place", "1*s+1",
+                         "-r", "3", "-n", "7")
+    assert code == 0
+    assert sum(a["e"] * a["f"] for a in recs[0]["above"]) == 3 ** 7 == TOWER_DEGREE_MAX
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,15 @@
 import random
+from functools import lru_cache
 
 import pytest
 
 from kummerwit.base_algebra import (Place, Poly, RatFunc, ResidueField,
-                                    boundedness_probe, factor_place_in_tower,
+                                    boundedness_probe, factor, factor_place_in_tower,
                                     field_ctx, irreducibles, is_irreducible,
                                     place_data, valuation)
-from kummerwit.errors import BadEll, ZeroInput
+from kummerwit.base_algebra.intarith import multiplicative_order
+from kummerwit.base_algebra.places import TOWER_DEGREE_MAX, tower_degrees
+from kummerwit.errors import BadEll, WorkBound, ZeroInput
 from tests.test_ratfunc import rand_ratfunc
 
 
@@ -134,3 +137,86 @@ def test_boundedness_probe_all_small_places(f3):
     for d in (1, 2):
         places.extend(Place.finite(pi) for pi in irreducibles(f3, d))
     assert all(boundedness_probe(pl, 11, 5, 3, f3) for pl in places)
+
+
+def _random_place(ctx, deg: int, rng: random.Random) -> Place:
+    while True:
+        pi = Poly(ctx, [rng.randrange(ctx.q) for _ in range(deg)] + [1])
+        if is_irreducible(pi):
+            return Place(pi)
+
+
+@lru_cache(maxsize=None)
+def _tower_sweep():
+    """[(ctx, place, r, n, oracle)]: the unrestricted factorization of
+    pi(s^(r^n)) for p in {3, 5, 7, 11, 13}, a in {1, 2}, s and one random
+    place of each degree 1 to 3, r in {2, 3, 5, 7, 11, 13} other than p,
+    n in {1, 2} and degree <= 120 (<= 60 for a = 2, where a case above 60
+    costs up to 0.5 s); then s and one place of degree 1 over F_{11^3}, a
+    field above _TABLE_MAX, to degree 9."""
+    rng = random.Random(17)
+    fields = [(field_ctx(p, a), (1, 2, 3)) for p in (3, 5, 7, 11, 13) for a in (1, 2)]
+    fields.append((field_ctx(11, 3), (1,)))
+    cases = []
+    for ctx, place_degrees in fields:
+        limit = (120, 60, 9)[ctx.a - 1]
+        places = [Place(Poly.gen(ctx))]
+        places += [_random_place(ctx, d, rng) for d in place_degrees]
+        for pl in places:
+            for r in (2, 3, 5, 7, 11, 13):
+                for n in (1, 2):
+                    m = r ** n
+                    if r == ctx.p or pl.degree() * m > limit:
+                        continue
+                    oracle = factor(pl.poly.compose_monomial(m))
+                    cases.append((ctx, pl, r, n, oracle))
+    return cases
+
+
+def test_tower_degree_lemma_holds_for_every_factor():
+    """Every factor degree of pi(s^(r^n)) lies in tower_degrees; the sweep
+    takes in r | Q - 1 (o = 1), r = 2, and a field above _TABLE_MAX."""
+    seen = set()
+    for ctx, pl, r, n, oracle in _tower_sweep():
+        k = pl.degree()
+        allowed = tower_degrees(k, ctx.q, r, r ** n)
+        assert allowed == sorted(allowed) and allowed[0] == k
+        assert {g.degree() for g, _ in oracle} <= set(allowed), (ctx, pl, r, n)
+        o = multiplicative_order(ctx.q ** k, r)
+        seen.add("r=2" if r == 2 else "o=1" if o == 1 else "o>1")
+        seen.add(("q", ctx.q > 1024))
+    assert seen == {"r=2", "o=1", "o>1", ("q", True), ("q", False)}
+
+
+def test_factor_place_in_tower_matches_unrestricted_split():
+    """The degree-restricted split against plain factor, kept as the oracle."""
+    for ctx, pl, r, n, oracle in _tower_sweep():
+        base = pl.degree()
+        want = sorted(((Place(g), e, g.degree() // base) for g, e in oracle),
+                      key=lambda t: t[0].sort_key())
+        assert factor_place_in_tower(pl, r, n, ctx) == want, (ctx, pl, r, n)
+
+
+def test_tower_factor_s81_plus_1_over_f5():
+    """The poly benchmark's p90 slot: s^81 + 1 over F_5 splits into
+    places of residue degree 1, 2, 6, 18 and 54."""
+    f5 = field_ctx(5, 1)
+    out = factor_place_in_tower(Place.finite(Poly.from_ints(f5, [1, 1])), 3, 4, f5)
+    assert [(e, f) for _, e, f in out] == [(1, 1), (1, 2), (1, 6), (1, 18), (1, 54)]
+    assert tower_degrees(1, 5, 3, 81) == [1, 2, 6, 18, 54]
+
+
+def test_tower_work_bound(f3):
+    """deg(pi) * r^n (r^n_max for the probe) above TOWER_DEGREE_MAX is
+    refused before any work; levels under it run (test_cli runs the cap)."""
+    s_plus_1 = Place.finite(Poly.from_ints(f3, [1, 1]))
+    quadratic = Place.finite(Poly.from_ints(f3, [1, 0, 1]))
+    for place, r, n in ((s_plus_1, 2, 12), (quadratic, 7, 4), (s_plus_1, 5, 10 ** 9),
+                        (Place.infinity(), 2, 40)):
+        with pytest.raises(WorkBound):
+            factor_place_in_tower(place, r, n, f3)
+    with pytest.raises(WorkBound):
+        boundedness_probe(s_plus_1, 2, 5, 12, f3)  # 4096
+    assert TOWER_DEGREE_MAX == 2187
+    assert factor_place_in_tower(Place.infinity(), 7, 3, f3) == [(Place.infinity(), 343, 1)]
+    assert boundedness_probe(quadratic, 7, 5, 3, f3)  # 7^3 <= 2187 < 2 * 7^4
