@@ -155,13 +155,13 @@ class ResidueField:
 
         The test is the exponent criterion elem^((Q^e - 1)/g) = 1 with
         g = gcd(n, Q^e - 1); elem is an element of the base residue field,
-        so the powering stays inside it.
+        so the powering stays inside it, and as elem^(Q - 1) = 1 there the
+        exponent is taken mod Q - 1.
         """
         if elem.is_zero():
             return True
         big = self.size ** ext_degree - 1
-        g = gcd(n, big)
-        return self.pow(elem, big // g).is_one()
+        return self.pow(elem, big // gcd(n, big) % (self.size - 1)).is_one()
 
 
 def place_data(x: RatFunc, place: Place, ell: int, ctx: FieldCtx):

@@ -68,9 +68,6 @@ class RatFunc:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
     def __bool__(self):
         return bool(self.num)
 
@@ -132,15 +129,6 @@ class RatFunc:
         return self.num.lc()
 
 
-def _canonical_sign(g: RatFunc) -> RatFunc:
-    """Of g and -g, the representative whose numerator's leading coefficient
-    compares least (for a prime field: the monic-leading choice when possible)."""
-    if g.is_zero():
-        return g
-    neg = -g
-    return g if g.num.coeffs[-1] <= neg.num.coeffs[-1] else neg
-
-
 def nth_power_exponents_ok(f: RatFunc, n: int) -> bool:
     """Whether every finite place valuation of f is divisible by n."""
     for part in (f.num, f.den):
@@ -165,8 +153,9 @@ def ratfunc_sqrt(f: RatFunc):
     The leading unit must have a square root (FF.sqrt, None otherwise); then
     the monic parts of num and den must have monic square roots
     (poly._sqrt_monic, which stops at the first coefficient that rules one
-    out).  The returned representative has the canonically least leading
-    coefficient (monic over a prime field).
+    out).  The root is root_c * h/k with h and k monic, so its leading
+    coefficient is root_c; of the two roots, the one returned has the
+    leading coefficient of least code (monic over a prime field).
     """
     ctx = f.ctx
     if f.is_zero():
@@ -180,8 +169,8 @@ def ratfunc_sqrt(f: RatFunc):
     half_den = _sqrt_monic(ctx, f.den.coeffs)
     if half_den is None:
         return None
-    root = RatFunc(Poly(ctx, half_num).scale(root_c), Poly(ctx, half_den), reduce=False)
-    return _canonical_sign(root)
+    return RatFunc(Poly(ctx, half_num).scale(min(root_c, -root_c)), Poly(ctx, half_den),
+                   reduce=False)
 
 
 def poly_subs_monomial(f: RatFunc, k: int) -> RatFunc:

@@ -33,13 +33,19 @@ from math import gcd, lcm, prod
 from operator import add, mul
 
 from .base_algebra.intarith import euler_phi, factorint, is_prime, multiplicative_order
-from .errors import BadModulus, NotCoprime
+from .errors import BadModulus, NotCoprime, WorkBound
+
+# The largest modulus whose unit group (a dlog table of phi(m) entries) is
+# built: at m = 100003, naming a balance witness took 0.17 s and +25 MB
+# (Python 3.11, one core of a 2-CPU machine).  is_balanced is not capped.
+UNIT_GROUP_MAX = 100_003
+_MODULI_CACHED = 32  # moduli per cache, above the 24 of a perfbench balance batch
 
 
 # -- exact cyclotomic integers ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8 * _MODULI_CACHED)  # conductors: divisors of lambda(m)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n = prod_{d | n} (x^d - 1)^mu(n/d),
     low-to-high; all multiplications come first, so each division is exact."""
@@ -118,16 +124,19 @@ class Cyclotomic:
 # -- the unit group and its characters --------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MODULI_CACHED)
 def unit_group(m: int):
     """((generators, orders), lambda, dlog table) for (Z/m)^x.
 
     Generators come from the standard structure of (Z/p^k)^x, lifted by the
     Chinese Remainder Theorem; construction is verified by checking that the
     generated products enumerate all phi(m) units without collision.
+    Raises WorkBound above UNIT_GROUP_MAX.
     """
     if m < 3:
         raise BadModulus(f"modulus {m} must be >= 3")
+    if m > UNIT_GROUP_MAX:
+        raise WorkBound(f"modulus {m} exceeds the unit group cap {UNIT_GROUP_MAX}")
     comps: list[tuple[int, int, int]] = []  # (prime power, generator mod it, order)
     for p, k in sorted(factorint(m).items()):
         pk = p ** k
@@ -256,7 +265,7 @@ def char_props(chi: Character) -> tuple[bool, Cyclotomic]:
     return chi.is_odd(), Cyclotomic(d, _cyclotomic_remainder(counts, d))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MODULI_CACHED)
 def _unbalanced_witness_exponents(m: int):
     """The odd characters mod m in enumeration order: balance_witness's
     candidates, kept so that repeated unbalanced queries share one list.

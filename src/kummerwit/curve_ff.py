@@ -184,7 +184,8 @@ def ec_mul(k: int, pt: ECPoint, curve: CurveParams) -> ECPoint:
 
 
 def two_torsion(curve: CurveParams) -> list[ECPoint]:
-    """The full torsion: infinity and the three roots of the cubic."""
+    """The two-torsion points: infinity and the three roots of the cubic
+    (the full torsion for odd N, see the module docstring)."""
     ctx = curve.ctx
     zero = RatFunc.zero(ctx)
     return [
@@ -255,16 +256,17 @@ def _candidates(ctx: FieldCtx, num_deg: int, den_deg: int):
 
 
 def _points_from_x(curve: CurveParams, u: Poly, w: Poly) -> list[ECPoint]:
-    """The points with x = u/w, or none when u and w have a common factor.
-    x(x+1)(x+s^N) is u(u+w)(u+w*s^N) / w^3; the degree parity of the three
-    factors is tested before the gcd and before any product."""
+    """The points with x = u/w, w = b^2, or none when u and w have a common
+    factor.  x(x+1)(x+s^N) is u(u+w)(u+w*s^N) / w^3; the degree parity of
+    the three factors (w^3 has even degree) is tested before the gcd and
+    before any product.  With no factor zero the product is nonzero, so a
+    root y is nonzero and the points come in the pair (x, y), (x, -y)."""
     ctx = curve.ctx
     x = RatFunc(u, w, reduce=False)
     factors = (u, u + w, u + w.shift(curve.N))
     if not all(factors):  # a zero factor is a multiple of w: coprime only for w = 1
         return [ECPoint.affine(x, RatFunc.zero(ctx))] if w.is_one() else []
-    # even degree at infinity (deg w^3 has the parity of deg w)
-    if (sum(f.degree() for f in factors) + w.degree()) % 2:
+    if sum(f.degree() for f in factors) % 2:  # odd degree at infinity
         return []
     if not (w.is_one() or poly_gcd(u, w).is_one()):
         return []
@@ -272,8 +274,6 @@ def _points_from_x(curve: CurveParams, u: Poly, w: Poly) -> list[ECPoint]:
     y = ratfunc_sqrt(RatFunc(num, w ** 3, reduce=False))
     if y is None:
         return []
-    if y.is_zero():
-        return [ECPoint.affine(x, y)]
     return [ECPoint.affine(x, y), ECPoint.affine(x, -y)]
 
 
@@ -300,6 +300,14 @@ def stabilization_probe(p: int, a: int, q: int, r: int, n_max: int,
     bounds scaled by r^n, identify points down the tower via s -> s^(r^k),
     and report the last level contributing new points.
 
+    The points lifted to level n are the lifts by r of level n - 1 alone.
+    A level-k point (u/w, y) lifts by R = r^(n-1-k) to (u(s^R)/w(s^R),
+    y(s^R)): still in lowest terms (a Bezout identity survives s -> s^R),
+    w(s^R) monic, within the bounds scaled by r^(n-1), and on the curve with
+    exponent q*r^(n-1).  The search at level n - 1 is exhaustive within those
+    bounds, so it found that point, and its lift by r is the level-k lift.
+    Search points are affine, so every point of level n - 1 lifts.
+
     q and r must be primes distinct from each other and from p; r = 2 is
     accepted here (the tower identification is generic in r) even though
     the rank statements need r = 3 mod 4.
@@ -311,16 +319,13 @@ def stabilization_probe(p: int, a: int, q: int, r: int, n_max: int,
     ctx = field_ctx(p, a)
     num_deg, den_deg = bounds
     report = StabilizationReport(0)
-    prev_levels: list[list[ECPoint]] = []
+    prev: list[ECPoint] = []
     for n in range(n_max + 1):
         scale = r ** n
         curve = CurveParams(ctx, q * scale)
         pts = point_search(curve, num_deg * scale, den_deg * scale, workers=workers)
-        lifted: set[ECPoint] = set()
-        for k, level_pts in enumerate(prev_levels):
-            factor = r ** (n - k)
-            for pt in level_pts:
-                lifted.add(_lift_point(pt, factor))
+        lifted = {ECPoint.affine(poly_subs_monomial(pt.x, r), poly_subs_monomial(pt.y, r))
+                  for pt in prev}
         new = [pt for pt in pts if pt not in lifted]
         if n > 0 and new:
             report.n_est = n
@@ -330,11 +335,5 @@ def stabilization_probe(p: int, a: int, q: int, r: int, n_max: int,
             "points": [format_point(pt) for pt in sorted(pts, key=ECPoint.sort_key)],
             "new_count": len(new) if n > 0 else len(pts),
         })
-        prev_levels.append(pts)
+        prev = pts
     return report
-
-
-def _lift_point(pt: ECPoint, factor: int) -> ECPoint:
-    if pt.is_infinity or factor == 1:
-        return pt
-    return ECPoint.affine(poly_subs_monomial(pt.x, factor), poly_subs_monomial(pt.y, factor))

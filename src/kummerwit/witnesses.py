@@ -4,7 +4,7 @@ The primitive predicates are NZU (neither zero nor a unit: degree >= 1) and
 CM (comaximal: an extended-gcd certificate u*f + v*g = 1).  On top of them:
 
 - coprime_element: a monic irreducible dividing no nonzero element of a set;
-- comaximal_shift: g = a*M*c making every 1 + a_i*g a nonzero non-unit,
+- comaximal_shift: g = a*c making every 1 + a_i*g a nonzero non-unit,
   comaximal with a, and pairwise comaximal;
 - injection_witness: the seven-element tuple (g, m, c, d, u, g', m')
   whose clauses force an injection from A into B, plus the verifier that
@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import combinations, islice
+from math import prod
 
 from .base_algebra.fields import FieldCtx
 from .base_algebra.grammar import format_poly
@@ -52,21 +53,27 @@ def divides(f: Poly, g: Poly) -> bool:
     return (g % f).is_zero()
 
 
+def _irreducibles_avoiding(elements: list[Poly], ctx: FieldCtx):
+    """The monic irreducibles dividing no nonzero member of the set, in
+    irreducibles_stream order."""
+    nonzero = [a for a in elements if not a.is_zero()]
+    return (cand for cand in irreducibles_stream(ctx)
+            if not any(divides(cand, a) for a in nonzero))
+
+
 def coprime_element(elements: list[Poly], ctx: FieldCtx) -> Poly:
     """A monic irreducible dividing no nonzero member of the set."""
-    nonzero = [a for a in elements if not a.is_zero()]
-    for cand in irreducibles_stream(ctx):
-        if all(not divides(cand, a) for a in nonzero):
-            for a in nonzero:
-                assert poly_ext_gcd(cand, a)[0].is_one()
-            return cand
-    raise AssertionError("unreachable: infinitely many irreducibles")
+    cand = next(_irreducibles_avoiding(elements, ctx))
+    assert all(a.is_zero() or poly_ext_gcd(cand, a)[0].is_one() for a in elements)
+    return cand
 
 
 def comaximal_shift(elements: list[Poly], a: Poly, ctx: FieldCtx) -> Poly:
-    """g = a*M*c with c a multiple of the squared pairwise differences and M
-    a power of s of the least degree making every 1 + a_i*g nonconstant.
+    """g = a*c with c = prod_{i<j} (a_i - a_j)^4, the product of the squared
+    differences over ordered pairs.
 
+    Every 1 + a_i*g is already a non-unit: a is nonconstant (UnitA), and the
+    a_i are nonzero (ZeroInA) and distinct, so c != 0 and deg(a_i*a*c) >= 1.
     Postconditions (certified by extended gcd): each 1 + a_i*g is a nonzero
     non-unit, comaximal with a, and the 1 + a_i*g are pairwise comaximal.
     """
@@ -75,24 +82,12 @@ def comaximal_shift(elements: list[Poly], a: Poly, ctx: FieldCtx) -> Poly:
         raise ZeroInA("the set must not contain zero")
     if a.is_zero() or a.is_constant():
         raise UnitA("a must be neither zero nor a unit")
-    one = Poly.one(ctx)
-    c = one
-    for i, ai in enumerate(items):
-        for j, aj in enumerate(items):
-            if i != j:
-                c = c * (ai - aj) ** 2
-    power = 0
-    while True:
-        g = a * Poly.monomial(ctx, power) * c
-        shifted = [one + ai * g for ai in items]
-        if all(is_nzu(t) for t in shifted):
-            break
-        power += 1
+    g = prod(((ai - aj) ** 4 for ai, aj in combinations(items, 2)), start=a)
+    shifted = [Poly.one(ctx) + ai * g for ai in items]
     for t in shifted:
-        assert are_comaximal(a, t)
-    for i in range(len(shifted)):
-        for j in range(i + 1, len(shifted)):
-            assert are_comaximal(shifted[i], shifted[j])
+        assert is_nzu(t) and are_comaximal(a, t)
+    for t1, t2 in combinations(shifted, 2):
+        assert are_comaximal(t1, t2)
     return g
 
 
@@ -144,11 +139,7 @@ def injection_witness(set_a: list[Poly], set_b: list[Poly], ctx: FieldCtx) -> In
     s = Poly.gen(ctx)
     c = _first_outside(set(a_items), ctx)
     d = _first_outside(set(b_items), ctx)
-    u = one
-    for i, ai in enumerate(a_items):
-        for j, aj in enumerate(a_items):
-            if i < j:
-                u = u * (ai - aj)
+    u = prod((ai - aj for ai, aj in combinations(a_items, 2)), start=one)
     if u.is_constant():
         u = u * s  # keep u a nonzero non-unit even when all differences are units
     b_images = b_items[: len(a_items)]
@@ -167,47 +158,32 @@ def verify_injection(w: InjectionWitness, set_a: list[Poly], set_b: list[Poly]) 
     A divide u; and every x in A has some y in B with 1 + g(x-c) | m - y,
     1 + g'(y-d) a non-unit dividing m' - x but not u.  The proof of
     injectivity shows no y can serve two distinct x, so the matched-y sets
-    must be nonempty and pairwise disjoint.
+    must be nonempty and pairwise disjoint: their union has as many
+    elements as their sizes add up to.  Each clause is checked once: the
+    differences over unordered pairs (divisibility ignores sign), and the
+    link 1 + g'(y-d) with its two clauses free of x once per y.
     """
     a_items = sorted(set(set_a), key=Poly.sort_key)
     b_items = sorted(set(set_b), key=Poly.sort_key)
     if w.disjunct == "subset":
         return set(a_items) <= set(b_items)
-    if w.u is None or w.u.is_zero():
-        return False
-    if w.c in set(a_items) or w.d in set(b_items):
+    if w.u is None or w.u.is_zero() or w.c in set(a_items) or w.d in set(b_items):
         return False
     one = Poly.one(w.u.ctx)
-    moduli = {x: one + w.g * (x - w.c) for x in a_items}
-    for t in moduli.values():
-        if not is_nzu(t):
-            return False
-    mod_list = list(moduli.values())
-    for i in range(len(mod_list)):
-        for j in range(i + 1, len(mod_list)):
-            if not are_comaximal(mod_list[i], mod_list[j]):
-                return False
-    for x1 in a_items:
-        for x2 in a_items:
-            if x1 != x2 and not divides(x1 - x2, w.u):
-                return False
-    matches: dict[Poly, list[Poly]] = {}
-    for x in a_items:
-        found = []
-        for y in b_items:
-            link = one + w.g2 * (y - w.d)
-            if (divides(moduli[x], w.m - y) and is_nzu(link)
-                    and divides(link, w.m2 - x) and not divides(link, w.u)):
-                found.append(y)
+    moduli = [one + w.g * (x - w.c) for x in a_items]
+    if not (all(is_nzu(t) for t in moduli)
+            and all(are_comaximal(t1, t2) for t1, t2 in combinations(moduli, 2))
+            and all(divides(x1 - x2, w.u) for x1, x2 in combinations(a_items, 2))):
+        return False
+    links = [(y, link) for y in b_items if is_nzu(link := one + w.g2 * (y - w.d))
+             and not divides(link, w.u)]
+    images = []
+    for x, modulus in zip(a_items, moduli):
+        found = {y for y, link in links if divides(modulus, w.m - y) and divides(link, w.m2 - x)}
         if not found:
             return False
-        matches[x] = found
-    items = list(a_items)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if set(matches[items[i]]) & set(matches[items[j]]):
-                return False  # a shared image would contradict injectivity
-    return True
+        images.append(found)
+    return len(set().union(*images)) == sum(map(len, images))
 
 
 # -- finite-set graphs of addition and multiplication ---------------------------------
@@ -257,13 +233,7 @@ def gamma_times_witness(f1: list[Poly], f2: list[Poly], ctx: FieldCtx) -> GammaT
     if not s1 or not s2:
         raise ValueError("gamma_times_witness needs nonempty sets")
     diffs = [a - b for grp in (s1, s2) for a in grp for b in grp if a != b]
-    picked = []
-    for cand in irreducibles_stream(ctx):
-        if all(not divides(cand, diff) for diff in diffs):
-            picked.append(cand)
-            if len(picked) == 2:
-                break
-    alpha, beta = picked
+    alpha, beta = islice(_irreducibles_avoiding(diffs, ctx), 2)
     assert is_nzu(alpha) and is_nzu(beta) and are_comaximal(alpha, beta)
     for diff in diffs:
         assert are_comaximal(alpha, diff) and are_comaximal(beta, diff)

@@ -9,7 +9,7 @@ from kummerwit.characters import (Character, Cyclotomic, balance_witness,
                                   char_props, characters_enum,
                                   cyclotomic_polynomial, is_balanced,
                                   is_balanced_fast, legendre_symbol, unit_group)
-from kummerwit.errors import BadModulus, NotCoprime
+from kummerwit.errors import BadModulus, NotCoprime, WorkBound
 
 
 def legendre_character(m):
@@ -141,6 +141,15 @@ def test_unit_group_verified_structure():
         for g, d in gens:
             assert pow(g, d, m) == 1
         assert exponent % max(d for _, d in gens) == 0
+
+
+def test_unit_group_cap_and_bounded_caches():
+    with pytest.raises(WorkBound):
+        unit_group(characters.UNIT_GROUP_MAX + 2)
+    with pytest.raises(WorkBound):  # the witness list is built on the unit group
+        characters._unbalanced_witness_exponents(10000019)
+    for cache in (cyclotomic_polynomial, unit_group, characters._unbalanced_witness_exponents):
+        assert cache.cache_info().maxsize >= 24  # the moduli of a perfbench balance batch
 
 
 def test_character_multiplicativity_and_orthogonality():

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from kummerwit.base_algebra.places import TOWER_DEGREE_MAX
+from kummerwit.characters import UNIT_GROUP_MAX
 from kummerwit.cli import dispatch
 
 
@@ -147,6 +149,25 @@ def test_tower_work_bound_exit_2(capsys, argv):
     assert dispatch(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: WorkBound: ") and err.count("\n") == 1, err
+
+
+def test_balance_witness_work_bound_exit_2(capsys):
+    # the coset count decides m = 10000019 (unbalanced); naming the witness
+    # would build a unit group of 10^7 entries, so it is refused
+    start = time.perf_counter()
+    assert dispatch(["balanced", "3", "10000019"]) == 2
+    assert time.perf_counter() - start < 10
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: WorkBound: ") and err.count("\n") == 1, err
+
+
+def test_golden_and_benchmark_moduli_under_unit_group_cap():
+    from perfbench import workloads
+    from tests.test_golden_cli import GOLDEN
+    argvs = [row["argv"] for row in GOLDEN]
+    argvs += [task["argv"][2:] for seed in range(5) for task in workloads.generate("balance", seed)]
+    moduli = [int(argv[2]) for argv in argvs if argv[0] == "balanced"]
+    assert len(moduli) > 200 and max(moduli) <= UNIT_GROUP_MAX
 
 
 def test_tower_work_bound_accepts_the_cap(capsys):

@@ -5,6 +5,7 @@ import pytest
 from kummerwit.base_algebra import Poly, RatFunc, field_ctx, parse_point
 from kummerwit import curve_ff
 from kummerwit.base_algebra.poly import all_polys, poly_gcd, polys_of_degree
+from kummerwit.base_algebra.ratfunc import poly_subs_monomial
 from kummerwit.curve_ff import (CurveParams, ECPoint, curve_make,
                                 ec_add, ec_mul, ec_neg, is_on_curve, is_torsion,
                                 j_invariant, point_search, stabilization_probe,
@@ -200,6 +201,36 @@ def test_stabilization_probe_small_tower():
     # determinism
     rep2 = stabilization_probe(3, 1, 5, 2, 1, (1, 0))
     assert rep.as_record() == rep2.as_record()
+
+
+def all_levels_probe(p, a, q, r, n_max, bounds):
+    """The former probe: every level's points lifted from every level below,
+    level k by s -> s^(r^(n-k)); its levels records."""
+    ctx = field_ctx(p, a)
+    levels, below = [], []
+    for n in range(n_max + 1):
+        scale = r ** n
+        pts = point_search(CurveParams(ctx, q * scale), bounds[0] * scale, bounds[1] * scale)
+        lifted = {ECPoint.affine(poly_subs_monomial(pt.x, r ** (n - k)),
+                                 poly_subs_monomial(pt.y, r ** (n - k)))
+                  for k, level in enumerate(below) for pt in level}
+        new = [pt for pt in pts if pt not in lifted]
+        levels.append({"n": n, "curve_exponent": q * scale,
+                       "bounds": [bounds[0] * scale, bounds[1] * scale],
+                       "points": [repr(pt) for pt in sorted(pts, key=ECPoint.sort_key)],
+                       "new_count": len(new) if n > 0 else len(pts)})
+        below.append(pts)
+    return levels
+
+
+@pytest.mark.parametrize("args", [(3, 1, 5, 2, 2, (2, 0)), (5, 1, 2, 3, 2, (1, 0)),
+                                  (3, 2, 5, 2, 2, (1, 0))])
+def test_stabilization_probe_matches_all_levels_lifting(args):
+    """Lifting level n - 1 alone gives the levels records that lifting every
+    level below gives; each case has level-0 points that reach level 2."""
+    levels = stabilization_probe(*args).levels
+    assert levels == all_levels_probe(*args)
+    assert len(levels[0]["points"]) > 0 and levels[2]["new_count"] < len(levels[2]["points"])
 
 
 # -- the search against an exhaustive oracle ------------------------------------------

@@ -1,5 +1,7 @@
 import random
+import time
 from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -8,6 +10,7 @@ from kummerwit.base_algebra import (Place, Poly, RatFunc, ResidueField,
                                     field_ctx, irreducibles, is_irreducible,
                                     place_data, valuation)
 from kummerwit.base_algebra.intarith import multiplicative_order
+from kummerwit.base_algebra.poly import all_polys
 from kummerwit.base_algebra.places import TOWER_DEGREE_MAX, tower_degrees
 from kummerwit.errors import BadEll, WorkBound, ZeroInput
 from tests.test_ratfunc import rand_ratfunc
@@ -63,6 +66,43 @@ def test_residue_field_powers_against_brute_force(f3):
             powers.add(repr(rf.pow(e, ell)))
         for e in elems:
             assert rf.is_nth_power(e, ell) == (repr(e) in powers)
+
+
+def test_is_nth_power_reduced_exponent_matches_unreduced(f3, f9):
+    """The exponent (Q^e - 1)/g taken mod Q - 1 against the unreduced one."""
+    f5, f7 = field_ctx(5, 1), field_ctx(7, 1)
+    cases = [(f5, Place.infinity()), (f7, Place.finite(Poly.from_ints(f7, [2, 1]))),
+             (f3, Place.finite(Poly.from_ints(f3, [1, 0, 1]))),
+             (f9, Place.finite(next(iter(irreducibles(f9, 1)))))]
+    for ctx, pl in cases:
+        rf = ResidueField(ctx, pl)
+        elems = list(all_polys(ctx, pl.degree() - 1))[1:]
+        for ext in range(1, 5):
+            big = rf.size ** ext - 1
+            for n in (2, 3, 4, 5):
+                for e in elems:
+                    unreduced = rf.pow(e, big // gcd(n, big)).is_one()
+                    assert rf.is_nth_power(e, n, ext_degree=ext) == unreduced, (pl, ext, n, e)
+
+
+def test_is_nth_power_cubes_of_f7_inside_f343(f7):
+    cubes = {y ** 3 for y in field_ctx(7, 3).elements()}
+    subfield_cubes = {v.coeffs[0] for v in cubes if not any(v.coeffs[1:])}
+    rf = ResidueField(f7, Place.finite(Poly.gen(f7)))
+    for c in range(1, 7):
+        assert rf.is_nth_power(Poly.const(f7, c), 3, ext_degree=3) == (c in subfield_cubes)
+
+
+def test_is_nth_power_high_ext_degree_is_immediate():
+    """At a degree-2 place over F_11 the exponent (121^125 - 1)/5 has about
+    865 bits; reduced mod 120 every residue is decided at once."""
+    f11 = field_ctx(11, 1)
+    rf = ResidueField(f11, Place.finite(next(iter(irreducibles(f11, 2)))))
+    elems = list(all_polys(f11, 1))[1:]
+    start = time.perf_counter()
+    verdicts = [rf.is_nth_power(e, 5, ext_degree=125) for e in elems]
+    assert time.perf_counter() - start < 0.1
+    assert all(verdicts)  # 5 | 1 + 121 + ... + 121^124, so 120 divides the exponent
 
 
 def test_residue_reduction_is_ring_hom(f3):

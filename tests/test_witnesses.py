@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from kummerwit.base_algebra import Poly, all_polys, poly_ext_gcd
+from kummerwit.base_algebra import Poly, all_polys, field_ctx, poly_ext_gcd
 from kummerwit.errors import SizeMismatch, UnitA, ZeroInA
 from kummerwit.witnesses import (are_comaximal, axiom_instance_check,
                                  comaximal_shift, coprime_element, delta_set,
@@ -185,3 +186,111 @@ def test_psi_delta_cache_is_bounded_and_reused(f3):
     info = _psi_delta.cache_info()
     assert info.maxsize >= (_AXIOM_CAP + 1) ** 2
     assert info.hits > 0 and info.currsize <= info.maxsize
+
+
+# -- the deleted computations, kept as oracles ----------------------------------------
+
+
+def old_comaximal_shift(elements, a, ctx):
+    """The former builder: c over ordered pairs, then the least power of s
+    making every 1 + a_i*g nonconstant."""
+    items = sorted(set(elements), key=Poly.sort_key)
+    one = Poly.one(ctx)
+    c = one
+    for i, ai in enumerate(items):
+        for j, aj in enumerate(items):
+            if i != j:
+                c = c * (ai - aj) ** 2
+    power = 0
+    while True:
+        g = a * Poly.monomial(ctx, power) * c
+        if all(is_nzu(one + ai * g) for ai in items):
+            return g
+        power += 1
+
+
+def test_comaximal_shift_matches_power_loop_oracle(f3, f7, f9):
+    rng = random.Random(1809)
+    for ctx in (f3, f7, f9):
+        nonzero = [p for p in all_polys(ctx, 2) if not p.is_zero()]
+        cases = [[Poly.one(ctx)], [Poly.const(ctx, 2)],
+                 [Poly.const(ctx, c) for c in (1, 2)]]  # constant differences
+        cases += [rng.sample(nonzero, rng.randrange(1, 5)) for _ in range(12)]
+        for items in cases:
+            a = rand_poly(ctx, rng, 2, nonzero=True)
+            if a.is_constant():
+                a = a * Poly.gen(ctx)
+            assert comaximal_shift(items, a, ctx) == old_comaximal_shift(items, a, ctx)
+
+
+def old_verify_injection(w, set_a, set_b):
+    """The former verifier: every clause for every ordered pair and every
+    (x, y), and pairwise disjointness of the matched-y sets."""
+    a_items = sorted(set(set_a), key=Poly.sort_key)
+    b_items = sorted(set(set_b), key=Poly.sort_key)
+    if w.disjunct == "subset":
+        return set(a_items) <= set(b_items)
+    if w.u is None or w.u.is_zero():
+        return False
+    if w.c in set(a_items) or w.d in set(b_items):
+        return False
+    one = Poly.one(w.u.ctx)
+    moduli = {x: one + w.g * (x - w.c) for x in a_items}
+    if not all(is_nzu(t) for t in moduli.values()):
+        return False
+    mod_list = list(moduli.values())
+    for i in range(len(mod_list)):
+        for j in range(i + 1, len(mod_list)):
+            if not are_comaximal(mod_list[i], mod_list[j]):
+                return False
+    for x1 in a_items:
+        for x2 in a_items:
+            if x1 != x2 and not divides(x1 - x2, w.u):
+                return False
+    matches = {}
+    for x in a_items:
+        found = []
+        for y in b_items:
+            link = one + w.g2 * (y - w.d)
+            if (divides(moduli[x], w.m - y) and is_nzu(link)
+                    and divides(link, w.m2 - x) and not divides(link, w.u)):
+                found.append(y)
+        if not found:
+            return False
+        matches[x] = found
+    for i, x1 in enumerate(a_items):
+        for x2 in a_items[i + 1:]:
+            if set(matches[x1]) & set(matches[x2]):
+                return False
+    return True
+
+
+# (p, a, |A|, degree) of the injection inputs in perfbench's poly workload
+_INJECT_SHAPES = [(7, 1, 5, 2), (3, 1, 4, 3), (3, 2, 2, 3), (7, 1, 3, 2), (3, 2, 2, 2),
+                  (3, 1, 2, 3), (7, 1, 2, 3)]
+
+
+def test_verify_injection_matches_per_pair_oracle():
+    """Genuine witnesses on disjoint A, B with |B| = |A| + 1, and every
+    single-field tampering of each: same verdict from both verifiers."""
+    rng = random.Random(18)
+    verdicts = set()
+    for p, a, na, deg in _INJECT_SHAPES:
+        ctx = field_ctx(p, a)
+        items = rng.sample(list(all_polys(ctx, deg)), 2 * na + 1)
+        set_a, set_b = items[:na], items[na:]
+        w = injection_witness(set_a, set_b, ctx)
+        a_sorted = sorted(set_a, key=Poly.sort_key)
+        b_sorted = sorted(set_b, key=Poly.sort_key)
+        zero, one = Poly.zero(ctx), Poly.one(ctx)
+        tampered = [w, replace(w, g=w.g2, g2=w.g), replace(w, m=w.m2, m2=w.m),
+                    replace(w, c=a_sorted[0]), replace(w, d=b_sorted[-1]),
+                    replace(w, u=zero), replace(w, u=one)]
+        cases = [(t, set_a, set_b) for t in tampered]
+        cases.append((w, set_a, b_sorted[1:]))  # the image of the first x dropped
+        for t, sa, sb in cases:
+            got = verify_injection(t, sa, sb)
+            assert got == old_verify_injection(t, sa, sb), (p, a, t)
+            verdicts.add(got)
+        assert verify_injection(w, set_a, set_b)
+    assert verdicts == {True, False}
