@@ -277,11 +277,7 @@ def power(x, n: int, one):
 
 
 def field_ctx(p: int, a: int, modulus=None) -> FieldCtx:
-    """Validated field context; accepts a modulus as Poly or coefficient tuple."""
-    if hasattr(modulus, "coeffs"):  # a Poly: its codes are residues over F_p
-        if modulus.ctx.a != 1:
-            raise ReducibleModulus("modulus must have prime-field coefficients")
-        modulus = modulus.coeffs
+    """Validated field context; the modulus is a coefficient tuple."""
     return FieldCtx(p, a, modulus)
 
 

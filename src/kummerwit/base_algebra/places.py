@@ -28,11 +28,17 @@ Niederreiter, Finite Fields, ch. 3):
 
 A finite place's tower work is that of factoring pi(s^(r^n)), of degree
 deg(pi) * r^n.  factor_place_in_tower refuses that degree (r^n at infinity)
-above TOWER_DEGREE_MAX before composing.  boundedness_probe refuses a tower
-degree r^n_max above the cap before searching.  A place's degree grows by
-at most r per level, and the probe follows the chains of least local
-degree first, so small places probed to r^n_max <= the cap stay quick
-(every place of degree <= 2 over F_3 at r = 11, n_max = 3).
+above TOWER_DEGREE_MAX before composing.
+
+boundedness_probe asks for a chain of places up the s -> s^(1/r) tower to
+level n_max with every local degree e*f prime to l, a prime outside {p, r}.
+One exists, as each place has one above it with e*f = 1 or a power of r.
+At infinity and at s the one place above has e*f = r and lies there again.
+A finite pi != s of degree k has pi(s^r) squarefree (pi(0) != 0, r != p), so
+e = 1 and f = j of the lemma, with Q = q^k.  If r does not divide Q - 1,
+x -> x^r is a bijection of F_Q^x, so a root of pi has an r-th root in F_Q:
+j = 1.  Else o = 1 and every j is a power of r.  The factors are prime to s,
+and induction on the level gives the chain.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from math import gcd
 from ..errors import BadEll, WorkBound, ZeroInput
 from .fields import FieldCtx
 from .grammar import format_place
-from .intarith import is_prime
+from .intarith import is_prime, multiplicative_order
 from .poly import Poly, factor, is_irreducible, poly_ext_gcd, poly_valuation
 from .ratfunc import RatFunc
 
@@ -59,7 +65,7 @@ class Place:
     def finite(cls, poly: Poly) -> "Place":
         """The place of poly made monic; raises ValueError unless irreducible."""
         pi = poly.monic()
-        if not pi.is_monic() or not is_irreducible(pi):
+        if not is_irreducible(pi):
             raise ValueError(f"{pi!r} is not monic irreducible")
         return cls(pi)
 
@@ -85,10 +91,6 @@ class Place:
 
     def __repr__(self):
         return format_place(self)
-
-    def sort_key(self):
-        # infinity sorts after all finite places
-        return (1, ()) if self.is_infinite else (0, self.poly.sort_key())
 
 
 def valuation(x: RatFunc, place: Place) -> int:
@@ -199,11 +201,7 @@ def tower_degrees(k: int, q: int, r: int, m: int) -> list[int]:
     """The degrees k*j, j = 1 or o*r^i <= m with o = ord_r(q^k), that the
     module docstring's lemma allows for a factor of pi(s^m), deg pi = k;
     ascending.  r is a prime other than p, so q^k is a unit mod r."""
-    big_q = pow(q, k, r)
-    j, x = 1, big_q
-    while x != 1:  # j becomes o
-        x = x * big_q % r
-        j += 1
+    j = multiplicative_order(pow(q, k, r), r)  # o
     degrees = [k] if j > 1 else []
     while j <= m:
         degrees.append(k * j)
@@ -241,27 +239,16 @@ def factor_place_in_tower(place: Place, r: int, n: int,
 
 def boundedness_probe(place: Place, r: int, ell: int, n_max: int,
                       ctx: FieldCtx) -> bool:
-    """Depth-first search for a chain of places up the s -> s^(1/r) tower
-    whose stepwise local degrees e*f all avoid divisibility by ell.
-
-    True exactly when such a chain reaches level n_max; branches with small
-    local degree are explored first, so split chains are found immediately.
-    Raises WorkBound when r^n_max exceeds TOWER_DEGREE_MAX.
-    """
+    """True: by the module docstring's lemma, a chain of places up the
+    s -> s^(1/r) tower to level n_max with each e*f prime to ell exists.
+    Checks in order: ell a prime outside {p, r} (BadEll), n_max >= 0, r^n_max
+    <= TOWER_DEGREE_MAX (WorkBound), r a prime other than p (BadEll).  ell and
+    place (validated when built) are checked but do not change the answer."""
     if not is_prime(ell) or ell == ctx.p or ell == r:
         raise BadEll(f"l = {ell} must be a prime outside {{p, r}}")
     if n_max < 0:
         raise ValueError("tower level must be >= 0")
     _check_tower_work(1, r, n_max)
-
-    def search(current: Place, depth: int) -> bool:
-        if depth == n_max:
-            return True
-        options = factor_place_in_tower(current, r, 1, ctx)
-        options.sort(key=lambda t: (t[1] * t[2], t[0].sort_key()))
-        for above, e, f in options:
-            if (e * f) % ell != 0 and search(above, depth + 1):
-                return True
-        return False
-
-    return search(place, 0)
+    if not is_prime(r) or r == ctx.p:
+        raise BadEll(f"r = {r} must be a prime different from p = {ctx.p}")
+    return True

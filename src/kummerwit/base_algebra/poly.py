@@ -863,7 +863,7 @@ def _ddf(f: Poly, degrees=None):
         if d < target:
             continue
         target = next(pending, None)
-        g = poly_gcd(h - s, rest) if (h - s) else rest
+        g = poly_gcd(hs, rest) if (hs := h - s) else rest
         if not g.is_one():
             yield g, d
             rest = rest // g
@@ -883,7 +883,7 @@ def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         h = Poly(ctx, tuple(_rand_elem(ctx, rng) for _ in range(n)))
         if h.is_constant():
             continue
-        g = poly_gcd(h, f) if h else f
+        g = poly_gcd(h, f)
         if not g.is_one() and g != f:
             break
         # h has degree below n, so it is reduced mod f already

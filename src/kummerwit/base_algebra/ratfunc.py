@@ -129,22 +129,15 @@ class RatFunc:
         return self.num.lc()
 
 
-def nth_power_exponents_ok(f: RatFunc, n: int) -> bool:
-    """Whether every finite place valuation of f is divisible by n."""
-    for part in (f.num, f.den):
-        if part.is_constant():
-            continue
-        for _, e in squarefree_decomposition(part):
-            if e % n != 0:
-                return False
-    return True
-
-
 def is_nth_power(f: RatFunc, n: int) -> bool:
-    """Exact membership of f in (F_q(s))^n (zero counts)."""
+    """Exact membership of f in (F_q(s))^n (zero counts): n divides every
+    finite place valuation and the leading unit is an n-th power."""
     if f.is_zero():
         return True
-    return nth_power_exponents_ok(f, n) and f.leading_unit().is_nth_power(n)
+    for part in (f.num, f.den):
+        if not part.is_constant() and any(e % n for _, e in squarefree_decomposition(part)):
+            return False
+    return f.leading_unit().is_nth_power(n)
 
 
 def ratfunc_sqrt(f: RatFunc):

@@ -37,8 +37,11 @@ from .errors import BadModulus, NotCoprime, WorkBound
 
 # The largest modulus whose unit group (a dlog table of phi(m) entries) is
 # built: at m = 100003, naming a balance witness took 0.17 s and +25 MB
-# (Python 3.11, one core of a 2-CPU machine).  is_balanced is not capped.
+# (Python 3.11, one core of a 2-CPU machine).
 UNIT_GROUP_MAX = 100_003
+# The largest modulus is_balanced decides, marking a bytearray of m entries:
+# at m = 10000019, is_balanced(3, m) took 1.3-1.5 s and +9 MB (same machine).
+BALANCE_MODULUS_MAX = 10_000_019
 _MODULI_CACHED = 32  # moduli per cache, above the 24 of a perfbench balance batch
 
 
@@ -280,9 +283,11 @@ def _unbalanced_witness_exponents(m: int):
 
 def is_balanced(x: int, m: int) -> bool:
     """Coset count: every coset of <x> in (Z/m)^x holds as many units below
-    m/2 as above it."""
+    m/2 as above it.  Raises WorkBound above BALANCE_MODULUS_MAX."""
     if m < 3:
         raise BadModulus(f"modulus {m} must be >= 3")
+    if m > BALANCE_MODULUS_MAX:
+        raise WorkBound(f"modulus {m} exceeds the balance cap {BALANCE_MODULUS_MAX}")
     if gcd(x, m) != 1:
         raise NotCoprime(f"gcd({x}, {m}) > 1")
     seen = bytearray(m)  # marks non-units, then each coset as it is walked

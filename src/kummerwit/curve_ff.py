@@ -26,8 +26,8 @@ F nonzero.
   x = 0, -1 or -s^N, which have that shape as well.
 So the search walks u = 0 and u = c*s^e*a^2 against w = b^2, about the
 square root of the raw pair count, and decides each candidate exactly:
-degree parity of F, then the gcd that keeps u/w in lowest terms, then
-ratfunc_sqrt.
+degree parity of F, then gcd(u, b) = 1 (lowest terms), then ratfunc_sqrt
+of u(u+w)(u+w*s^N), which is prime to w, so y is that root over b^3.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .base_algebra.grammar import format_point
 from .base_algebra.intarith import is_prime
 from .base_algebra.poly import Poly, poly_gcd, polys_of_degree
 from .base_algebra.ratfunc import RatFunc, poly_subs_monomial, ratfunc_sqrt
-from .errors import BadModulus, BadN, OffCurve
+from .errors import BadModulus, BadN, OffCurve, WorkBound
 
 
 @dataclass(frozen=True)
@@ -72,19 +72,13 @@ def curve_make(ctx: FieldCtx, N: int) -> CurveParams:
 
 
 def j_invariant(curve: CurveParams) -> RatFunc:
-    """j = c4^3 / Delta computed from the standard quantities of the cubic
-    model y^2 = x^3 + a2 x^2 + a4 x; reduced as a rational function."""
+    """Legendre's formula j = 256 (t^2 - t + 1)^3 / (t^2 (t - 1)^2), t = s^N:
+    x -> -x takes the curve to y^2 = -x(x - 1)(x - t), the -1 twist of
+    Legendre's curve with lambda = t, and twists keep j (Silverman, AEC III.1.7)."""
     ctx = curve.ctx
-    a2 = curve.a2()
-    a4 = curve.a4()
-    four = RatFunc.const(ctx, 4)
-    two = RatFunc.const(ctx, 2)
-    b2 = four * a2
-    b4 = two * a4
-    b8 = -(a4 * a4)
-    c4 = b2 * b2 - RatFunc.const(ctx, 24) * b4
-    disc = -(b2 * b2 * b8) - RatFunc.const(ctx, 8) * b4 ** 3
-    return c4 ** 3 / disc
+    t = Poly.monomial(ctx, curve.N)
+    one = Poly.one(ctx)
+    return RatFunc(Poly.const(ctx, 256) * (t * t - t + one) ** 3, (t * (t - one)) ** 2)
 
 
 class ECPoint:
@@ -203,6 +197,11 @@ def is_torsion(pt: ECPoint, curve: CurveParams) -> bool:
 
 # -- bounded point search ------------------------------------------------------------
 
+# The most candidates a search or member walk tries; the time grows with N:
+# 37,883 (p = 3, bounds (12, 4)) took 1.9 / 4.1 / 6.6 s at N = 5 / 22 / 44, and
+# 33,097 (F_13, (4, 2)) 0.55 s at N = 3 (Python 3.11, one core of a 2-CPU machine).
+SEARCH_CANDIDATES_MAX = 40_000
+
 
 def point_search(curve: CurveParams, num_deg: int, den_deg: int,
                  workers: int = 1) -> list[ECPoint]:
@@ -210,16 +209,17 @@ def point_search(curve: CurveParams, num_deg: int, den_deg: int,
     u, w coprime and w monic; exhaustive within bounds, deterministic order.
 
     Only the candidates of the forced shape are tried (module docstring).
-    Only the bounds and workers, in [1, os.cpu_count()], are checked; found
-    points are on the curve by construction.  Shard i of `workers` processes
-    takes the candidates i, i + workers, ... (see _candidates); the merged
-    points are sorted.
+    Only the bounds, the candidate cap (WorkBound) and workers, in
+    [1, os.cpu_count()], are checked; found points are on the curve by
+    construction.  Shard i of `workers` processes takes the candidates i,
+    i + workers, ... (see _candidates); the merged points are sorted.
     """
     if num_deg < 0 or den_deg < 0:
         raise ValueError("bounds must be >= 0")
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ValueError(f"workers = {workers} must lie in [1, {cpus}]")
+    _check_search_work(curve.ctx, num_deg, den_deg)
     if workers > 1:
         shard_search = partial(_search_shard, curve, num_deg, den_deg, stride=workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -233,16 +233,17 @@ def _search_shard(curve: CurveParams, num_deg: int, den_deg: int,
                   shard: int, stride: int) -> list[ECPoint]:
     """The points over the candidates shard, shard + stride, ..."""
     out: list[ECPoint] = []
-    for u, w in itertools.islice(_candidates(curve.ctx, num_deg, den_deg), shard, None, stride):
-        out.extend(_points_from_x(curve, u, w))
+    for u, w, b in itertools.islice(_candidates(curve.ctx, num_deg, den_deg),
+                                    shard, None, stride):
+        out.extend(_points_from_x(curve, u, w, b))
     return out
 
 
 def _candidates(ctx: FieldCtx, num_deg: int, den_deg: int):
-    """(0, 1), then the pairs (c*s^e*a^2, b^2) within the bounds, b and a
-    monic, c a unit and e in {0, 1}: by b, then e, then a, then c, each
-    polynomial in polys_of_degree order by degree."""
-    yield Poly.zero(ctx), Poly.one(ctx)
+    """(0, 1, 1), then the triples (c*s^e*a^2, b^2, b) within the bounds, b
+    and a monic, c a unit and e in {0, 1}: by b, then e, then a, then c,
+    each polynomial in polys_of_degree order by degree."""
+    yield Poly.zero(ctx), Poly.one(ctx), Poly.one(ctx)
     units = [c for c in ctx.elements() if c]
     for db in range(den_deg // 2 + 1):
         for b in polys_of_degree(ctx, db, monic=True):
@@ -252,15 +253,32 @@ def _candidates(ctx: FieldCtx, num_deg: int, den_deg: int):
                     for a in polys_of_degree(ctx, da, monic=True):
                         square = (a * a).shift(e)
                         for c in units:
-                            yield square.scale(c), w
+                            yield square.scale(c), w, b
 
 
-def _points_from_x(curve: CurveParams, u: Poly, w: Poly) -> list[ECPoint]:
-    """The points with x = u/w, w = b^2, or none when u and w have a common
+def _candidate_count(q: int, num_deg: int, den_deg: int) -> int:
+    """The length of _candidates over F_q: 1 + (q - 1)*B*(A_0 + A_1), with B
+    the monic b of degree <= den_deg/2, A_e the monic a of degree <= (num_deg - e)/2."""
+    a_0, a_1, b = (sum(q ** i for i in range(k // 2 + 1)) for k in (num_deg, num_deg - 1, den_deg))
+    return 1 + (q - 1) * b * (a_0 + a_1)
+
+
+def _check_search_work(ctx: FieldCtx, num_deg: int, den_deg: int) -> None:
+    """Raise WorkBound above SEARCH_CANDIDATES_MAX candidates.  For num_deg >= 0
+    a bound b alone gives over q^(b // 2), so b // 2 past the cap's bit length is refused."""
+    if ((num_deg >= 0 and max(num_deg, den_deg) // 2 > SEARCH_CANDIDATES_MAX.bit_length())
+            or _candidate_count(ctx.q, num_deg, den_deg) > SEARCH_CANDIDATES_MAX):
+        raise WorkBound(f"bounds ({num_deg}, {den_deg}) over F_{ctx.q} exceed the "
+                        f"search cap of {SEARCH_CANDIDATES_MAX} candidates")
+
+
+def _points_from_x(curve: CurveParams, u: Poly, w: Poly, b: Poly) -> list[ECPoint]:
+    """The points with x = u/w, w = b^2, or none when u and b have a common
     factor.  x(x+1)(x+s^N) is u(u+w)(u+w*s^N) / w^3; the degree parity of
     the three factors (w^3 has even degree) is tested before the gcd and
-    before any product.  With no factor zero the product is nonzero, so a
-    root y is nonzero and the points come in the pair (x, y), (x, -y)."""
+    before any product.  The product is prime to w, so y is its root over
+    b*w = b^3.  With no factor zero the product is nonzero, so a root y is
+    nonzero and the points come in the pair (x, y), (x, -y)."""
     ctx = curve.ctx
     x = RatFunc(u, w, reduce=False)
     factors = (u, u + w, u + w.shift(curve.N))
@@ -268,12 +286,12 @@ def _points_from_x(curve: CurveParams, u: Poly, w: Poly) -> list[ECPoint]:
         return [ECPoint.affine(x, RatFunc.zero(ctx))] if w.is_one() else []
     if sum(f.degree() for f in factors) % 2:  # odd degree at infinity
         return []
-    if not (w.is_one() or poly_gcd(u, w).is_one()):
+    if not (b.is_one() or poly_gcd(u, b).is_one()):
         return []
-    num = factors[0] * factors[1] * factors[2]
-    y = ratfunc_sqrt(RatFunc(num, w ** 3, reduce=False))
-    if y is None:
+    root = ratfunc_sqrt(RatFunc.from_poly(factors[0] * factors[1] * factors[2]))
+    if root is None:
         return []
+    y = RatFunc(root.num, b * w, reduce=False)
     return [ECPoint.affine(x, y), ECPoint.affine(x, -y)]
 
 
@@ -327,13 +345,13 @@ def stabilization_probe(p: int, a: int, q: int, r: int, n_max: int,
         lifted = {ECPoint.affine(poly_subs_monomial(pt.x, r), poly_subs_monomial(pt.y, r))
                   for pt in prev}
         new = [pt for pt in pts if pt not in lifted]
-        if n > 0 and new:
+        if new:  # at n = 0 nothing is lifted, and n_est stays 0
             report.n_est = n
         report.levels.append({
             "n": n, "curve_exponent": q * scale,
             "bounds": [num_deg * scale, den_deg * scale],
-            "points": [format_point(pt) for pt in sorted(pts, key=ECPoint.sort_key)],
-            "new_count": len(new) if n > 0 else len(pts),
+            "points": [format_point(pt) for pt in pts],
+            "new_count": len(new),
         })
         prev = pts
     return report

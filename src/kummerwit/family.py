@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .base_algebra.grammar import format_poly
 from .base_algebra.poly import Poly, _barrett, _powmod, factor, poly_lcm, poly_valuation
 from .base_algebra.ratfunc import RatFunc, ratfunc_sqrt
-from .curve_ff import CurveParams, ECPoint, _add_step, _candidates, is_torsion
+from .curve_ff import CurveParams, ECPoint, _add_step, _candidates, _check_search_work, is_torsion
 from .errors import DistinctnessFailure, TorsionPoint, ZeroInput
 
 
@@ -76,7 +76,7 @@ def family_members(lam: Poly, curve: CurveParams, deg_bound: int) -> FamilyResul
     """All ring elements of degree <= deg_bound in C_lambda, with witnesses:
     each member is lam*u/w for a point-search candidate (u, w) within the
     bounds proved in the module docstring, w dividing lam, and each distinct
-    such x is decided once by membership_witness."""
+    such x is decided once by membership_witness; WorkBound above the search cap."""
     if deg_bound < 0:
         raise ValueError("deg_bound must be >= 0")
     ctx = curve.ctx
@@ -84,8 +84,10 @@ def family_members(lam: Poly, curve: CurveParams, deg_bound: int) -> FamilyResul
         zero = Poly.zero(ctx)
         return FamilyResult(lam, curve.N, deg_bound, [zero], {zero: zero})
     den_deg = 2 * (lam.degree() // 3)
+    num_deg = deg_bound - lam.degree() + den_deg
+    _check_search_work(ctx, num_deg, den_deg)
     found: dict = {}
-    for u, w in _candidates(ctx, deg_bound - lam.degree() + den_deg, den_deg):
+    for u, w, _ in _candidates(ctx, num_deg, den_deg):
         cofactor, rem = divmod(lam, w)
         if rem:
             continue
@@ -100,9 +102,10 @@ def family_grow(pt: ECPoint, curve: CurveParams, n_target: int) -> tuple[Poly, F
     """Scale the multiples of a non-torsion point into the family until it
     holds at least n_target members.
 
-    lambda is the least common multiple of the coordinate denominators of
-    P, 2P, ..., n_target*P; the member bound is the largest degree of the
-    scaled x-coordinates.
+    lambda is the lcm of the denominators of P, 2P, ..., n_target*P, that
+    is of the y-denominators: at a pole of x, v(x + 1) = v(x + s^N) = v(x)
+    < 0, so 2v(y) = 3v(x) < 2v(x) and x.den divides y.den.  The member bound
+    is the largest degree of the scaled x-coordinates.
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
@@ -119,7 +122,6 @@ def family_grow(pt: ECPoint, curve: CurveParams, n_target: int) -> tuple[Poly, F
         multiples.append(acc)
     lam = Poly.one(ctx)
     for mp in multiples:
-        lam = poly_lcm(lam, mp.x.den)
         lam = poly_lcm(lam, mp.y.den)
     scaled = [lam // mp.x.den * mp.x.num for mp in multiples]  # lam*x, a polynomial
     bound = max((sx.degree() for sx in scaled if sx), default=0)

@@ -30,7 +30,7 @@ def find_r(p: int, count: int) -> list[int]:
     for r in primes_from(3):
         if len(out) == count:
             break
-        if r != p and r % 4 == 3 and legendre_symbol(p, r) == 1:
+        if r % 4 == 3 and legendre_symbol(p, r) == 1:  # (p/p) = 0 rules out r = p
             out.append(r)
     return out
 
@@ -40,11 +40,9 @@ def find_q(p: int, r: int, ceiling: int = 10_000) -> int:
     for q in primes_from(3):
         if q > ceiling:
             raise SearchExhausted(f"no valid q below {ceiling}")
-        if q in (p, r):
-            continue
+        # the symbol is 0 at its own modulus, so q = p and q = r fail here
         if legendre_symbol(p, q) == -1 and legendre_symbol(q, r) == -1:
             return q
-    raise SearchExhausted("unreachable")
 
 
 class BalanceRouter:

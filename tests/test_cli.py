@@ -3,9 +3,12 @@ import time
 
 import pytest
 
+from kummerwit.base_algebra import field_ctx, parse_poly
 from kummerwit.base_algebra.places import TOWER_DEGREE_MAX
-from kummerwit.characters import UNIT_GROUP_MAX
-from kummerwit.cli import dispatch
+from kummerwit.characters import BALANCE_MODULUS_MAX, UNIT_GROUP_MAX
+from kummerwit.cli import build_parser, dispatch
+from kummerwit.curve_ff import SEARCH_CANDIDATES_MAX, _candidate_count
+from kummerwit.rank_engine import find_q, find_r
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +171,89 @@ def test_golden_and_benchmark_moduli_under_unit_group_cap():
     argvs += [task["argv"][2:] for seed in range(5) for task in workloads.generate("balance", seed)]
     moduli = [int(argv[2]) for argv in argvs if argv[0] == "balanced"]
     assert len(moduli) > 200 and max(moduli) <= UNIT_GROUP_MAX
+
+
+def _golden_and_benchmark_argvs(workload: str) -> list[list[str]]:
+    from perfbench import workloads
+    from tests.test_golden_cli import GOLDEN
+    tasks = [task for seed in range(5) for task in workloads.generate(workload, seed)]
+    return [row["argv"] for row in GOLDEN] + [task["argv"][2:] for task in tasks]
+
+
+def _balance_moduli(args) -> list[int]:
+    """The largest modulus parsed args can hand is_balanced: m itself, or
+    q*r^n, of which every modulus the rank formula decides is a divisor."""
+    if args.command == "balanced":
+        return [args.m]
+    if args.command == "rank":
+        return [args.q * args.r ** args.n]
+    if args.command == "verify":
+        r = find_r(args.p, 1)[0]
+        return [find_q(args.p, r) * r ** (2 if args.suite == "quick" else 4)]
+    return []
+
+
+def test_golden_and_benchmark_moduli_under_balance_cap(capsys):
+    """is_balanced decides every modulus of the golden records, of perfbench
+    seeds 0-4 and of test_balance_witness_work_bound_exit_2, and refuses
+    the next one up before allocating."""
+    argvs = _golden_and_benchmark_argvs("balance") + _golden_and_benchmark_argvs("curve")
+    parser = build_parser()
+    moduli = [m for argv in argvs for m in _balance_moduli(parser.parse_args(argv))]
+    assert len(moduli) > 500 and max(moduli) < 10000019 == BALANCE_MODULUS_MAX
+    start = time.perf_counter()
+    assert dispatch(["balanced", "3", str(BALANCE_MODULUS_MAX + 2)]) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: WorkBound: ") and "balance cap" in err, err
+
+
+def _search_bounds(args) -> list[tuple[int, int, int]]:
+    """(q, num_deg, den_deg) of every point search and member walk whose
+    bounds parsed args fix: curve search, each stabilize level, family
+    members and verify's search."""
+    action = getattr(args, "action", None)
+    if args.command not in ("curve", "family", "verify"):
+        return []
+    q = args.p ** getattr(args, "a", 1)
+    if args.command == "verify" or (args.command, action) == ("curve", "search"):
+        return [(q, args.num_deg, args.den_deg)]
+    if (args.command, action) == ("curve", "stabilize"):
+        return [(q, args.num_deg * args.r ** n, args.den_deg * args.r ** n)
+                for n in range(args.n_max + 1)]
+    if (args.command, action) == ("family", "members"):
+        d = parse_poly(args.lam, field_ctx(args.p, args.a)).degree()
+        return [(q, args.deg_bound - d + 2 * (d // 3), 2 * (d // 3))]
+    return []
+
+
+def test_golden_and_benchmark_searches_under_candidate_cap(capsys):
+    """Every golden and perfbench (seeds 0-4) search stays under the
+    candidate cap; family grow's bounds follow from its multiples, so its
+    argvs are run."""
+    argvs = _golden_and_benchmark_argvs("curve")
+    parser = build_parser()
+    bounds = [b for argv in argvs for b in _search_bounds(parser.parse_args(argv))]
+    assert len(bounds) > 300
+    assert max(_candidate_count(*b) for b in bounds) <= SEARCH_CANDIDATES_MAX
+    grows = [argv for argv in argvs if argv[:2] == ["family", "grow"]]
+    assert len(grows) > 40 and all(dispatch(argv) == 0 for argv in grows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "search", "-p", "3", "-N", "5", "--num-deg", "20", "--den-deg", "6"],
+    ["curve", "stabilize", "-p", "3", "-q", "5", "-r", "7", "--n-max", "2",
+     "--num-deg", "1", "--den-deg", "0"],
+    ["curve", "search", "-p", "3", "-N", "5", "--num-deg", "1000000000", "--den-deg", "0"],
+    ["family", "members", "-p", "3", "-N", "2", "--lambda", "1*s", "--deg-bound", "40"],
+])
+def test_search_work_bound_exit_2(capsys, argv):
+    # above SEARCH_CANDIDATES_MAX: refused at once (stabilize at level 2)
+    start = time.perf_counter()
+    assert dispatch(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: WorkBound: ") and err.count("\n") == 1, err
 
 
 def test_tower_work_bound_accepts_the_cap(capsys):

@@ -42,6 +42,31 @@ def test_j_invariant_matches_closed_form(p):
     assert j_invariant(curve_make(ctx, 1)) == closed
 
 
+def generic_j(curve):
+    """c4^3 / Delta from b2 = 4*a2, b4 = 2*a4 and b8 = -a4^2 of the model
+    y^2 = x^3 + a2*x^2 + a4*x: the oracle for Legendre's formula."""
+    const = lambda c: RatFunc.const(curve.ctx, c)  # noqa: E731
+    a2, a4 = curve.a2(), curve.a4()
+    b2, b4, b8 = const(4) * a2, const(2) * a4, -(a4 * a4)
+    c4 = b2 * b2 - const(24) * b4
+    disc = -(b2 * b2 * b8) - const(8) * b4 ** 3
+    return c4 ** 3 / disc
+
+
+def test_j_invariant_matches_generic_formula():
+    """76 cases: p in {3, 5, 7, 11, 13} with a = 1, p in {3, 5} with a = 2,
+    and every N <= 13 coprime to p."""
+    cases = 0
+    for p, a in [(p, 1) for p in (3, 5, 7, 11, 13)] + [(3, 2), (5, 2)]:
+        ctx = field_ctx(p, a)
+        for N in range(1, 14):
+            if N % p:
+                curve = curve_make(ctx, N)
+                assert j_invariant(curve) == generic_j(curve), (p, a, N)
+                cases += 1
+    assert cases == 76
+
+
 def test_j_invariant_nonconstant(f7):
     j = j_invariant(curve_make(f7, 2))
     assert not (j.num.is_constant() and j.den.is_constant())
@@ -267,4 +292,20 @@ def test_search_matches_exhaustive_oracle(p, a, bounds, Ns):
     ctx = field_ctx(p, a)
     for N in Ns:
         curve = curve_make(ctx, N)
-        assert point_search(curve, *bounds) == exhaustive_search(curve, *bounds), (p, a, N)
+        found = point_search(curve, *bounds)
+        assert found == exhaustive_search(curve, *bounds), (p, a, N)
+        for pt in found:  # y's denominator is b^3 for x's b^2
+            assert pt.y.den * pt.y.den == pt.x.den ** 3
+
+
+def test_candidate_count_matches_enumerator():
+    """The closed form against len(_candidates), num_deg below 0 included
+    (family_members' walk can ask for it); 425 at the golden p = 3, (6, 2)."""
+    for p, a in ((3, 1), (5, 1), (3, 2)):
+        ctx = field_ctx(p, a)
+        for num_deg in range(-2, 5):
+            for den_deg in range(3):
+                walked = sum(1 for _ in curve_ff._candidates(ctx, num_deg, den_deg))
+                assert curve_ff._candidate_count(ctx.q, num_deg, den_deg) == walked
+    assert curve_ff._candidate_count(3, 6, 2) == 425
+    assert curve_ff._candidate_count(3, 14, 4) > curve_ff.SEARCH_CANDIDATES_MAX

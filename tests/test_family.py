@@ -4,8 +4,9 @@ import pytest
 
 from kummerwit import family
 from kummerwit.base_algebra import (FF, Poly, RatFunc, all_polys, factor, field_ctx,
-                                    irreducibles)
-from kummerwit.curve_ff import ECPoint, curve_make
+                                    irreducibles, parse_point)
+from kummerwit.base_algebra.poly import poly_lcm
+from kummerwit.curve_ff import ECPoint, curve_make, ec_mul, is_torsion, point_search
 from kummerwit.errors import DistinctnessFailure, TorsionPoint, ZeroInput
 from kummerwit.family import (_minimal_poly_of_root_power, family_grow, family_members,
                               membership_witness, polynomial_in_powers)
@@ -160,6 +161,26 @@ def test_family_grow_targets(f3, target):
     for x in res.members:
         y = res.witnesses[x]
         assert y * y * lam == x * (x + lam) * (x + lam * sN)
+
+
+def test_lambda_from_y_denominators(f3):
+    """x.den divides y.den on the family_grow inputs of the tests and the
+    golden records, and on the multiples of a non-torsion point on N = 3
+    over F_5, so the lcm of the y-denominators is the old lcm of both."""
+    f5 = field_ctx(5, 1)
+    E3 = curve_make(f5, 3)
+    cases = [(sample_point(f3), curve_make(f3, 2), 3),
+             (parse_point("(1*s^2; 1*s^4+1*s^2)", f5), curve_make(f5, 4), 2),
+             (next(pt for pt in point_search(E3, 3, 1) if not is_torsion(pt, E3)), E3, 6)]
+    for pt, curve, target in cases:
+        multiples = [ec_mul(k, pt, curve) for k in range(1, target + 1)]
+        both = new = Poly.one(curve.ctx)
+        for mp in multiples:
+            both = poly_lcm(poly_lcm(both, mp.x.den), mp.y.den)
+            new = poly_lcm(new, mp.y.den)
+            assert not mp.y.den % mp.x.den
+        assert new == both
+    assert not new.is_constant()  # the non-torsion point's multiples have poles
 
 
 def test_family_grow_rejects_torsion(f3):

@@ -170,6 +170,8 @@ def test_boundedness_probe(f3):
         boundedness_probe(t_minus_1, 11, 3, 2, f3)   # l = p excluded
     with pytest.raises(ValueError):
         boundedness_probe(t_minus_1, 5, 7, -1, f3)
+    with pytest.raises(BadEll):  # r is checked at level 0 too
+        boundedness_probe(t_minus_1, 4, 5, 0, f3)
 
 
 def test_boundedness_probe_all_small_places(f3):
@@ -177,6 +179,53 @@ def test_boundedness_probe_all_small_places(f3):
     for d in (1, 2):
         places.extend(Place.finite(pi) for pi in irreducibles(f3, d))
     assert all(boundedness_probe(pl, 11, 5, 3, f3) for pl in places)
+
+
+def search_probe(place: Place, ell: int, n_max: int, split) -> bool:
+    """The depth-first chain search that boundedness_probe ran before the
+    tower lemma settled it; split(place) is the one-level
+    factor_place_in_tower."""
+    if n_max == 0:
+        return True
+    return any((e * f) % ell and search_probe(above, ell, n_max - 1, split)
+               for above, e, f in split(place))
+
+
+def test_boundedness_probe_matches_search_oracle():
+    """The lemma and the probe against the search, over F_3, F_5 and F_9,
+    r in {2, 3, 5, 7, 11}, every l < 14 outside {p, r}, n_max <= 2, and
+    infinity and every place of degree <= 2: the least place above has
+    e*f = 1 or a power of r, at infinity and s it is the one place above,
+    with e = r, and above any other place it is finite and != s."""
+    for p, a in ((3, 1), (5, 1), (3, 2)):
+        ctx = field_ctx(p, a)
+        places = [Place.infinity()] + [Place(pi) for d in (1, 2) for pi in irreducibles(ctx, d)]
+        for r in (2, 3, 5, 7, 11):
+            if r == p:
+                continue
+            cache = {}
+
+            def split(pl):
+                if pl not in cache:
+                    cache[pl] = factor_place_in_tower(pl, r, 1, ctx)
+                return cache[pl]
+
+            ells = [ell for ell in (2, 3, 5, 7, 11, 13) if ell not in (p, r)]
+            for pl in places:
+                above = split(pl)
+                least = min(e * f for _, e, f in above)
+                while least % r == 0:
+                    least //= r
+                assert least == 1, (ctx, pl, r)
+                if pl.is_infinite or pl.poly == Poly.gen(ctx):
+                    assert above == [(pl, r, 1)]
+                else:
+                    assert all(e == 1 and not up.is_infinite and up.poly.coeffs[0]
+                               for up, e, _ in above)
+                for ell in ells:
+                    for n_max in (0, 1, 2):
+                        assert boundedness_probe(pl, r, ell, n_max, ctx)
+                        assert search_probe(pl, ell, n_max, split), (ctx, pl, r, ell, n_max)
 
 
 def _random_place(ctx, deg: int, rng: random.Random) -> Place:
@@ -233,7 +282,7 @@ def test_factor_place_in_tower_matches_unrestricted_split():
     for ctx, pl, r, n, oracle in _tower_sweep():
         base = pl.degree()
         want = sorted(((Place(g), e, g.degree() // base) for g, e in oracle),
-                      key=lambda t: t[0].sort_key())
+                      key=lambda t: t[0].poly.sort_key())
         assert factor_place_in_tower(pl, r, n, ctx) == want, (ctx, pl, r, n)
 
 
