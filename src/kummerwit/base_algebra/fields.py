@@ -23,9 +23,9 @@ element of order q - 1 in canonical order, with Zech logarithms
 Z(k) = log(1 + g^k), so that g^i + g^j = g^(i + Z(j - i)) (Lidl and
 Niederreiter, Finite Fields, ch. 2 and 9).  The tables hold O(q) ints; they
 are built on first use, without FF (whose table-field powers read them),
-kept on the context and shared by equal contexts.  FF.sqrt keeps the power
-of a non-square that Tonelli-Shanks needs on the context (Cohen, A Course in
-Computational Algebraic Number Theory, 1.5.1).
+and kept on the context, which field_ctx builds once per field and process.
+FF.sqrt keeps the power of a non-square that Tonelli-Shanks needs on the
+context (Cohen, A Course in Computational Algebraic Number Theory, 1.5.1).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class FieldCtx:
             self.modulus = (0, 1)
             self._prime = self
         else:
-            self._prime = prime_field = FieldCtx(p, 1)  # z-polynomials are over it
+            self._prime = prime_field = field_ctx(p, 1)  # z-polynomials are over it
             if modulus is None:
                 modulus = next(irreducibles(prime_field, a)).coeffs
             else:
@@ -117,9 +117,7 @@ class FieldCtx:
         and g the first element of order m: exp[k] is the code of g^k for
         0 <= k < m, log[code] its k (None for 0), and zech[k] = log(1 + g^k)
         (None for k = m/2, where 1 + g^k = 0).  poly's kernel and FF read them
-        for table fields (a > 1, q <= poly._TABLE_MAX) and for no other field.
-
-        Equal contexts share the tables (_log_tables)."""
+        for table fields (a > 1, q <= poly._TABLE_MAX) and for no other field."""
         if self._logs is None:
             self._logs = _log_tables(self)
         return self._logs
@@ -210,15 +208,12 @@ class FF:
     def sqrt(self):
         """A square root, or None.  Tonelli-Shanks in the cyclic group F_q^x,
         which meets a non-square as an element of order 2^e at its first
-        step, so no separate Euler test runs (for q = 3 mod 4 the candidate
-        root is squared)."""
+        step, so no separate Euler test runs.  q = 3 mod 4 needs no case: e = 1,
+        r = x^((q+1)/4) is returned when t = x^((q-1)/2) = 1, and t = -1 gives None."""
         ctx = self.ctx
         if not self:
             return ctx.zero()
         q, one = ctx.q, ctx.one()
-        if q % 4 == 3:
-            r = self ** ((q + 1) // 4)
-            return r if r * r == self else None
         if ctx._shanks is None:  # q - 1 = 2^e * m with m odd, and c = z^m for a non-square z
             e = ((q - 1) & (1 - q)).bit_length() - 1
             z = next(x for x in ctx.elements() if x and not x.is_square())
@@ -242,13 +237,10 @@ class FF:
         return r
 
 
-@lru_cache(maxsize=8)
 def _log_tables(ctx: FieldCtx) -> tuple[list, list, list]:
-    """FieldCtx.logs for every context equal to ctx, so that a field built
-    afresh for each command does not build its tables again.  g is found by
-    powering z-polynomials modulo the modulus over F_p, and exp by doubling:
-    with n codes so far, exp[k] * g^(n-1) = exp[k + n - 1], all n products in
-    one Kronecker product."""
+    """The tables of FieldCtx.logs.  g is found by powering z-polynomials
+    modulo the modulus over F_p, and exp by doubling: with n codes so far,
+    exp[k] * g^(n-1) = exp[k + n - 1], all n products in one Kronecker product."""
     q, m, unit, prime, mod = ctx.q, ctx.q - 1, ctx.unit, ctx._prime, list(ctx.modulus)
     cofactors = [m // ell for ell in factorint(m)]
     g = next(c for c in range(1, q) if all(
@@ -276,8 +268,9 @@ def power(x, n: int, one):
         x = x * x
 
 
-def field_ctx(p: int, a: int, modulus=None) -> FieldCtx:
-    """Validated field context; the modulus is a coefficient tuple."""
+@lru_cache(maxsize=32)
+def field_ctx(p: int, a: int, modulus: tuple[int, ...] | None = None) -> FieldCtx:
+    """The validated field context, built once per field and process (modulus a tuple)."""
     return FieldCtx(p, a, modulus)
 
 

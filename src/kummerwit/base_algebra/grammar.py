@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import re
 
+from ..errors import WorkBound
 from .fields import FF, FieldCtx
-from .poly import Poly
+from .poly import DEGREE_MAX, Poly
 from .ratfunc import RatFunc
 
 
@@ -89,6 +90,8 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
             continue
         coeff = ctx.one() if m.group("coeff") is None else parse_coeff(m.group("coeff"), ctx)
         exp = 1 if m.group("exp") is None else int(m.group("exp"))
+        if exp > DEGREE_MAX:
+            raise WorkBound(f"exponent {exp} in {term!r} exceeds the degree cap {DEGREE_MAX}")
         acc = acc + Poly.monomial(ctx, exp, coeff)
     return acc
 

@@ -66,12 +66,10 @@ def euler_phi(n: int) -> int:
 
 
 def multiplicative_order(x: int, m: int) -> int:
-    """Order of x in (Z/m)^x; raises if gcd(x, m) != 1."""
+    """Order of x in (Z/m)^x; raises if gcd(x, m) != 1 (m = 1: phi(1) = 1, no prime factor)."""
     x %= m
     if math.gcd(x, m) != 1:
         raise ValueError(f"{x} is not a unit mod {m}")
-    if m == 1:
-        return 1
     order = euler_phi(m)
     for p in factorint(order):
         while order % p == 0 and pow(x, order // p, m) == 1:

@@ -48,10 +48,11 @@ gcd, extended gcd and CRT box a Poly only when they return.
 Factorization is squarefree decomposition (characteristic-p aware), then
 distinct-degree splitting (lazy, by increasing degree), then randomized
 equal-degree splitting with a caller-fixed seed, so factor lists are
-deterministic.  A caller that knows the possible factor degrees can hand
-them to factor, and the distinct-degree split then takes a gcd only at
-those (places.py does for pi(s^(r^n))).  is_irreducible reads only the
-first distinct-degree part.
+deterministic.  Each stage has one path, which its edge cases fall through
+(see squarefree_decomposition, _ddf and _edf).  A caller that knows the
+possible factor degrees can hand them to factor, and the distinct-degree
+split then takes a gcd only at those (places.py does for pi(s^(r^n))).
+is_irreducible reads only the first distinct-degree part.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ from .fields import FF, FieldCtx, power
 
 
 NEG_INF = float("-inf")  # degree of the zero polynomial, below every integer
+
+# The most degree an input integer may give a dense tuple (WorkBound above): a curve
+# exponent, deg f * n in polynomial_in_powers, a literal's exponent.  At 10,000 curve j took
+# 1.0-1.5 s (F_3, F_5, F_7; Python 3.11, 2 CPUs); y(32P) of the golden mul point has degree 5,532.
+DEGREE_MAX = 10_000
 
 
 class Poly:
@@ -800,8 +806,9 @@ def _pth_root(f: Poly) -> Poly:
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """[(g_i, e_i)] with f = lc * prod g_i^e_i, g_i monic squarefree coprime.
 
-    Characteristic-p aware: parts with vanishing derivative are p-th powers
-    and are handled by coefficient-wise inverse Frobenius.
+    Yun's loop; what it leaves in c is a p-th power (c' = 0), decomposed by
+    coefficient-wise inverse Frobenius with p times the multiplicity.  g' = 0
+    needs no case (gcd(g, 0) = g, so w = 1, c = g), nor a constant c (gcd(w, 1) = 1).
     """
     if f.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
@@ -810,23 +817,18 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     def accumulate(g: Poly, mult: int):
         if g.is_constant():
             return
-        d = g.derivative()
-        if d.is_zero():
-            accumulate(_pth_root(g), mult * g.ctx.p)
-            return
-        c = poly_gcd(g, d)
+        c = poly_gcd(g, g.derivative())
         w = g // c
         i = 1
         while not w.is_one():
-            y = poly_gcd(w, c) if not c.is_constant() else Poly.one(g.ctx)
+            y = poly_gcd(w, c)
             z = w // y
             if not z.is_constant():
                 out[z.monic()] = out.get(z.monic(), 0) + i * mult
             w = y
             c = c // y
             i += 1
-        if not c.is_constant():
-            accumulate(_pth_root(c), mult * g.ctx.p)
+        accumulate(_pth_root(c), mult * g.ctx.p)
 
     accumulate(f.monic(), 1)
     return sorted(out.items(), key=lambda kv: kv[0].sort_key())
@@ -863,7 +865,7 @@ def _ddf(f: Poly, degrees=None):
         if d < target:
             continue
         target = next(pending, None)
-        g = poly_gcd(hs, rest) if (hs := h - s) else rest
+        g = poly_gcd(h - s, rest)  # gcd(0, rest) = rest
         if not g.is_one():
             yield g, d
             rest = rest // g
@@ -872,27 +874,21 @@ def _ddf(f: Poly, degrees=None):
 
 
 def _edf(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """Cantor-Zassenhaus split of a monic squarefree product of degree-d irreducibles."""
+    """Cantor-Zassenhaus split of a monic squarefree product of degree-d irreducibles
+    (von zur Gathen and Gerhard, ch. 14): random h, deg h < deg f, until g = gcd(e - 1, f),
+    e = h^((q^d-1)/2), is not 1 or f.  A constant h, or e = 1, gives g in {1, f} and is
+    retried; the factors are sorted, so the try that splits does not change them."""
     n = f.degree()
     if n == d:
         return [f]
     ctx = f.ctx
     exponent = (ctx.q ** d - 1) // 2
     finv = _barrett(ctx, f.coeffs)  # one inverse for every retry
-    while True:
-        h = Poly(ctx, tuple(_rand_elem(ctx, rng) for _ in range(n)))
-        if h.is_constant():
-            continue
-        g = poly_gcd(h, f)
-        if not g.is_one() and g != f:
-            break
-        # h has degree below n, so it is reduced mod f already
-        g = Poly(ctx, _powmod(ctx, h.coeffs, exponent, f.coeffs, finv)) - Poly.one(ctx)
-        if not g:
-            continue
-        g = poly_gcd(g, f)
-        if not g.is_one() and g != f:
-            break
+    one = Poly.one(ctx)
+    g = f
+    while g.is_one() or g == f:
+        h = Poly(ctx, [_rand_elem(ctx, rng) for _ in range(n)])  # reduced mod f already
+        g = poly_gcd(Poly(ctx, _powmod(ctx, h.coeffs, exponent, f.coeffs, finv)) - one, f)
     return sorted(_edf(g, d, rng) + _edf(f // g, d, rng), key=Poly.sort_key)
 
 

@@ -152,18 +152,9 @@ def unit_group(m: int):
         else:
             g = _primitive_root(p, k)
             comps.append((pk, g, euler_phi(pk)))
-    gens: list[int] = []
-    orders: list[int] = []
-    for pk, g, order in comps:
-        other = m // pk
-        if other == 1:
-            lifted = g % m
-        else:
-            # lifted = g mod pk, 1 mod m/pk
-            inv = pow(other, -1, pk)
-            lifted = (1 + other * inv * (g - 1)) % m
-        gens.append(lifted)
-        orders.append(order)
+    # g lifted to g mod pk and 1 mod m/pk; at m = pk (m // pk = 1) the lift is g itself
+    gens = [(1 + m // pk * pow(m // pk, -1, pk) * (g - 1)) % m for pk, g, _ in comps]
+    orders = [order for _, _, order in comps]
     # dlog table doubles as the construction check: running products, one
     # multiplication per entry, each generator's exponent in turn
     dlog: dict[int, tuple[int, ...]] = {1: ()}

@@ -4,11 +4,11 @@ bounded point search, and a tower-stabilization probe.
 Points live in projective closure: Infinity or Affine(x, y) with rational
 function coordinates satisfying the equation exactly.  Torsion
 certification tests membership in the two-torsion set
-{O, (0,0), (-1,0), (-s^N,0)} directly; for the odd prime exponents the
-rank machinery produces, that set is the full torsion subgroup.  Even
-exponents can carry four-torsion (on N = 2 over F_3(s) the point
-(s, s(s+1)) doubles to (0,0)), so there is_torsion certifies only
-two-torsion membership.
+{O, (0,0), (-1,0), (-s^N,0)}, which on the curve is O or y = 0; for the
+odd prime exponents the rank machinery produces, that set is the full
+torsion subgroup.  Even exponents can carry four-torsion (on N = 2 over
+F_3(s) the point (s, s(s+1)) doubles to (0,0)), so there is_torsion
+certifies only two-torsion membership.
 
 point_search finds every x = u/w, u and w coprime, w monic, within the
 degree bounds, for which x(x+1)(x+s^N) = u(u+w)(u+w*s^N)/w^3 is a square,
@@ -41,8 +41,8 @@ from functools import partial
 from .base_algebra.fields import FieldCtx, field_ctx
 from .base_algebra.grammar import format_point
 from .base_algebra.intarith import is_prime
-from .base_algebra.poly import Poly, poly_gcd, polys_of_degree
-from .base_algebra.ratfunc import RatFunc, poly_subs_monomial, ratfunc_sqrt
+from .base_algebra.poly import DEGREE_MAX, Poly, poly_gcd, polys_of_degree
+from .base_algebra.ratfunc import RatFunc, ratfunc_sqrt
 from .errors import BadModulus, BadN, OffCurve, WorkBound
 
 
@@ -54,6 +54,8 @@ class CurveParams:
     def __post_init__(self):
         if self.N < 1 or self.N % self.ctx.p == 0:
             raise BadN(f"N = {self.N} must be positive and coprime to p = {self.ctx.p}")
+        if self.N > DEGREE_MAX:
+            raise WorkBound(f"N = {self.N} exceeds the degree cap {DEGREE_MAX}")
 
     def a2(self) -> RatFunc:
         return RatFunc.from_poly(Poly.one(self.ctx) + Poly.monomial(self.ctx, self.N))
@@ -191,8 +193,9 @@ def two_torsion(curve: CurveParams) -> list[ECPoint]:
 
 
 def is_torsion(pt: ECPoint, curve: CurveParams) -> bool:
+    """Membership in two_torsion(curve), that is O or y = 0."""
     _require_on_curve(pt, curve)
-    return pt in two_torsion(curve)
+    return pt.is_infinity or not pt.y
 
 
 # -- bounded point search ------------------------------------------------------------
@@ -318,40 +321,38 @@ def stabilization_probe(p: int, a: int, q: int, r: int, n_max: int,
     bounds scaled by r^n, identify points down the tower via s -> s^(r^k),
     and report the last level contributing new points.
 
-    The points lifted to level n are the lifts by r of level n - 1 alone.
-    A level-k point (u/w, y) lifts by R = r^(n-1-k) to (u(s^R)/w(s^R),
-    y(s^R)): still in lowest terms (a Bezout identity survives s -> s^R),
-    w(s^R) monic, within the bounds scaled by r^(n-1), and on the curve with
-    exponent q*r^(n-1).  The search at level n - 1 is exhaustive within those
-    bounds, so it found that point, and its lift by r is the level-k lift.
-    Search points are affine, so every point of level n - 1 lifts.
+    An (affine) point (u/w, y) of level n - 1 lifts by s -> s^r to one in
+    lowest terms (a Bezout identity survives s -> s^r), w(s^r) monic,
+    within the bounds scaled by r^n and on the curve with exponent q*r^n,
+    which the exhaustive search at level n finds; a lift from further down
+    is the lift of a level n - 1 point.  Lifting is injective, so level n
+    has len(level n) - len(level n - 1) new points.
 
     q and r must be primes distinct from each other and from p; r = 2 is
     accepted here (the tower identification is generic in r) even though
-    the rank statements need r = 3 mod 4.
+    the rank statements need r = 3 mod 4.  Every level's exponent and
+    bounds are checked (WorkBound) before the first search.
     """
     if not (is_prime(q) and is_prime(r)) or len({p, q, r}) != 3:
         raise BadModulus(f"q = {q}, r = {r} must be primes distinct from p = {p}")
     if n_max < 0 or bounds[0] < 0 or bounds[1] < 0:
         raise ValueError("n_max and bounds must be >= 0")
     ctx = field_ctx(p, a)
-    num_deg, den_deg = bounds
-    report = StabilizationReport(0)
-    prev: list[ECPoint] = []
+    levels = []
     for n in range(n_max + 1):
-        scale = r ** n
-        curve = CurveParams(ctx, q * scale)
-        pts = point_search(curve, num_deg * scale, den_deg * scale, workers=workers)
-        lifted = {ECPoint.affine(poly_subs_monomial(pt.x, r), poly_subs_monomial(pt.y, r))
-                  for pt in prev}
-        new = [pt for pt in pts if pt not in lifted]
-        if new:  # at n = 0 nothing is lifted, and n_est stays 0
+        scaled = [b * r ** n for b in bounds]
+        levels.append((CurveParams(ctx, q * r ** n), scaled))
+        _check_search_work(ctx, *scaled)
+    report = StabilizationReport(0)
+    prev = 0
+    for n, (curve, scaled) in enumerate(levels):
+        pts = point_search(curve, *scaled, workers=workers)
+        if len(pts) > prev:  # at n = 0 nothing is lifted, and n_est stays 0
             report.n_est = n
         report.levels.append({
-            "n": n, "curve_exponent": q * scale,
-            "bounds": [num_deg * scale, den_deg * scale],
+            "n": n, "curve_exponent": curve.N, "bounds": scaled,
             "points": [format_point(pt) for pt in pts],
-            "new_count": len(new),
+            "new_count": len(pts) - prev,
         })
-        prev = pts
+        prev = len(pts)
     return report

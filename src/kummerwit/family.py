@@ -24,18 +24,23 @@ of the roots of f: for each irreducible factor h of multiplicity m, the
 factor q_h(s^n) (q_h the minimal polynomial of alpha^n for a root alpha of
 h) is included with the least exponent k such that h^m divides q_h(s^n)^k.
 q_h is the product of X - beta over the Frobenius orbit beta, beta^q, ...
-of alpha^n, computed in F_q[s]/(h).
+of alpha^n, computed in F_q[s]/(h).  h divides q_h(s^n) n times when h = s
+(q_h = X), else p^v times for n = p^v*n', p !| n': q_h(s^n) = g(s^n')^(p^v),
+g the separable p^v-th root of q_h, with alpha a simple root of g(s^n') (n',
+alpha, g'(alpha^n') != 0).  deg f*fbar <= n deg f (deg q_h <= deg h, k <= m),
+held to DEGREE_MAX (WorkBound).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .base_algebra.grammar import format_poly
-from .base_algebra.poly import Poly, _barrett, _powmod, factor, poly_lcm, poly_valuation
+from .base_algebra.poly import DEGREE_MAX, Poly, _barrett, _powmod, factor, poly_lcm
 from .base_algebra.ratfunc import RatFunc, ratfunc_sqrt
 from .curve_ff import CurveParams, ECPoint, _add_step, _candidates, _check_search_work, is_torsion
-from .errors import DistinctnessFailure, TorsionPoint, ZeroInput
+from .errors import DistinctnessFailure, TorsionPoint, WorkBound, ZeroInput
 
 
 @dataclass
@@ -133,21 +138,19 @@ def family_grow(pt: ECPoint, curve: CurveParams, n_target: int) -> tuple[Poly, F
 
 
 def polynomial_in_powers(f: Poly, n: int) -> Poly:
-    """Monic fbar != 0 with f * fbar in F_q[s^n]."""
+    """Monic fbar != 0 with f * fbar in F_q[s^n]; 1 for a constant f (no factor)."""
     if f.is_zero():
         raise ZeroInput("f must be nonzero")
     if n < 1:
         raise ValueError("n must be >= 1")
-    ctx = f.ctx
-    if f.is_constant():
-        return Poly.one(ctx)
-    multiple = Poly.one(ctx)
+    if f.degree() * n > DEGREE_MAX:
+        raise WorkBound(f"deg f * n = {f.degree() * n} exceeds the degree cap {DEGREE_MAX}")
+    p_part = gcd(n, f.ctx.p ** n.bit_length())  # p^v for n = p^v * n', p !| n'
+    multiple = Poly.one(f.ctx)
     for h, mult in factor(f):
-        qh = _minimal_poly_of_root_power(h, n)
-        qh_n = qh.compose_monomial(n)
-        # least k with h^mult dividing qh(s^n)^k
-        w = poly_valuation(qh_n, h)
-        k = -(-mult // w)
+        qh_n = _minimal_poly_of_root_power(h, n).compose_monomial(n)
+        # least k with h^mult dividing qh(s^n)^k; h = s has multiplicity n
+        k = -(-mult // (p_part if h.coeffs[0] else n))
         multiple = multiple * qh_n ** k
     quot, rem = divmod(multiple, f)
     assert rem.is_zero(), "complement construction must divide exactly"

@@ -296,21 +296,19 @@ def s_local_conditions(c: RatFunc, x: RatFunc, d: RatFunc, ell: int,
     """(theta, b_margin) over the place set S.
 
     theta:    v_P(c - 1) > 0 at every P in S;
-    b_margin: v_P(d * x^l) > v_P(d^l) at every P in S.
-    Vanishing elements count as satisfying the strict inequalities.
+    b_margin: v_P(d * x^l) > v_P(d^l) at every P in S, as v(d) + l*v(x) > l*v(d).
+    Vanishing elements count as satisfying the strict inequalities; at
+    d = 0 both sides are infinite and strictness fails.
     """
     if not places:
         raise ValueError("S must be nonempty")
     cm1 = c - RatFunc.one(ctx)
-    lhs = d * x ** ell
-    rhs = d ** ell
     theta = True
-    margin = True
+    margin = bool(d)
     for place in places:
-        if not cm1.is_zero() and valuation(cm1, place) <= 0:
+        if cm1 and valuation(cm1, place) <= 0:
             theta = False
-        if rhs.is_zero():
-            margin = False  # d = 0: both valuations infinite, strictness fails
-        elif not lhs.is_zero() and valuation(lhs, place) <= valuation(rhs, place):
-            margin = False
+        if margin and x:
+            vd = valuation(d, place)
+            margin = vd + ell * valuation(x, place) > ell * vd
     return theta, margin

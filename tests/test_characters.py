@@ -9,6 +9,7 @@ from kummerwit.characters import (Character, Cyclotomic, balance_witness,
                                   char_props, characters_enum,
                                   cyclotomic_polynomial, is_balanced,
                                   is_balanced_fast, legendre_symbol, unit_group)
+from kummerwit.base_algebra.intarith import factorint, multiplicative_order
 from kummerwit.errors import BadModulus, NotCoprime, WorkBound
 
 
@@ -337,3 +338,22 @@ def test_legendre_symbol():
     assert legendre_symbol(7, 7) == 0
     with pytest.raises(BadModulus):
         legendre_symbol(2, 9)
+
+
+def test_unit_group_lift_matches_prime_power_branch():
+    """One CRT lift: at m = p^k the formula gives g itself, as the former
+    other == 1 branch did; elsewhere g mod p^k and 1 mod m/p^k."""
+    for m in range(3, 2000):
+        gens = unit_group(m)[0]
+        comps = []
+        for p, k in sorted(factorint(m).items()):
+            pk = p ** k
+            if p == 2 and k > 1:
+                comps += [(4, 3, 2)] if k == 2 else [(pk, pk - 1, 2), (pk, 5, pk // 4)]
+            elif p > 2:
+                comps.append((pk, characters._primitive_root(p, k), pk - pk // p))
+        old = [g % m if m == pk else (1 + m // pk * pow(m // pk, -1, pk) * (g - 1)) % m
+               for pk, g, _ in comps]
+        assert gens == tuple(zip(old, [order for *_, order in comps])), m
+    for x in range(1, 20):  # m = 1 needs no case
+        assert multiplicative_order(x, 1) == 1

@@ -1,9 +1,12 @@
 import json
+import re
 import time
 
 import pytest
 
+from kummerwit import curve_ff
 from kummerwit.base_algebra import field_ctx, parse_poly
+from kummerwit.base_algebra.poly import DEGREE_MAX
 from kummerwit.base_algebra.places import TOWER_DEGREE_MAX
 from kummerwit.characters import BALANCE_MODULUS_MAX, UNIT_GROUP_MAX
 from kummerwit.cli import build_parser, dispatch
@@ -342,3 +345,59 @@ def test_family_default_exponent_is_searched_q(capsys):
     code, recs = run_cli(capsys, "family", "members", "-p", "3",
                          "--lambda", "1", "--deg-bound", "0")
     assert code == 0 and recs[0]["curve_exponent"] == 7
+
+
+def test_stabilize_refuses_before_it_searches(capsys, monkeypatch):
+    # levels 0 and 1 are within the candidate cap and level 2 is not: nothing is searched
+    def no_search(*args, **kwargs):
+        raise AssertionError("point_search called before every level was checked")
+    monkeypatch.setattr(curve_ff, "point_search", no_search)
+    start = time.perf_counter()
+    assert dispatch(["curve", "stabilize", "-p", "3", "-a", "1", "-q", "11", "-r", "2",
+                     "--n-max", "2", "--num-deg", "6", "--den-deg", "2"]) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: WorkBound: ") and "(24, 8)" in err, err
+
+
+def _dense_degrees(args, argv) -> list[int]:
+    """Every degree the degree cap sees for parsed args: the exponents of the
+    literals, the curve exponent of each curve, deg f * n of poly-powers."""
+    out = [int(k) for text in argv for k in re.findall(r"s\^(\d+)", text)]
+    if getattr(args, "N", None) is not None:
+        out.append(args.N)
+    if getattr(args, "action", None) == "stabilize":
+        out += [args.q * args.r ** n for n in range(args.n_max + 1)]
+    if getattr(args, "action", None) == "poly-powers":
+        out.append(parse_poly(args.f, field_ctx(args.p, args.a or 1)).degree() * args.n)
+    return out
+
+
+def test_golden_and_benchmark_degrees_under_degree_cap():
+    """Every golden and perfbench (seeds 0-4) degree stays under the cap, which
+    also lets a printed 32P of the golden curve mul point parse back
+    (deg y(32P) = 5,532)."""
+    parser = build_parser()
+    argvs = [argv for w in ("poly", "curve", "balance") for argv in _golden_and_benchmark_argvs(w)]
+    degrees = [k for argv in argvs for k in _dense_degrees(parser.parse_args(argv), argv)]
+    assert len(degrees) > 1000 and max(degrees) <= DEGREE_MAX
+    assert DEGREE_MAX > 5532
+    assert parse_poly(f"1*s^{DEGREE_MAX}+1", field_ctx(3, 1)).degree() == DEGREE_MAX
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "torsion", "-p", "3", "-N", "1000000000"],
+    ["curve", "j", "-p", "3", "-N", "1000000000"],
+    ["family", "poly-powers", "-p", "3", "--f", "1*s+1", "-n", "1000000000"],
+    ["family", "poly-powers", "-p", "3", "--f", "1*s^1000000000", "-n", "1"],
+    ["curve", "search", "-p", "3", "-N", "10001", "--num-deg", "0", "--den-deg", "0"],
+    ["curve", "stabilize", "-p", "3", "-q", "5", "-r", "2", "--n-max", "1000000000",
+     "--num-deg", "0", "--den-deg", "0"],
+])
+def test_dense_degree_work_bound_exit_2(capsys, argv):
+    # above DEGREE_MAX: refused before any dense tuple is allocated
+    start = time.perf_counter()
+    assert dispatch(argv) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: WorkBound: ") and "degree cap" in err, err

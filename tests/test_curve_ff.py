@@ -309,3 +309,16 @@ def test_candidate_count_matches_enumerator():
                 assert curve_ff._candidate_count(ctx.q, num_deg, den_deg) == walked
     assert curve_ff._candidate_count(3, 6, 2) == 425
     assert curve_ff._candidate_count(3, 14, 4) > curve_ff.SEARCH_CANDIDATES_MAX
+
+
+@pytest.mark.parametrize("p,a,N,bounds", [(3, 1, 2, (3, 2)), (3, 1, 5, (6, 2)), (5, 1, 3, (3, 2)),
+                                          (7, 1, 4, (3, 2)), (3, 2, 2, (2, 2))])
+def test_is_torsion_matches_two_torsion_membership(p, a, N, bounds):
+    """O or y = 0 against membership in the four-point list, on searched
+    points, their small multiples and the list itself."""
+    curve = curve_make(field_ctx(p, a), N)
+    pts = point_search(curve, *bounds)
+    pts += [ec_mul(k, pt, curve) for pt in pts[:8] for k in (2, 3, 4)] + two_torsion(curve)
+    assert any(is_torsion(pt, curve) for pt in pts) and not all(is_torsion(pt, curve) for pt in pts)
+    for pt in pts:
+        assert is_torsion(pt, curve) == (pt in two_torsion(curve)), pt

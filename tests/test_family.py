@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from kummerwit import family
 from kummerwit.base_algebra import (FF, Poly, RatFunc, all_polys, factor, field_ctx,
                                     irreducibles, parse_point)
-from kummerwit.base_algebra.poly import poly_lcm
+from kummerwit.base_algebra.poly import poly_lcm, poly_valuation
 from kummerwit.curve_ff import ECPoint, curve_make, ec_mul, is_torsion, point_search
 from kummerwit.errors import DistinctnessFailure, TorsionPoint, ZeroInput
 from kummerwit.family import (_minimal_poly_of_root_power, family_grow, family_members,
@@ -298,3 +299,42 @@ def test_minimal_poly_of_root_power_matches_elimination(p, a, max_deg):
         for h in irreducibles(ctx, d):
             for n in range(1, 11):
                 assert _minimal_poly_of_root_power(h, n) == elimination_minimal_poly(h, n), (h, n)
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (5, 1), (3, 2)])
+def test_root_power_multiplicity_formula(p, a):
+    """h divides q_h(s^n) exactly n times for h = s and p^v_p(n) times
+    otherwise, for n <= 30, against poly_valuation."""
+    ctx = field_ctx(p, a)
+    hs = [h for d in (1, 2) for h in list(irreducibles(ctx, d))[:5]]
+    assert Poly.gen(ctx) in hs
+    for h in hs:
+        for n in range(1, 31):
+            qh_n = _minimal_poly_of_root_power(h, n).compose_monomial(n)
+            p_part = p ** next(v for v in itertools.count() if n % p ** (v + 1))
+            assert poly_valuation(qh_n, h) == (n if h == Poly.gen(ctx) else p_part), (h, n)
+
+
+def polynomial_in_powers_by_valuation(f, n):
+    """polynomial_in_powers as it was: a constant-f branch, and each
+    multiplicity read off by poly_valuation."""
+    ctx = f.ctx
+    if f.is_constant():
+        return Poly.one(ctx)
+    multiple = Poly.one(ctx)
+    for h, mult in factor(f):
+        qh_n = _minimal_poly_of_root_power(h, n).compose_monomial(n)
+        multiple = multiple * qh_n ** -(-mult // poly_valuation(qh_n, h))
+    return (multiple // f).monic()
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (5, 1), (3, 2)])
+def test_polynomial_in_powers_matches_valuation_form(p, a):
+    ctx = field_ctx(p, a)
+    rng = random.Random(300 + p + a)
+    s = Poly.gen(ctx)
+    for _ in range(12):
+        f = rand_poly(ctx, rng, 4, nonzero=True)
+        for g in (f, f * s ** rng.randrange(1, 4), f ** p):
+            for n in (1, 2, p, 2 * p, p * p, 7):
+                assert polynomial_in_powers(g, n) == polynomial_in_powers_by_valuation(g, n), (g, n)

@@ -249,3 +249,21 @@ def test_log_tables_match_tuple_oracle(p, a, modulus):
     assert field_ctx(p, a, modulus).logs() is ctx.logs()
     if modulus is not None:
         assert field_ctx(p, a).logs() != ctx.logs()
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (7, 1), (11, 1), (19, 1), (3, 3)])
+def test_sqrt_matches_three_mod_four_branch(p, a):
+    """For q = 3 mod 4 Tonelli-Shanks returns what the former branch did: the
+    root x^((q+1)/4) of a square, None for a non-square, on every element."""
+    ctx = field_ctx(p, a)
+    assert ctx.q % 4 == 3
+    for x in ctx.elements():
+        r = x ** ((ctx.q + 1) // 4)
+        assert x.sqrt() == (r if r * r == x else None), x
+
+
+def test_field_ctx_is_built_once_per_field():
+    assert field_ctx(3, 2) is field_ctx(3, 2)
+    assert field_ctx(3, 2)._prime is field_ctx(3, 1)
+    supplied = field_ctx(5, 2, last_rootless(5, 2))
+    assert supplied is field_ctx(5, 2, last_rootless(5, 2)) and supplied != field_ctx(5, 2)

@@ -226,3 +226,39 @@ def test_s_local_conditions(f7):
     assert s_local_conditions(one, t, t, 3, inf, f7)[0] is True  # c = 1 exactly
     with pytest.raises(ValueError):
         s_local_conditions(one, one, one, 3, [], f7)
+
+
+def s_local_with_powers(c, x, d, ell, places, ctx):
+    """s_local_conditions as it was, on the built powers d*x^l and d^l."""
+    cm1 = c - RatFunc.one(ctx)
+    lhs, rhs = d * x ** ell, d ** ell
+    theta = margin = True
+    for place in places:
+        if not cm1.is_zero() and valuation(cm1, place) <= 0:
+            theta = False
+        if rhs.is_zero():
+            margin = False
+        elif not lhs.is_zero() and valuation(lhs, place) <= valuation(rhs, place):
+            margin = False
+    return theta, margin
+
+
+def test_s_local_conditions_match_the_product_form(f7):
+    """Sums of valuations against valuations of the products, with zeros."""
+    rng = random.Random(211)
+    places = small_places(f7, max_deg=1)
+    one = Poly.one(f7)
+
+    def rand_rf():
+        if rng.random() < 0.2:
+            return RatFunc.zero(f7)
+        num = rand_poly(f7, rng, 3, nonzero=True)
+        return RatFunc(num, rand_poly(f7, rng, 2, nonzero=True) if rng.random() < 0.5 else one)
+
+    for _ in range(300):
+        c, x, d = rand_rf(), rand_rf(), rand_rf()
+        if rng.random() < 0.1:
+            c = RatFunc.one(f7)
+        S = rng.sample(places, rng.randrange(1, 4))
+        ell = rng.choice((2, 3, 5))
+        assert s_local_conditions(c, x, d, ell, S, f7) == s_local_with_powers(c, x, d, ell, S, f7)

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import islice
 
@@ -8,7 +9,8 @@ from kummerwit.base_algebra import (FF, NEG_INF, Poly, all_polys, crt, factor,
                                     poly_ext_gcd, poly_gcd,
                                     squarefree_decomposition)
 from kummerwit.base_algebra.intarith import factorint
-from kummerwit.base_algebra.poly import poly_valuation
+from kummerwit.base_algebra.poly import (_barrett, _ddf, _powmod, _pth_root, _rand_elem,
+                                         poly_valuation)
 from kummerwit.errors import BothZero, NotCoprime
 
 
@@ -273,3 +275,98 @@ def test_is_irreducible_matches_rabin_high_degree(p, a, degs):
     assert rabin_is_irreducible(h) and is_irreducible(h.scale(FF(ctx, rng.randrange(1, ctx.q))))
     for f in (h * h, h * h * g, h * g):
         assert not is_irreducible(f) and not rabin_is_irreducible(f)
+
+
+# -- the factorization's former special cases, kept as oracles ---------------------
+
+
+def edf_with_early_exits(f, d, rng):
+    """_edf as it was before one gcd per try: it skipped a constant h, split on
+    gcd(h, f) first, and skipped h^((q^d-1)/2) = 1."""
+    n = f.degree()
+    if n == d:
+        return [f]
+    ctx = f.ctx
+    exponent = (ctx.q ** d - 1) // 2
+    finv = _barrett(ctx, f.coeffs)
+    while True:
+        h = Poly(ctx, tuple(_rand_elem(ctx, rng) for _ in range(n)))
+        if h.is_constant():
+            continue
+        g = poly_gcd(h, f)
+        if not g.is_one() and g != f:
+            break
+        g = Poly(ctx, _powmod(ctx, h.coeffs, exponent, f.coeffs, finv)) - Poly.one(ctx)
+        if not g:
+            continue
+        g = poly_gcd(g, f)
+        if not g.is_one() and g != f:
+            break
+    return sorted(edf_with_early_exits(g, d, rng) + edf_with_early_exits(f // g, d, rng),
+                  key=Poly.sort_key)
+
+
+def factor_with_early_exits(f, seed):
+    rng = random.Random(seed)
+    out = [(irr, e) for g, e in squarefree_decomposition(f) for part, d in _ddf(g)
+           for irr in edf_with_early_exits(part, d, rng)]
+    return sorted(out, key=lambda kv: (kv[0].sort_key(), kv[1]))
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_factor_matches_early_exit_edf(p, a):
+    """factor against the early-exit _edf on random polynomials and on products
+    of equal-degree irreducibles, where every split is an equal-degree one."""
+    ctx = field_ctx(p, a)
+    rng = random.Random(70 + 10 * p + a)
+    pools = {d: list(islice(irreducibles(ctx, d), 12)) for d in (1, 2, 3)}
+    cases = [rand_poly(ctx, rng, 10, nonzero=True) for _ in range(15)]
+    cases += [math.prod(rng.sample(pool, min(4, len(pool))), start=Poly.one(ctx))
+              for pool in pools.values() for _ in range(3)]
+    for f in cases:
+        for seed in (0, 1, 5):
+            assert factor(f, seed) == factor_with_early_exits(f, seed), (f, seed)
+
+
+def squarefree_with_branches(f):
+    """squarefree_decomposition as it was with its vanishing-derivative branch,
+    its constant-c case and its guarded tail call."""
+    out = {}
+
+    def accumulate(g, mult):
+        if g.is_constant():
+            return
+        d = g.derivative()
+        if d.is_zero():
+            accumulate(_pth_root(g), mult * g.ctx.p)
+            return
+        c = poly_gcd(g, d)
+        w = g // c
+        i = 1
+        while not w.is_one():
+            y = poly_gcd(w, c) if not c.is_constant() else Poly.one(g.ctx)
+            z = w // y
+            if not z.is_constant():
+                out[z.monic()] = out.get(z.monic(), 0) + i * mult
+            w = y
+            c = c // y
+            i += 1
+        if not c.is_constant():
+            accumulate(_pth_root(c), mult * g.ctx.p)
+
+    accumulate(f.monic(), 1)
+    return sorted(out.items(), key=lambda kv: kv[0].sort_key())
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (5, 1), (3, 2)])
+def test_squarefree_matches_yun_with_branches(p, a):
+    """Products with p-th-power and p^2-th-power parts, whole p-th powers and
+    constants, against the former branches."""
+    ctx = field_ctx(p, a)
+    rng = random.Random(90 + p + a)
+    for _ in range(30):
+        parts = [rand_poly(ctx, rng, 3, nonzero=True) for _ in range(4)]
+        exps = [rng.choice((1, 2, p, 2 * p, p + 1, p * p)) for _ in parts]
+        f = math.prod((g ** e for g, e in zip(parts, exps)), start=Poly.one(ctx))
+        for g in (f, f ** p, parts[0]):
+            assert squarefree_decomposition(g) == squarefree_with_branches(g), g
