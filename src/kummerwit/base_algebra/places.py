@@ -6,50 +6,54 @@ F_q[s]/(pi), of size q^deg(pi); at infinity it is F_q itself.
 
 Place.finite validates: it makes pi monic and checks irreducibility.  The
 constructor only stores pi, so factor_place_in_tower builds places straight
-from factor's output, which is monic and irreducible already.
+from its split, whose factors are monic and irreducible already.
 
 factor_place_in_tower computes how a place splits when s is replaced by an
-r^n-th root: for a finite place this is the factorization of pi(s^(r^n));
-the infinite place is totally ramified at every level.  It hands factor the
-degrees a factor can have, by this lemma (for binomials see Lidl and
-Niederreiter, Finite Fields, ch. 3):
+r^n-th root, r a prime other than p.  Infinity and s are totally ramified
+at every level.  For pi != s, pi(s^(r^n)) is squarefree (pi(0) != 0), and
+it splits level by level: the factors at level i + 1 are those of h(s^r)
+for the factors h at level i.  Let deg h = k, Q = q^k, alpha a root of h,
+so F_q(alpha) = F_Q, and beta an r-th root of alpha, so F_q(beta) =
+F_Q(beta).  By Kummer theory (Lang, Algebra, VI.9.1; Lidl and Niederreiter,
+Finite Fields, Thm 3.35):
 
-  Let pi != s be monic irreducible of degree k over F_q, m = r^n with r a
-  prime other than p, Q = q^k and o = ord_r(Q).  Every irreducible factor
-  of pi(s^m) has degree k*j with j = 1 or j = o*r^i <= m.
+(a) r does not divide Q - 1.  x -> x^r is a bijection of F_Q^x, so each
+    conjugate of alpha has one r-th root in F_Q: they make the one factor of
+    degree k, gcd(h(s^r), s^Q - s).  The other roots, beta*zeta with
+    zeta^r = 1 != zeta, generate F_Q(zeta) = F_(Q^o), o = ord_r(Q): the
+    rest has factors of degree k*o.
+(b) r | Q - 1 and alpha^((Q-1)/r) = 1: alpha is an r-th power, and F_Q
+    holds the r-th roots of unity, so h(s^r) has r factors of degree k.
+(c) r | Q - 1 and alpha is not an r-th power: x^r - alpha is irreducible
+    over F_Q, so h(s^r) is irreducible over F_q.  As v_r(ord alpha) =
+    v_r(Q - 1), v_r(ord beta) = v_r(Q - 1) + 1, which is v_r(Q^r - 1) for r
+    odd, and for r = 2 when Q = 1 mod 4: beta is not an r-th power in
+    F_(Q^r), and (c) holds at every level above, so h(s^(r^j)) is
+    irreducible for all j.  For r = 2 and Q = 3 mod 4, h(s^2) is tested
+    again one level up.
 
-  Proof.  Let beta be a root and alpha = beta^m.  Then F_q(alpha) = F_Q lies
-  in F_q(beta), and j = [F_Q(beta) : F_Q] is the order of Q modulo
-  ord(beta).  ord(beta) divides m*(Q - 1), so its part prime to r divides
-  Q - 1 and j = ord_{r^c}(Q), r^c the r-part of ord(beta).  That is 1 for
-  c = 0; else it is o*r^i, as the kernel of (Z/r^c)^x -> (Z/r)^x is an
-  r-group (for r = 2, o = 1).  And j <= m, the degree of beta over F_Q.
-  For pi = s, pi(s^m) = s^m has the one factor s, of degree 1 = k.
-
-A finite place's tower work is that of factoring pi(s^(r^n)), of degree
-deg(pi) * r^n.  factor_place_in_tower refuses that degree (r^n at infinity)
-above TOWER_DEGREE_MAX before composing.
+So a factor takes at most one residue power test per level, and one in (c)
+is composed straight to level n.  The factorization is unique and sorted,
+so _edf's random draws do not show.
 
 boundedness_probe asks for a chain of places up the s -> s^(1/r) tower to
 level n_max with every local degree e*f prime to l, a prime outside {p, r}.
-One exists, as each place has one above it with e*f = 1 or a power of r.
-At infinity and at s the one place above has e*f = r and lies there again.
-A finite pi != s of degree k has pi(s^r) squarefree (pi(0) != 0, r != p), so
-e = 1 and f = j of the lemma, with Q = q^k.  If r does not divide Q - 1,
-x -> x^r is a bijection of F_Q^x, so a root of pi has an r-th root in F_Q:
-j = 1.  Else o = 1 and every j is a power of r.  The factors are prime to s,
-and induction on the level gives the chain.
+One exists, as each place has one above it with e*f = 1 or r: at infinity
+and s, e = r and f = 1; above pi != s, e = 1, and (a) or (b) gives f = 1
+and (c) f = r, at a place prime to s.  Induction on the level gives the
+chain.
 """
 
 from __future__ import annotations
 
+import random
 from math import gcd
 
 from ..errors import BadEll, WorkBound, ZeroInput
 from .fields import FieldCtx
 from .grammar import format_place
 from .intarith import is_prime, multiplicative_order
-from .poly import Poly, factor, is_irreducible, poly_ext_gcd, poly_valuation
+from .poly import Poly, _edf, is_irreducible, poly_ext_gcd, poly_gcd, poly_valuation
 from .ratfunc import RatFunc
 
 
@@ -181,32 +185,31 @@ def place_data(x: RatFunc, place: Place, ell: int, ctx: FieldCtx):
     return v, residue, rf.is_nth_power(residue, ell)
 
 
-# The largest degree of pi(s^(r^n)) the tower commands factor: 3^7.  It
-# bounds the degree, not the time, which grows with q and with the largest
-# factor degree: at pi = s + 1 (Python 3.11, one core of a 2-CPU machine),
-# degree 2187 took 0.65 s over F_5 and 6.0 s over F_13 (r = 3), degree 2048
-# took 3.2 s over F_3 and 8.2 s over F_7 (r = 2), and 625 took 5.5 s over
-# F_9 (r = 5); 6561 over F_5 (r = 3) took 5.0 s.
+# The largest degree of pi(s^(r^n)) the tower commands factor: 3^7.  The time
+# grows with the number of factors and with deg(pi) * log q, not with r^n (one
+# core of a 2-CPU machine, Python 3.11): s + 1 took 0.2-2.4 ms at the cap over
+# F_5, F_7, F_9, F_11 and F_13, the 99 factors of s^2187 - 1 over F_109 27 ms,
+# and a dense pi of degree 1024 over F_13 (r = 2, n = 1) 80 s, one _edf split.
 TOWER_DEGREE_MAX = 2187
 
 
 def _check_tower_work(k: int, r: int, n: int) -> None:
-    """Raise WorkBound when k * r^n exceeds TOWER_DEGREE_MAX."""
+    """Raise ValueError when n < 0, and WorkBound when n >= 1 and k * r^n
+    exceeds TOWER_DEGREE_MAX."""
+    if n < 0:
+        raise ValueError("tower level must be >= 0")
     # r >= 2, so a level beyond the cap's bit length is over it
-    if n > TOWER_DEGREE_MAX.bit_length() or k * r ** n > TOWER_DEGREE_MAX:
+    if n and (n > TOWER_DEGREE_MAX.bit_length() or k * r ** n > TOWER_DEGREE_MAX):
         raise WorkBound(f"{k} * {r}^{n} exceeds the tower degree cap {TOWER_DEGREE_MAX}")
 
 
-def tower_degrees(k: int, q: int, r: int, m: int) -> list[int]:
-    """The degrees k*j, j = 1 or o*r^i <= m with o = ord_r(q^k), that the
-    module docstring's lemma allows for a factor of pi(s^m), deg pi = k;
-    ascending.  r is a prime other than p, so q^k is a unit mod r."""
-    j = multiplicative_order(pow(q, k, r), r)  # o
-    degrees = [k] if j > 1 else []
-    while j <= m:
-        degrees.append(k * j)
-        j *= r
-    return degrees
+def check_tower_factor(k: int, r: int, n: int, ctx: FieldCtx) -> None:
+    """factor_place_in_tower's checks on a place of degree k, in order: r a
+    prime other than p (BadEll), then _check_tower_work.  They need only k,
+    so a caller can run them before Place.finite tests irreducibility."""
+    if not is_prime(r) or r == ctx.p:
+        raise BadEll(f"r = {r} must be a prime different from p = {ctx.p}")
+    _check_tower_work(k, r, n)
 
 
 def factor_place_in_tower(place: Place, r: int, n: int,
@@ -214,40 +217,47 @@ def factor_place_in_tower(place: Place, r: int, n: int,
     """Places above a place of F_q(t) in F_q(s) with t = s^(r^n).
 
     Returns [(place above, e, f)] with e the ramification index and f the
-    residue degree; the local degrees satisfy sum(e_i * f_i) = r^n.  Raises
-    WorkBound when deg(pi) * r^n exceeds TOWER_DEGREE_MAX (deg = 1 at
-    infinity).
+    residue degree, sorted by the places' polynomials; the local degrees
+    satisfy sum(e_i * f_i) = r^n.  Raises WorkBound when deg(pi) * r^n
+    exceeds TOWER_DEGREE_MAX (deg = 1 at infinity).  The split is the
+    module docstring's, level by level.
     """
-    if not is_prime(r) or r == ctx.p:
-        raise BadEll(f"r = {r} must be a prime different from p = {ctx.p}")
-    if n < 0:
-        raise ValueError("tower level must be >= 0")
+    check_tower_factor(place.degree(), r, n, ctx)
     if n == 0:
         return [(place, 1, 1)]
-    _check_tower_work(place.degree(), r, n)
-    m = r ** n
-    if place.is_infinite:
-        return [(place, m, 1)]
-    composed = place.poly.compose_monomial(m)
-    base_deg = place.poly.degree()
-    # factor's order is the places' order: the factors are distinct
-    out = [(Place(irr), mult, irr.degree() // base_deg)
-           for irr, mult in factor(composed, degrees=tower_degrees(base_deg, ctx.q, r, m))]
-    assert sum(e * f for _, e, f in out) == m
+    if place.is_infinite or not place.poly.coeffs[0]:  # infinity, or pi = s
+        return [(place, r ** n, 1)]
+    s, rng = Poly.gen(ctx), random.Random(0)
+    done, level = [], [place.poly]  # level: the factors of pi(s^(r^i))
+    for i in range(n):
+        above = []
+        for h in level:
+            k, big_q, up = h.degree(), ctx.q ** h.degree(), h.compose_monomial(r)
+            if (big_q - 1) % r:  # (a)
+                g = poly_gcd(up, s.powmod(big_q, up) - s)
+                above += [g] + _edf(up // g, k * multiplicative_order(big_q, r), rng)
+            elif ResidueField(ctx, Place(h)).is_nth_power(s % h, r):  # (b)
+                above += _edf(up, k, rng)
+            elif r == 2 and big_q % 4 == 3:  # (c), split again one level up
+                above.append(up)
+            else:  # (c), irreducible at every level
+                done.append(h.compose_monomial(r ** (n - i)))
+        level = above
+    out = [(Place(g), 1, g.degree() // place.degree())
+           for g in sorted(done + level, key=Poly.sort_key)]
+    assert sum(e * f for _, e, f in out) == r ** n
     return out
 
 
 def boundedness_probe(place: Place, r: int, ell: int, n_max: int,
                       ctx: FieldCtx) -> bool:
-    """True: by the module docstring's lemma, a chain of places up the
+    """True: by the module docstring's split, a chain of places up the
     s -> s^(1/r) tower to level n_max with each e*f prime to ell exists.
     Checks in order: ell a prime outside {p, r} (BadEll), n_max >= 0, r^n_max
     <= TOWER_DEGREE_MAX (WorkBound), r a prime other than p (BadEll).  ell and
     place (validated when built) are checked but do not change the answer."""
     if not is_prime(ell) or ell == ctx.p or ell == r:
         raise BadEll(f"l = {ell} must be a prime outside {{p, r}}")
-    if n_max < 0:
-        raise ValueError("tower level must be >= 0")
     _check_tower_work(1, r, n_max)
     if not is_prime(r) or r == ctx.p:
         raise BadEll(f"r = {r} must be a prime different from p = {ctx.p}")

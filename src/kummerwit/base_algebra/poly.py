@@ -49,10 +49,9 @@ Factorization is squarefree decomposition (characteristic-p aware), then
 distinct-degree splitting (lazy, by increasing degree), then randomized
 equal-degree splitting with a caller-fixed seed, so factor lists are
 deterministic.  Each stage has one path, which its edge cases fall through
-(see squarefree_decomposition, _ddf and _edf).  A caller that knows the
-possible factor degrees can hand them to factor, and the distinct-degree
-split then takes a gcd only at those (places.py does for pi(s^(r^n))).
-is_irreducible reads only the first distinct-degree part.
+(see squarefree_decomposition, _ddf and _edf).  is_irreducible reads only
+the first distinct-degree part.  places.py splits pi(s^(r^n)) by Kummer
+theory instead, with _edf for its equal-degree parts.
 """
 
 from __future__ import annotations
@@ -834,37 +833,25 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return sorted(out.items(), key=lambda kv: kv[0].sort_key())
 
 
-def _ddf(f: Poly, degrees=None):
+def _ddf(f: Poly):
     """Distinct-degree split of a monic polynomial, lazily: yields (part, d)
     by increasing d, part the product of the degree-d irreducible factors
     when f is squarefree.  For any monic f the first part is (f, deg f)
-    exactly when f is irreducible (see is_irreducible).
-
-    degrees, when given, is a sorted list that the caller proves holds the
-    degree of every irreducible factor of f.  The Frobenius power still steps
-    once per d, but the gcd is taken only at listed d.  The split stops and
-    yields the rest whole as soon as the next degree to try (the next listed
-    one, or d + 1 without a list) exceeds half the rest's degree: the rest
-    is then irreducible, since a reducible rest has a factor of degree at
-    most half its own, and every factor degree below the next one to try
-    has been split off already."""
+    exactly when f is irreducible (see is_irreducible).  Once 2d exceeds
+    the rest's degree the rest is irreducible, as its factors have degree d
+    or more, and it is yielded whole."""
     ctx = f.ctx
     s = Poly.gen(ctx)
     h = s % f
     d = 0
     rest = f
     rinv = _barrett(ctx, rest.coeffs)  # kept while rest is unchanged
-    pending = iter(degrees) if degrees is not None else itertools.count(1)
-    target = next(pending, None)
     while rest.degree() > 0:
-        if target is None or 2 * target > rest.degree():
+        d += 1
+        if 2 * d > rest.degree():
             yield rest, rest.degree()
             return
-        d += 1
         h = Poly(ctx, _powmod(ctx, h.coeffs, ctx.q, rest.coeffs, rinv))
-        if d < target:
-            continue
-        target = next(pending, None)
         g = poly_gcd(h - s, rest)  # gcd(0, rest) = rest
         if not g.is_one():
             yield g, d
@@ -896,20 +883,17 @@ def _rand_elem(ctx: FieldCtx, rng: random.Random) -> int:
     return ctx._code([rng.randrange(ctx.p) for _ in range(ctx.a)])
 
 
-def factor(f: Poly, seed: int = 0, degrees=None) -> list[tuple[Poly, int]]:
+def factor(f: Poly, seed: int = 0) -> list[tuple[Poly, int]]:
     """Full factorization into monic irreducibles with multiplicities.
 
-    Deterministic for a fixed seed; factors sorted canonically.  degrees,
-    when given, is a sorted list that the caller proves holds the degree of
-    every irreducible factor of f; the distinct-degree split then takes a
-    gcd only at those degrees (see _ddf).  The factors are the same.
+    Deterministic for a fixed seed; factors sorted canonically.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     rng = random.Random(seed)
     out = []
     for g, e in squarefree_decomposition(f):
-        for part, d in _ddf(g, degrees):
+        for part, d in _ddf(g):
             for irr in _edf(part, d, rng):
                 out.append((irr, e))
     return sorted(out, key=lambda kv: (kv[0].sort_key(), kv[1]))

@@ -26,6 +26,7 @@ from .base_algebra import (Poly, boundedness_probe, factor_place_in_tower,
                            field_ctx, format_place, format_point, format_poly,
                            format_ratfunc, parse_place, parse_point, parse_poly,
                            parse_ratfunc)
+from .base_algebra.places import check_tower_factor
 from .errors import KummerwitError
 
 SCHEMA_VERSION = 1
@@ -273,13 +274,17 @@ def cmd_witness(args) -> int:
 
 def cmd_tower(args) -> int:
     ctx = _ctx(args)
-    place = parse_place(args.place, ctx)
     if args.action == "factor":
+        # the checks need deg pi only, so they run before Place.finite tests irreducibility
+        k = 1 if args.place.strip() == "inf" else parse_poly(args.place, ctx).degree()
+        check_tower_factor(k, args.r, args.n, ctx)
+        place = parse_place(args.place, ctx)
         out = factor_place_in_tower(place, args.r, args.n, ctx)
         _emit({"place": format_place(place), "r": args.r, "n": args.n,
                "above": [{"place": format_place(pl), "e": e, "f": f}
                          for pl, e, f in out]}, args.format)
         return 0
+    place = parse_place(args.place, ctx)
     ok = boundedness_probe(place, args.r, args.l, args.n_max, ctx)
     _emit({"place": format_place(place), "r": args.r, "l": args.l,
            "n_max": args.n_max, "bounded": ok}, args.format)

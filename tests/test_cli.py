@@ -5,7 +5,7 @@ import time
 import pytest
 
 from kummerwit import curve_ff
-from kummerwit.base_algebra import field_ctx, parse_poly
+from kummerwit.base_algebra import field_ctx, parse_poly, places
 from kummerwit.base_algebra.poly import DEGREE_MAX
 from kummerwit.base_algebra.places import TOWER_DEGREE_MAX
 from kummerwit.characters import BALANCE_MODULUS_MAX, UNIT_GROUP_MAX
@@ -255,6 +255,17 @@ def test_search_work_bound_exit_2(capsys, argv):
     start = time.perf_counter()
     assert dispatch(argv) == 2
     assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: WorkBound: ") and err.count("\n") == 1, err
+
+
+def test_tower_factor_refuses_before_testing_irreducibility(capsys, monkeypatch):
+    # 200 * 11 > TOWER_DEGREE_MAX: refused on the literal's degree alone
+    def never(f):
+        raise AssertionError("is_irreducible ran")
+    monkeypatch.setattr(places, "is_irreducible", never)
+    assert dispatch(["tower", "factor", "-p", "3", "--place", "1*s^200+1*s+2",
+                     "-r", "11", "-n", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: WorkBound: ") and err.count("\n") == 1, err
 

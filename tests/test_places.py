@@ -11,7 +11,7 @@ from kummerwit.base_algebra import (Place, Poly, RatFunc, ResidueField,
                                     place_data, valuation)
 from kummerwit.base_algebra.intarith import multiplicative_order
 from kummerwit.base_algebra.poly import all_polys
-from kummerwit.base_algebra.places import TOWER_DEGREE_MAX, tower_degrees
+from kummerwit.base_algebra.places import TOWER_DEGREE_MAX
 from kummerwit.errors import BadEll, WorkBound, ZeroInput
 from tests.test_ratfunc import rand_ratfunc
 
@@ -230,7 +230,7 @@ def test_boundedness_probe_matches_search_oracle():
 
 def _random_place(ctx, deg: int, rng: random.Random) -> Place:
     while True:
-        pi = Poly(ctx, [rng.randrange(ctx.q) for _ in range(deg)] + [1])
+        pi = Poly(ctx, [rng.randrange(ctx.q) for _ in range(deg)] + [ctx.unit])
         if is_irreducible(pi):
             return Place(pi)
 
@@ -240,9 +240,9 @@ def _tower_sweep():
     """[(ctx, place, r, n, oracle)]: the unrestricted factorization of
     pi(s^(r^n)) for p in {3, 5, 7, 11, 13}, a in {1, 2}, s and one random
     place of each degree 1 to 3, r in {2, 3, 5, 7, 11, 13} other than p,
-    n in {1, 2} and degree <= 120 (<= 60 for a = 2, where a case above 60
-    costs up to 0.5 s); then s and one place of degree 1 over F_{11^3}, a
-    field above _TABLE_MAX, to degree 9."""
+    and every n >= 1 with degree <= 120 (<= 60 for a = 2, where a case above
+    60 costs up to 0.5 s); then s and one place of degree 1 over F_{11^3},
+    a field above _TABLE_MAX, to degree 9."""
     rng = random.Random(17)
     fields = [(field_ctx(p, a), (1, 2, 3)) for p in (3, 5, 7, 11, 13) for a in (1, 2)]
     fields.append((field_ctx(11, 3), (1,)))
@@ -253,13 +253,31 @@ def _tower_sweep():
         places += [_random_place(ctx, d, rng) for d in place_degrees]
         for pl in places:
             for r in (2, 3, 5, 7, 11, 13):
-                for n in (1, 2):
-                    m = r ** n
-                    if r == ctx.p or pl.degree() * m > limit:
-                        continue
-                    oracle = factor(pl.poly.compose_monomial(m))
+                n = 1
+                while r != ctx.p and pl.degree() * r ** n <= limit:
+                    oracle = factor(pl.poly.compose_monomial(r ** n))
                     cases.append((ctx, pl, r, n, oracle))
+                    n += 1
     return cases
+
+
+def tower_degrees(k: int, q: int, r: int, m: int) -> list[int]:
+    """The degrees k*j, j = 1 or o*r^i <= m with o = ord_r(q^k), ascending,
+    that a factor of pi(s^m) can have, deg pi = k, pi != s, r a prime other
+    than p.
+
+    Proof.  Let beta be a root and alpha = beta^m; F_q(alpha) = F_Q, Q = q^k,
+    lies in F_q(beta), and j = [F_Q(beta) : F_Q] is the order of Q modulo
+    ord(beta).  ord(beta) divides m*(Q - 1), so its part prime to r divides
+    Q - 1 and j = ord_{r^c}(Q), r^c the r-part of ord(beta).  That is 1 for
+    c = 0; else it is o*r^i, as the kernel of (Z/r^c)^x -> (Z/r)^x is an
+    r-group (for r = 2, o = 1).  And j <= m, the degree of beta over F_Q."""
+    j = multiplicative_order(pow(q, k, r), r)  # o
+    degrees = [k] if j > 1 else []
+    while j <= m:
+        degrees.append(k * j)
+        j *= r
+    return degrees
 
 
 def test_tower_degree_lemma_holds_for_every_factor():
@@ -277,8 +295,48 @@ def test_tower_degree_lemma_holds_for_every_factor():
     assert seen == {"r=2", "o=1", "o>1", ("q", True), ("q", False)}
 
 
+def test_tower_split_cases_hold_level_by_level():
+    """The module docstring's cases, read off the unrestricted factorizations
+    of the sweep: each factor h of pi(s^(r^i)), deg h = k, has in
+    pi(s^(r^(i+1))) the factors of h(s^r) that its case says, (a) one of
+    degree k and (r - 1)/o of degree k*o, (b) r of degree k, (c) h(s^r)
+    itself, and in (c) with r odd or Q = 1 mod 4, h(s^(r^j)) is a factor at
+    every level above.  The sweep takes in each case, (c) two or more levels
+    below the top, the r = 2 re-test with Q = 3 mod 4, a table field and a
+    field above _TABLE_MAX."""
+    towers = {}
+    for ctx, pl, r, n, oracle in _tower_sweep():
+        if pl.poly.coeffs[0]:  # pi = s has the one factor s at every level
+            towers.setdefault((ctx, pl, r), [[pl.poly]]).append([g for g, _ in oracle])
+    seen = set()
+    for (ctx, pl, r), levels in towers.items():
+        seen.add("prime" if ctx.a == 1 else "table" if ctx.q <= 1024 else "large")
+        for i, level in enumerate(levels[:-1]):
+            for h in level:
+                k, big_q, up = h.degree(), ctx.q ** h.degree(), h.compose_monomial(r)
+                above = [g for g in levels[i + 1] if not up % g]
+                degrees = sorted(g.degree() for g in above)
+                if (big_q - 1) % r:
+                    o = multiplicative_order(big_q, r)
+                    case, want = "a", [k] + [k * o] * ((r - 1) // o)
+                elif Poly.gen(ctx).powmod((big_q - 1) // r, h).is_one():
+                    case, want = "b", [k] * r
+                else:
+                    case, want = "c", [k * r]
+                    if r == 2 and big_q % 4 == 3:
+                        case = "c, tested again" if i + 2 < len(levels) else case
+                    else:
+                        for j in range(i + 1, len(levels)):
+                            assert h.compose_monomial(r ** (j - i)) in levels[j], (ctx, pl, r, h)
+                        case = "c, two levels or more" if i + 2 < len(levels) else case
+                assert degrees == want, (ctx, pl, r, h, case)
+                seen.add(case)
+    assert seen == {"a", "b", "c", "c, tested again", "c, two levels or more",
+                    "prime", "table", "large"}
+
+
 def test_factor_place_in_tower_matches_unrestricted_split():
-    """The degree-restricted split against plain factor, kept as the oracle."""
+    """The level-by-level split against plain factor, kept as the oracle."""
     for ctx, pl, r, n, oracle in _tower_sweep():
         base = pl.degree()
         want = sorted(((Place(g), e, g.degree() // base) for g, e in oracle),
