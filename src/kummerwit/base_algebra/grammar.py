@@ -77,7 +77,7 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial literal")
-    acc = Poly.zero(ctx)
+    terms: dict[int, FF] = {}
     for raw in text.split("+"):
         term = raw.strip()
         m = _TERM_RE.match(term)
@@ -86,14 +86,14 @@ def parse_poly(text: str, ctx: FieldCtx) -> Poly:
         if m.group("coeff2") is not None:
             if m.group("coeff") is not None:
                 raise ValueError(f"bad polynomial term {term!r}")
-            acc = acc + Poly.const(ctx, parse_coeff(m.group("coeff2"), ctx))
-            continue
-        coeff = ctx.one() if m.group("coeff") is None else parse_coeff(m.group("coeff"), ctx)
-        exp = 1 if m.group("exp") is None else int(m.group("exp"))
-        if exp > DEGREE_MAX:
-            raise WorkBound(f"exponent {exp} in {term!r} exceeds the degree cap {DEGREE_MAX}")
-        acc = acc + Poly.monomial(ctx, exp, coeff)
-    return acc
+            coeff, exp = parse_coeff(m.group("coeff2"), ctx), 0
+        else:
+            coeff = ctx.one() if m.group("coeff") is None else parse_coeff(m.group("coeff"), ctx)
+            exp = 1 if m.group("exp") is None else int(m.group("exp"))
+            if exp > DEGREE_MAX:
+                raise WorkBound(f"exponent {exp} in {term!r} exceeds the degree cap {DEGREE_MAX}")
+        terms[exp] = terms[exp] + coeff if exp in terms else coeff
+    return Poly(ctx, [terms[k].code if k in terms else 0 for k in range(max(terms) + 1)])
 
 
 def parse_ratfunc(text: str, ctx: FieldCtx) -> RatFunc:

@@ -132,10 +132,10 @@ def cmd_kummer(args) -> int:
         _require_flags(args, "kummer verify-lemma", **{"--lemma": args.lemma})
         place = parse_place(args.place, ctx)
         inputs = {}
-        for name in ("x", "b", "c", "d", "a2"):
-            lit = getattr(args, f"in_{name}", None)
+        for name in ("x", "b", "c", "d", "a"):
+            lit = getattr(args, f"in_{name}")
             if lit:
-                inputs[name if name != "a2" else "a"] = parse_ratfunc(lit, ctx)
+                inputs[name] = parse_ratfunc(lit, ctx)
         verdict = kummer_local.verify_descent_lemma(args.lemma, inputs, args.l, place, ctx)
         rec = verdict.as_record()
         rec["place"] = format_place(place)
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     ku.add_argument("--in-b", dest="in_b")
     ku.add_argument("--c", dest="in_c")
     ku.add_argument("--d", dest="in_d")
-    ku.add_argument("--a-elem", dest="in_a2")
+    ku.add_argument("--a-elem", dest="in_a")
     ku.add_argument("--theta-c", dest="c")
     ku.add_argument("--theta-x", dest="x")
     ku.add_argument("--theta-d", dest="d")

@@ -15,12 +15,12 @@ adjoined element has nonzero valuation divisible by l (its unit-part class
 at the extension place is not determined by base data), and there the walk
 branches over both cases.
 
-verify_descent_lemma drives the two three-step adjunction towers
+verify_descent_lemma drives the three-step adjunction tower
 
-    seeded by x:  l-th roots of 1 + 1/x, 1 + 1/(b*x^l + b^l), 1 + (c + 1/c)/x
-    seeded by d:  l-th roots of 1 + 1/d, 1 + 1/(d*x^l + d^l), 1 + (a + 1/a)/d
+    l-th roots of 1 + 1/seed, 1 + 1/(coef*x^l + coef^l), 1 + (unit + 1/unit)/seed
 
-evaluating the selected lemma's hypotheses at the base place and its
+with (seed, coef, unit) = (x, b, c) for the tower seeded by x and (d, d, a)
+for the tower seeded by d (the table _LEMMAS), evaluating the selected lemma's hypotheses at the base place and its
 conclusion at every terminal state of every allowed branch.  The
 divisibility lemmas state that every tracked valuation becomes divisible
 by l at non-pole places of the seed; the obstruction lemmas state that
@@ -31,7 +31,7 @@ nondivisible valuation and the unit keeps its non-power residue class.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .base_algebra.fields import FieldCtx
@@ -165,12 +165,10 @@ def descend(state: PlaceState, b_label: str, ell: int,
 def _apply_case(state: PlaceState, case: KummerCase, ell: int) -> PlaceState:
     """The state above an adjunction of degree ell that has the given case."""
     if case is KummerCase.TOTALLY_RAMIFIED:
-        vals = {k: v * ell for k, v in state.vals.items()}
-        return PlaceState(state.residue_field, state.e_total * ell,
-                          state.f_total, vals, dict(state.residues))
+        return replace(state, e_total=state.e_total * ell,
+                       vals={k: v * ell for k, v in state.vals.items()})
     if case is KummerCase.INERT_DEGREE_L:
-        return PlaceState(state.residue_field, state.e_total,
-                          state.f_total * ell, dict(state.vals), dict(state.residues))
+        return replace(state, f_total=state.f_total * ell)
     return state
 
 
@@ -189,29 +187,6 @@ def _nonzero(x: RatFunc, name: str) -> RatFunc:
     return x
 
 
-def _tower_elements(kind: str, inputs: dict, ell: int, ctx: FieldCtx) -> tuple[dict, list[str]]:
-    """Tracked elements and adjunction order for the x-seeded or d-seeded
-    tower, built from the (seed, coefficient, unit) labels (x, b, c) or
-    (d, d, a); every tracked element is checked nonzero here."""
-    labels = ("x", "b", "c") if kind == "x" else ("d", "d", "a")
-    checked = {label: _nonzero(inputs[label], label) for label in dict.fromkeys(("x",) + labels)}
-    x = checked["x"]
-    seed, coef, unit = (checked[label] for label in labels)
-    _, coef_label, unit_label = labels
-    w = _nonzero(coef * x ** ell + coef ** ell, f"{coef_label}*x^l + {coef_label}^l")
-    unit_sum = _nonzero(unit + unit.inv(), f"{unit_label} + 1/{unit_label}")
-    one = RatFunc.one(ctx)
-    elements = {
-        **checked, "w": w,
-        "u1": one + seed.inv(),
-        "u2": one + w.inv(),
-        "u3": one + unit_sum * seed.inv(),
-    }
-    for label in ("u1", "u2", "u3"):
-        _nonzero(elements[label], label)
-    return elements, ["u1", "u2", "u3"]
-
-
 @dataclass
 class LemmaVerdict:
     lemma: str
@@ -226,68 +201,71 @@ class LemmaVerdict:
                 "hypotheses": self.hypothesis_report, "branches": self.branch_count}
 
 
+# The (seed, coefficient, unit) labels of each lemma's tower.
+_LEMMAS = {"obstruction_x": ("x", "b", "c"), "divisibility_x": ("x", "b", "c"),
+           "obstruction_d": ("d", "d", "a"), "divisibility_d": ("d", "d", "a")}
+
+
 def verify_descent_lemma(which: str, inputs: dict, ell: int, place: Place,
                           ctx: FieldCtx) -> LemmaVerdict:
     """Check one of the four local descent lemmas at a place by simulation.
 
     which is 'obstruction_x' or 'divisibility_x' for the tower seeded by x
     (inputs x, b, c), 'obstruction_d' or 'divisibility_d' for the tower
-    seeded by d (inputs x, d, a).  Hypotheses are evaluated at the base
+    seeded by d (inputs x, d, a); a missing input raises ValueError, a zero
+    tracked element ZeroInput.  Hypotheses are evaluated at the base
     place; the conclusion is evaluated at every terminal state of every
     allowed branch of the three-step walk.  The divisibility lemmas carry
     no hypotheses beyond the place not being a pole of the seed; the
     obstruction lemmas require the seed data listed in the report.
     """
     _require_zeta(ell, ctx)
-    if which in ("obstruction_x", "divisibility_x"):
-        kind, main, unit_label = "x", "x", "c"
-    elif which in ("obstruction_d", "divisibility_d"):
-        kind, main, unit_label = "d", "d", "a"
-    else:
+    if which not in _LEMMAS:
         raise ValueError(f"unknown lemma {which!r}")
-    elements, order = _tower_elements(kind, inputs, ell, ctx)
+    seed_label, coef_label, unit_label = _LEMMAS[which]
+    labels = ("x", seed_label, coef_label, unit_label)
+    missing = [label for label in dict.fromkeys(labels) if label not in inputs]
+    if missing:
+        raise ValueError(f"{which} needs the inputs {', '.join(missing)}")
+    elements = {label: _nonzero(inputs[label], label) for label in dict.fromkeys(labels)}
+    x, seed, coef, unit = (elements[label] for label in labels)
+    w = _nonzero(coef * x ** ell + coef ** ell, f"{coef_label}*x^l + {coef_label}^l")
+    unit_sum = _nonzero(unit + unit.inv(), f"{unit_label} + 1/{unit_label}")
+    one = RatFunc.one(ctx)
+    elements.update(w=w, u1=one + seed.inv(), u2=one + w.inv(), u3=one + unit_sum * seed.inv())
+    for label in ("u1", "u2", "u3"):
+        _nonzero(elements[label], label)
     base = state_from_elements(place, ctx, elements)
-    rf = base.residue_field
+    vals = base.vals
 
-    report: dict = {"v_" + k: base.vals[k] for k in elements}
+    report: dict = {"v_" + k: v for k, v in vals.items()}
     if which.startswith("divisibility"):
-        if base.vals[main] < 0:
-            raise PoleViolation(f"place is a pole of {main}")
+        if vals[seed_label] < 0:
+            raise PoleViolation(f"place is a pole of {seed_label}")
         hypotheses = True
     else:
-        v_unit = base.vals[unit_label]  # c for the x tower, a for the d tower
-        unit_ok = (v_unit == 0
-                   and not rf.is_nth_power(base.residues[unit_label], ell))
-        if which == "obstruction_x":
-            clauses = {
-                "unit_not_lth_power": unit_ok,
-                "v_x_negative": base.vals["x"] < 0,
-                "v_b_not_divisible": base.vals["b"] % ell != 0,
-                "margin": base.vals["b"] + ell * base.vals["x"] < ell * base.vals["b"],
-                "v_b_negative": base.vals["b"] < 0,
-            }
-        else:
-            clauses = {
-                "v_d_negative": base.vals["d"] < 0,
-                "margin": base.vals["d"] + ell * base.vals["x"] < ell * base.vals["d"],
-                "unit_not_lth_power": unit_ok,
-                "v_d_not_divisible": base.vals["d"] % ell != 0,
-            }
+        # for the d tower seed and coefficient are both d, so the two
+        # "negative" clauses are one
+        clauses = {
+            "unit_not_lth_power": (vals[unit_label] == 0
+                                   and not base.residue_is_lth_power(unit_label, ell)),
+            f"v_{seed_label}_negative": vals[seed_label] < 0,
+            f"v_{coef_label}_negative": vals[coef_label] < 0,
+            f"v_{coef_label}_not_divisible": vals[coef_label] % ell != 0,
+            "margin": vals[coef_label] + ell * vals["x"] < ell * vals[coef_label],
+        }
         report.update(clauses)
         hypotheses = all(clauses.values())
 
-    terminals = _walk_branches(base, order, ell)
+    terminals = _walk_branches(base, ["u1", "u2", "u3"], ell)
     if which.startswith("obstruction"):
         conclusion = all(
             st.vals["w"] % ell != 0 and not st.residue_is_lth_power(unit_label, ell)
             for st in terminals
         )
     else:
-        conclusion = all(
-            st.vals[main] % ell == 0 and st.vals["w"] % ell == 0
-            and st.vals[unit_label] % ell == 0
-            for st in terminals
-        )
+        conclusion = all(st.vals[label] % ell == 0
+                         for st in terminals for label in (seed_label, "w", unit_label))
     return LemmaVerdict(which, hypotheses, conclusion, report, len(terminals))
 
 

@@ -1,16 +1,19 @@
 import json
 import re
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from kummerwit import curve_ff
-from kummerwit.base_algebra import field_ctx, parse_poly, places
+from kummerwit import curve_ff, kummer_local, rank_engine, witnesses
+from kummerwit.base_algebra import (field_ctx, parse_place, parse_poly, parse_ratfunc,
+                                    places)
 from kummerwit.base_algebra.poly import DEGREE_MAX
 from kummerwit.base_algebra.places import TOWER_DEGREE_MAX
 from kummerwit.characters import BALANCE_MODULUS_MAX, UNIT_GROUP_MAX
 from kummerwit.cli import build_parser, dispatch
 from kummerwit.curve_ff import SEARCH_CANDIDATES_MAX, _candidate_count
+from kummerwit.errors import WorkBound
 from kummerwit.rank_engine import find_q, find_r
 
 
@@ -117,6 +120,45 @@ def test_verify_quick(capsys):
     assert code == 0
     assert recs[0]["ok"] is True
     assert recs[0]["rank"] == {"C_a": 1, "bounded": True, "constant": True}
+
+
+def _verify_quick_record(capsys) -> dict:
+    """The record of a passing quick verify at p = 3, without its "ok"."""
+    code, recs = run_cli(capsys, "verify", "--suite", "quick", "-p", "3")
+    assert code == 0 and recs[0].pop("ok") is True
+    return recs[0]
+
+
+def test_verify_rank_failure_stops_the_pipeline(capsys, monkeypatch):
+    passing = _verify_quick_record(capsys)
+    monkeypatch.setattr(rank_engine, "rank_constancy_check", lambda *args: (1, False, True))
+    code, recs = run_cli(capsys, "verify", "--suite", "quick", "-p", "3")
+    assert code == 1
+    assert recs == [{"schema": 1, "p": 3, "suite": "quick", "r": passing["r"], "q": passing["q"],
+                     "rank": {"C_a": 1, "constant": False, "bounded": True},
+                     "failed_stage": "rank"}]
+
+
+def test_verify_witness_failure_is_reported(capsys, monkeypatch):
+    passing = _verify_quick_record(capsys)
+    monkeypatch.setattr(witnesses, "axiom_instance_check",
+                        lambda *args: SimpleNamespace(passed=False))
+    code, recs = run_cli(capsys, "verify", "--suite", "quick", "-p", "3")
+    assert code == 1
+    assert recs == [{**passing, "axioms": False, "failed_stage": "witnesses"}]
+
+
+def test_verify_library_error_names_its_stage(capsys, monkeypatch):
+    passing = _verify_quick_record(capsys)
+
+    def refuse(*args, **kwargs):
+        raise WorkBound("search refused")
+    monkeypatch.setattr(curve_ff, "point_search", refuse)
+    code, recs = run_cli(capsys, "verify", "--suite", "quick", "-p", "3")
+    assert code == 1
+    assert recs == [{"schema": 1, "p": 3, "suite": "quick", "r": passing["r"], "q": passing["q"],
+                     "rank": passing["rank"], "failed_stage": "WorkBound",
+                     "detail": "search refused"}]
 
 
 def test_usage_errors(capsys):
@@ -350,6 +392,48 @@ def test_kummer_descend_cli(capsys):
                          "--place", "1*s", "--vals", "b=3", "--label", "b",
                          "--case", "inert_degree_l")
     assert code == 0 and recs[0]["Q"] == 343
+
+
+_LEMMA_INPUTS = {"x": [("x", "--x", "1*s"), ("b", "--in-b", "1*s+2"), ("c", "--c", "3")],
+                 "d": [("x", "--x", "1*s"), ("d", "--d", "1*s+2"), ("a", "--a-elem", "3")]}
+
+
+@pytest.mark.parametrize("missing", range(3))
+@pytest.mark.parametrize("lemma", ["obstruction_x", "divisibility_x",
+                                   "obstruction_d", "divisibility_d"])
+def test_verify_lemma_missing_input_exit_2(capsys, lemma, missing):
+    inputs = _LEMMA_INPUTS[lemma[-1]]
+    label = inputs[missing][0]
+    given = inputs[:missing] + inputs[missing + 1:]
+    argv = ["kummer", "verify-lemma", "-p", "7", "-l", "3", "--place", "1*s+6",
+            "--lemma", lemma]
+    assert dispatch(argv + [part for _, flag, lit in inputs for part in (flag, lit)]) == 0
+    capsys.readouterr()
+    assert dispatch(argv + [part for _, flag, lit in given for part in (flag, lit)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {lemma} needs the inputs {label}\n", err
+    ctx = field_ctx(7, 1)
+    with pytest.raises(ValueError, match=f"needs the inputs {label}$"):
+        kummer_local.verify_descent_lemma(
+            lemma, {name: parse_ratfunc(lit, ctx) for name, _, lit in given}, 3,
+            parse_place("1*s+6", ctx), ctx)
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--lemma", "divisibility_x", "--x", "1/1*s", "--in-b", "1*s+2", "--c", "3"],
+     "PoleViolation: place is a pole of x"),
+    (["--lemma", "divisibility_d", "--x", "1*s+1", "--d", "1/1*s", "--a-elem", "3"],
+     "PoleViolation: place is a pole of d"),
+    (["--lemma", "obstruction_x", "--x", "1*s", "--in-b", "0", "--c", "3"],
+     "ZeroInput: b must be nonzero"),
+    (["--lemma", "divisibility_d", "--x", "1*s", "--d", "1*s+2", "--a-elem", "0"],
+     "ZeroInput: a must be nonzero"),
+])
+def test_verify_lemma_bad_input_exit_2(capsys, flags, error):
+    argv = ["kummer", "verify-lemma", "-p", "7", "-l", "3", "--place", "1*s"]
+    assert dispatch(argv + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {error}\n", err
 
 
 def test_family_default_exponent_is_searched_q(capsys):

@@ -5,6 +5,7 @@ lines; any change to record layout, canonical literals, or enumeration
 order shows up here first.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import pathlib
 
 import pytest
 
-from kummerwit.cli import dispatch
+from kummerwit.cli import build_parser, dispatch
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "cli_records.json").read_text())
@@ -25,3 +26,23 @@ def test_golden_record(row):
         code = dispatch(list(row["argv"]))
     assert code == 0
     assert buf.getvalue().strip().splitlines() == row["output"]
+
+
+def _cli_actions() -> list[list[str]]:
+    """[command, action] for every action of every subcommand, [command]
+    for a subcommand without an action."""
+    out = []
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        action = next((a for a in parser._actions if a.dest == "action"), None)
+        out += [[command, choice] for choice in action.choices] if action else [[command]]
+    return out
+
+
+def test_every_cli_action_has_a_golden_record():
+    actions = _cli_actions()
+    assert len(actions) >= 25
+    missing = [prefix for prefix in actions
+               if not any(row["argv"][:len(prefix)] == prefix for row in GOLDEN)]
+    assert missing == []

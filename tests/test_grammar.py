@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,7 +7,9 @@ from kummerwit.base_algebra import (Place, Poly, RatFunc, format_place,
                                     format_poly, format_ratfunc, parse_place,
                                     parse_poly, parse_ratfunc)
 from kummerwit.base_algebra.grammar import format_point, parse_point
+from kummerwit.base_algebra.poly import DEGREE_MAX
 from kummerwit.curve_ff import ECPoint
+from kummerwit.errors import WorkBound
 from tests.test_poly import rand_poly
 from tests.test_ratfunc import rand_ratfunc
 
@@ -33,6 +36,39 @@ def test_roundtrip_random(f3, f9):
             assert parse_poly(format_poly(f), ctx) == f
             x = rand_ratfunc(ctx, rng)
             assert parse_ratfunc(format_ratfunc(x), ctx) == x
+
+
+def test_poly_literal_terms_add(f3, f9):
+    # a repeated exponent adds, and terms may cancel to zero
+    assert parse_poly("1*s+1*s", f3) == parse_poly("2*s", f3)
+    assert parse_poly("1+2*s^3+1+1*s^3", f3) == Poly.from_ints(f3, [2])
+    assert parse_poly("2*s^4+1*s^4", f3) == Poly.zero(f3)
+    assert parse_poly("[1,1]*s+[0,2]*s", f9) == Poly.monomial(f9, 1, [1, 0])
+
+
+def test_poly_literal_errors_in_term_order(f3):
+    # the first bad term raises, whatever follows it
+    with pytest.raises(ValueError, match="bad polynomial term 'x'"):
+        parse_poly(f"1*s+x+1*s^{DEGREE_MAX + 1}", f3)
+    with pytest.raises(WorkBound):
+        parse_poly(f"1*s^{DEGREE_MAX + 1}+x", f3)
+    with pytest.raises(ValueError, match="bad polynomial term '2\\*3'"):
+        parse_poly("1*s+2*3", f3)
+    # a term's coefficient is parsed before its exponent meets the cap
+    with pytest.raises(ValueError, match="longer than a = 1"):
+        parse_poly(f"[1,2]*s^{DEGREE_MAX + 1}", f3)
+
+
+def test_dense_literal_at_degree_cap_round_trips_fast(f7):
+    # one pass over the terms: adding one Poly per term would copy the
+    # dense accumulator at each of the 10,001 terms
+    rng = random.Random(5)
+    f = Poly.from_ints(f7, [rng.randrange(1, 7) for _ in range(DEGREE_MAX + 1)])
+    start = time.perf_counter()
+    lit = format_poly(f)
+    g = parse_poly(lit, f7)
+    assert g == f and format_poly(g) == lit
+    assert time.perf_counter() - start < 1
 
 
 def test_ratfunc_literals(f3):
