@@ -3,6 +3,8 @@
 A place is either Finite(pi) for a monic irreducible pi, or the degree place
 at infinity with uniformizer 1/s.  The residue field of Finite(pi) is
 F_q[s]/(pi), of size q^deg(pi); at infinity it is F_q itself.
+ResidueField.unit_part(x) is the one map into it: v_P(x) and the residue
+of x * u^(-v) for u = pi or 1/s, in one pass.
 
 Place.finite validates: it makes pi monic and checks irreducibility.  The
 constructor only stores pi, so factor_place_in_tower builds places straight
@@ -106,6 +108,14 @@ def valuation(x: RatFunc, place: Place) -> int:
     return poly_valuation(x.num, place.poly) - poly_valuation(x.den, place.poly)
 
 
+def _split_off(f: Poly, pi: Poly) -> tuple[int, Poly]:
+    """(v, g mod pi) for f = pi^v * g with pi not dividing g; f nonzero."""
+    v, (f, r) = 0, divmod(f, pi)
+    while not r:
+        v, (f, r) = v + 1, divmod(f, pi)
+    return v, r
+
+
 class ResidueField:
     """The residue field at a place, with exact n-th power tests.
 
@@ -121,34 +131,18 @@ class ResidueField:
         self.place = place
         self.size = place.residue_size(ctx)
 
-    def reduce(self, x: RatFunc) -> Poly:
-        """red_P(x) for v_P(x) = 0."""
-        if valuation(x, self.place) != 0:
-            raise ZeroInput("residue defined only at valuation zero")
+    def unit_part(self, x: RatFunc) -> tuple[int, Poly]:
+        """(v_P(x), residue of x * u^(-v)) for u = pi, or 1/s at infinity,
+        where it is lc(num) as den is monic.  At pi the last nonzero
+        remainders of the divmod chains of num and den are the residues of
+        their pi-free parts, the den one a unit.  ZeroInput for x = 0."""
+        if x.is_zero():
+            raise ZeroInput("valuation of zero is undefined")
         if self.place.is_infinite:
-            # v = 0 forces deg num = deg den; den is monic
-            return Poly.const(self.ctx, x.num.lc())
+            return x.v_infinity(), Poly.const(self.ctx, x.num.lc())
         pi = self.place.poly
-        num = x.num % pi
-        den = x.den % pi
-        return (num * self._inv_mod(den)) % pi
-
-    def reduce_unit_part(self, x: RatFunc) -> Poly:
-        """Residue of x * u^(-v_P(x)) for the canonical uniformizer u."""
-        v = valuation(x, self.place)
-        if v == 0:
-            return self.reduce(x)
-        if self.place.is_infinite:
-            shifted = x * RatFunc.gen(self.ctx) ** v  # u = 1/s
-        else:
-            shifted = x / RatFunc.from_poly(self.place.poly) ** v
-        return self.reduce(shifted)
-
-    def _inv_mod(self, f: Poly) -> Poly:
-        d, u, _ = poly_ext_gcd(f, self.place.poly)
-        if not d.is_one():
-            raise ZeroDivisionError("non-invertible residue")
-        return u % self.place.poly
+        (v_num, r_num), (v_den, r_den) = _split_off(x.num, pi), _split_off(x.den, pi)
+        return v_num - v_den, (r_num * poly_ext_gcd(r_den, pi)[1]) % pi
 
     def pow(self, x: Poly, n: int) -> Poly:
         if self.place.is_infinite:
@@ -177,11 +171,10 @@ def place_data(x: RatFunc, place: Place, ell: int, ctx: FieldCtx):
         raise ZeroInput("place_data requires x != 0")
     if ell < 2 or gcd(ell, ctx.p) != 1:
         raise BadEll(f"l = {ell} must be >= 2 and coprime to p = {ctx.p}")
-    v = valuation(x, place)
+    rf = ResidueField(ctx, place)
+    v, residue = rf.unit_part(x)
     if v != 0:
         return v, None, None
-    rf = ResidueField(ctx, place)
-    residue = rf.reduce(x)
     return v, residue, rf.is_nth_power(residue, ell)
 
 

@@ -70,11 +70,10 @@ def kummer_case(b: RatFunc, place: Place, ell: int, ctx: FieldCtx) -> KummerCase
         raise ZeroInput("b must be nonzero")
     if is_nth_power(b, ell):
         raise LthPowerInput("b is an l-th power; the extension is trivial")
-    v = valuation(b, place)
+    rf = ResidueField(ctx, place)
+    v, unit = rf.unit_part(b)
     if v % ell != 0:
         return KummerCase.TOTALLY_RAMIFIED
-    rf = ResidueField(ctx, place)
-    unit = rf.reduce_unit_part(b)
     if rf.is_nth_power(unit, ell):
         return KummerCase.SPLIT
     return KummerCase.INERT_DEGREE_L
@@ -123,10 +122,10 @@ def state_from_elements(place: Place, ctx: FieldCtx, elements: dict) -> PlaceSta
     for label, x in elements.items():
         if x.is_zero():
             raise ZeroInput(f"tracked element {label} is zero")
-        v = valuation(x, place)
+        v, residue = rf.unit_part(x)
         vals[label] = v
         if v == 0:
-            residues[label] = rf.reduce(x)
+            residues[label] = residue
     return PlaceState(rf, 1, 1, vals, residues)
 
 
@@ -260,7 +259,8 @@ def verify_descent_lemma(which: str, inputs: dict, ell: int, place: Place,
     terminals = _walk_branches(base, ["u1", "u2", "u3"], ell)
     if which.startswith("obstruction"):
         conclusion = all(
-            st.vals["w"] % ell != 0 and not st.residue_is_lth_power(unit_label, ell)
+            st.vals["w"] % ell != 0 and unit_label in st.residues
+            and not st.residue_is_lth_power(unit_label, ell)
             for st in terminals
         )
     else:

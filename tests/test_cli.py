@@ -1,5 +1,7 @@
 import json
+import pathlib
 import re
+import shlex
 import time
 from types import SimpleNamespace
 
@@ -436,6 +438,20 @@ def test_verify_lemma_bad_input_exit_2(capsys, flags, error):
     assert out == "" and err == f"error: {error}\n", err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--lemma", "obstruction_x", "--x", "1*s", "--in-b", "1*s", "--c", "1*s"],
+    ["--lemma", "obstruction_d", "--x", "1*s^2", "--d", "1*s", "--a-elem", "1*s"],
+])
+def test_verify_lemma_unit_off_valuation_zero_exit_0(capsys, flags):
+    """A unit of valuation -1 at infinity fails the hypotheses and gives a
+    record, not an UntrackedLabel error."""
+    code, recs = run_cli(capsys, "kummer", "verify-lemma", "-p", "7", "-l", "3",
+                         "--place", "inf", *flags)
+    assert code == 0
+    assert recs[0]["hypotheses_hold"] is False and recs[0]["conclusion_holds"] is False
+    assert recs[0]["hypotheses"]["unit_not_lth_power"] is False
+
+
 def test_family_default_exponent_is_searched_q(capsys):
     code, recs = run_cli(capsys, "family", "members", "-p", "3",
                          "--lambda", "1", "--deg-bound", "0")
@@ -496,3 +512,32 @@ def test_dense_degree_work_bound_exit_2(capsys, argv):
     assert time.perf_counter() - start < 0.5
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: WorkBound: ") and "degree cap" in err, err
+
+
+def _readme_examples() -> list[tuple[list[str], list[str]]]:
+    """(argv, shown output) for each kummerwit line of README's sh blocks,
+    backslash continuations joined; shown output is the "# " lines under it."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("kummerwit "):
+                out.append((shlex.split(line)[1:], []))
+            elif line.startswith("# ") and out:
+                out[-1][1].append(line[2:])
+    return out
+
+
+def test_readme_examples_found():
+    examples = _readme_examples()
+    assert len(examples) >= 11
+    assert dict((argv[0], shown) for argv, shown in examples)["search-primes"] == [
+        '{"p": 3, "q": 7, "r": 11, "schema": 1}', '{"p": 3, "q": 5, "r": 23, "schema": 1}']
+
+
+@pytest.mark.parametrize("argv, shown", [pytest.param(*ex, id=" ".join(ex[0]))
+                                          for ex in _readme_examples()])
+def test_readme_example_runs(capsys, argv, shown):
+    assert dispatch(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in shown if line not in out] == []

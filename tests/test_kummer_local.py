@@ -10,6 +10,7 @@ from kummerwit.errors import (BadEll, LthPowerInput, PoleViolation,
 from kummerwit.kummer_local import (KummerCase, PlaceState, descend,
                                     kummer_case, s_local_conditions,
                                     state_from_elements, verify_descent_lemma)
+from tests.test_places import unit_part_oracle
 from tests.test_poly import rand_poly
 
 
@@ -52,11 +53,11 @@ def test_kummer_case_partition(f7, f13):
                     case = kummer_case(b, pl, 3, ctx)
                 except LthPowerInput:
                     continue
-                v = valuation(b, pl)
                 rf = ResidueField(ctx, pl)
+                v, unit = unit_part_oracle(rf, b)
                 if v % 3 != 0:
                     assert case is KummerCase.TOTALLY_RAMIFIED
-                elif rf.is_nth_power(rf.reduce_unit_part(b), 3):
+                elif rf.is_nth_power(unit, 3):
                     assert case is KummerCase.SPLIT
                 else:
                     assert case is KummerCase.INERT_DEGREE_L
@@ -136,6 +137,18 @@ def test_obstruction_d_at_infinity(f7):
         "obstruction_d", {"x": RatFunc.one(f7), "d": t.inv(), "a": RatFunc.const(f7, 3)},
         3, Place.infinity(), f7)
     assert not verdict2.hypotheses_hold
+
+
+def test_obstruction_unit_off_valuation_zero_fails_both_sides(f7):
+    """A unit of nonzero valuation has no tracked residue: the hypothesis
+    unit_not_lth_power and the conclusion's residue clause are both false."""
+    t = RatFunc.gen(f7)
+    for which, inputs in (("obstruction_x", {"x": t, "b": t, "c": t}),
+                          ("obstruction_d", {"x": t ** 2, "d": t, "a": t})):
+        verdict = verify_descent_lemma(which, inputs, 3, Place.infinity(), f7)
+        assert verdict.hypothesis_report["unit_not_lth_power"] is False
+        assert not verdict.hypotheses_hold and not verdict.conclusion_holds
+        assert verdict.branch_count == 1
 
 
 def test_divisibility_pole_violation(f7):

@@ -105,16 +105,64 @@ def test_is_nth_power_high_ext_degree_is_immediate():
     assert all(verdicts)  # 5 | 1 + 121 + ... + 121^124, so 120 divides the exponent
 
 
+def unit_part_oracle(rf, x):
+    """ResidueField.unit_part by the longer route: the valuation v, then
+    x * s^v at infinity or x / pi^v at pi, then num * den^(-1) mod pi with
+    den^(-1) = den^(Q - 2) in F_Q."""
+    v = valuation(x, rf.place)
+    if rf.place.is_infinite:
+        shifted = x * RatFunc.gen(rf.ctx) ** v
+        assert shifted.num.degree() == shifted.den.degree()
+        return v, Poly.const(rf.ctx, shifted.num.lc())
+    pi = rf.place.poly
+    shifted = x / RatFunc.from_poly(pi) ** v
+    num, den = shifted.num % pi, shifted.den % pi
+    return v, (num * rf.pow(den, rf.size - 2)) % pi
+
+
+def test_unit_part_against_oracle(f3, f7, f9):
+    """Random x = pi^k * num / den, k in [-3, 3], so pi divides the
+    numerator or the denominator, at places of degree 1-3 and infinity."""
+    rng = random.Random(23)
+    signs = set()
+    for ctx in (f3, f7, f9):
+        places = [Place.infinity()] + [Place.finite(rng.choice(list(irreducibles(ctx, d))))
+                                       for d in (1, 2, 3)]
+        for pl in places:
+            rf = ResidueField(ctx, pl)
+            pi = RatFunc.gen(ctx).inv() if pl.is_infinite else RatFunc.from_poly(pl.poly)
+            for _ in range(20):
+                x = rand_ratfunc(ctx, rng, nonzero=True) * pi ** rng.randint(-3, 3)
+                v, residue = rf.unit_part(x)
+                assert (v, residue) == unit_part_oracle(rf, x), (pl, x)
+                assert residue and residue.degree() < pl.degree()
+                signs.add((v > 0) - (v < 0))
+    assert signs == {-1, 0, 1}
+
+
+def test_unit_part_of_zero_raises(f3, f9):
+    for ctx, pl in ((f3, Place.infinity()), (f9, Place.finite(Poly.gen(f9)))):
+        with pytest.raises(ZeroInput):
+            ResidueField(ctx, pl).unit_part(RatFunc.zero(ctx))
+
+
 def test_residue_reduction_is_ring_hom(f3):
+    """The residue map is a ring homomorphism on valuation 0, and the unit
+    part is multiplicative at any valuation."""
     pl = Place.finite(Poly.from_ints(f3, [1, 0, 1]))
     rf = ResidueField(f3, pl)
     rng = random.Random(8)
+    homs = 0
     for _ in range(30):
         x = rand_ratfunc(f3, rng, nonzero=True)
         y = rand_ratfunc(f3, rng, nonzero=True)
-        if valuation(x, pl) != 0 or valuation(y, pl) != 0:
+        (vx, rx), (vy, ry) = rf.unit_part(x), rf.unit_part(y)
+        assert rf.unit_part(x * y) == (vx + vy, (rx * ry) % pl.poly)
+        if vx or vy or not x + y or valuation(x + y, pl):
             continue
-        assert rf.reduce(x * y) == (rf.reduce(x) * rf.reduce(y)) % pl.poly
+        assert rf.unit_part(x + y)[1] == rx + ry
+        homs += 1
+    assert homs
 
 
 def test_factor_place_in_tower_examples(f3):
