@@ -35,7 +35,8 @@ sizes pick the path.
   long as the divisor's degree; the rest of the remainder sequence runs in
   _packed_euclid on ints with 8-byte-word slots, one shift-and-add per
   quotient term, an operand's slots reduced mod p only when the next
-  addend could overflow one.
+  addend could overflow one.  The extended gcd carries both cofactors
+  through one Euclid, as u + s^K v.
 - _sqrt_monic (behind ratfunc_sqrt): the monic square root.  Where _divmod
   would long-divide a quotient and divisor as long as the root, it is read
   off the top half coefficient by coefficient, like a long division (on
@@ -586,42 +587,45 @@ def _long_divmod(ctx: FieldCtx, f, g) -> tuple[list, list]:
 
 def _gcd(ctx: FieldCtx, f, g) -> list:
     """Monic gcd of two lists, not both zero."""
-    r = _euclid(ctx, f, g, False)[0]
+    r = _euclid(ctx, f, g, [], [])[0]
     return _mul(ctx, r, [_inv(ctx, r[-1])])
 
 
-def _ext_gcd(ctx: FieldCtx, f, g) -> tuple[list, list]:
-    """(d, u) with d = gcd(f, g) monic and u*f = d mod g, for f, g not both
-    zero; the cofactor of g is left out, since (d - u*f) / g recovers it."""
-    r, u = _euclid(ctx, f, g, True)
+def _ext_gcd(ctx: FieldCtx, f, g) -> tuple[list, list, list]:
+    """(d, u, v) with d = gcd(f, g) monic and u*f + v*g = d, for f, g not
+    both zero, from one Euclid that carries both cofactors as u + s^K v,
+    K = len g + 1: u stays below slot K, as deg u <= deg g (u = 1 for g = 0)."""
+    k = len(g) + 1
+    r, w = _euclid(ctx, f, g, [ctx.unit], [0] * k + [ctx.unit])
     scale = [_inv(ctx, r[-1])]
-    return _mul(ctx, r, scale), _mul(ctx, u, scale)
+    return _mul(ctx, r, scale), _mul(ctx, _trim(w[:k]), scale), _mul(ctx, w[k:], scale)
 
 
-def _euclid(ctx: FieldCtx, f, g, cofactor: bool) -> tuple[list, list]:
-    """(r, u) for lists f, g, not both zero: r the last nonzero remainder of
-    Euclid's sequence and, when cofactor is set, u with u*f = r mod g;
-    neither is made monic.  Extension fields divide with _divmod at every
-    step.  Prime fields do so only while the quotient is at least as long as
-    the divisor's degree, since each of its terms would cost _packed_euclid
-    a shift-and-add over all of the dividend, and run the rest packed."""
-    (a, ua), (b, ub) = (f, [ctx.unit]), (g, [])
+def _euclid(ctx: FieldCtx, f, g, uf, ug) -> tuple[list, list]:
+    """(r, x*uf + y*ug) for lists f, g, not both zero, where r = x*f + y*g is
+    the last nonzero remainder of Euclid's sequence, not made monic: the
+    cofactors Euclid tracks start from uf for f and ug for g ([] for none).
+    Extension fields divide with _divmod at every step.  Prime fields do so
+    only while the quotient is at least as long as the divisor's degree,
+    since each of its terms would cost _packed_euclid a shift-and-add over
+    all of the dividend, and run the rest packed."""
+    (a, ua), (b, ub) = (f, uf), (g, ug)
     if len(a) < len(b):  # Euclid's first step only swaps
         (a, ua), (b, ub) = (b, ub), (a, ua)
     while len(b) > 1 and (ctx.a > 1 or len(a) + 2 >= 2 * len(b)):
         quo, rem = _divmod(ctx, a, b)
-        u = _addsub(ctx, ua, _mul(ctx, quo, ub), -1) if cofactor else []
+        u = _addsub(ctx, ua, _mul(ctx, quo, ub), -1) if ua or ub else []
         (a, ua), (b, ub) = (b, ub), (rem, u)
     if not b:
         return a, ua
     if len(b) == 1:  # b is a unit: the next remainder is 0
         return b, ub
-    return _packed_euclid(ctx.p, a, ua, b, ub, cofactor)
+    return _packed_euclid(ctx.p, a, ua, b, ub)
 
 
-def _packed_euclid(p: int, a, ua, b, ub, cofactor: bool) -> tuple[list, list]:
-    """_euclid's (r, u) over F_p, from the remainders a, b with 2 <= len(b)
-    <= len(a) and their cofactors ua, ub (ignored unless cofactor is set).
+def _packed_euclid(p: int, a, ua, b, ub) -> tuple[list, list]:
+    """_euclid's result over F_p, from the remainders a, b with
+    2 <= len(b) <= len(a) and their cofactors ua, ub.
 
     Each remainder is one int of slots of whole 8-byte words with room for
     (p - 1)^2 * 2^16.  A quotient term adds c * s^k * b to a, with
@@ -658,7 +662,7 @@ def _packed_euclid(p: int, a, ua, b, ub, cofactor: bool) -> tuple[list, list]:
                     b, bb = reduce(b), p - 1
             a += c * b << k * w
             ba += c * bb
-            if cofactor and ub:
+            if ub:
                 if bua + c * bub > top:
                     ua, bua = reduce(ua), p - 1
                     if bua + c * bub > top:
@@ -673,8 +677,7 @@ def _packed_euclid(p: int, a, ua, b, ub, cofactor: bool) -> tuple[list, list]:
         if da < 0:  # b divides a
             break
         a, da, ba, ua, bua, b, db, bb, ub, bub = b, db, bb, ub, bub, a, da, ba, ua, bua
-    u = _trim(_unpack_mod(ub, width, slots(ub), p)) if cofactor else []
-    return _unpack_mod(b, width, db + 1, p), u
+    return _unpack_mod(b, width, db + 1, p), _trim(_unpack_mod(ub, width, slots(ub), p))
 
 
 # -- gcd family ---------------------------------------------------------------------
@@ -707,8 +710,7 @@ def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     ctx = f.ctx
-    d, u = _ext_gcd(ctx, f.coeffs, g.coeffs)
-    v = _divmod(ctx, _addsub(ctx, d, _mul(ctx, u, f.coeffs), -1), g.coeffs)[0] if g else []
+    d, u, v = _ext_gcd(ctx, f.coeffs, g.coeffs)
     return Poly(ctx, d), Poly(ctx, u), Poly(ctx, v)
 
 
@@ -726,7 +728,7 @@ def crt(pairs: list[tuple[Poly, Poly]]) -> Poly:
     res = _divmod(ctx, pairs[0][0].coeffs, mod)[1]
     for r, m in pairs[1:]:
         m = m.coeffs
-        d, u = _ext_gcd(ctx, mod, m)
+        d, u, _ = _ext_gcd(ctx, _divmod(ctx, mod, m)[1], m)  # so m's cofactor stays short
         if d != [ctx.unit]:
             raise NotCoprime(f"moduli {Poly(ctx, mod)!r} and {Poly(ctx, m)!r} "
                              f"share factor {Poly(ctx, d)!r}")

@@ -28,7 +28,7 @@ from math import prod
 
 from .base_algebra.fields import FieldCtx
 from .base_algebra.grammar import format_poly
-from .base_algebra.poly import Poly, all_polys, crt, irreducibles_stream, poly_ext_gcd
+from .base_algebra.poly import Poly, all_polys, crt, irreducibles_stream, poly_ext_gcd, poly_gcd
 from .errors import SizeMismatch, UnitA, ZeroInA
 
 
@@ -64,7 +64,7 @@ def _irreducibles_avoiding(elements: list[Poly], ctx: FieldCtx):
 def coprime_element(elements: list[Poly], ctx: FieldCtx) -> Poly:
     """A monic irreducible dividing no nonzero member of the set."""
     cand = next(_irreducibles_avoiding(elements, ctx))
-    assert all(a.is_zero() or poly_ext_gcd(cand, a)[0].is_one() for a in elements)
+    assert all(a.is_zero() or poly_gcd(cand, a).is_one() for a in elements)
     return cand
 
 
@@ -99,6 +99,7 @@ class InjectionWitness:
     and 'tuple' when the seven-element construction below applies.
     """
 
+    FIELDS = ("g", "m", "c", "d", "u", "g2", "m2")  # the fields of the tuple disjunct
     disjunct: str
     g: Poly | None = None
     m: Poly | None = None
@@ -110,7 +111,7 @@ class InjectionWitness:
 
     def as_record(self) -> dict:
         rec = {"disjunct": self.disjunct}
-        for name in ("g", "m", "c", "d", "u", "g2", "m2"):
+        for name in self.FIELDS:
             val = getattr(self, name)
             if val is not None:
                 rec[name] = format_poly(val)
@@ -153,21 +154,24 @@ def injection_witness(set_a: list[Poly], set_b: list[Poly], ctx: FieldCtx) -> In
 def verify_injection(w: InjectionWitness, set_a: list[Poly], set_b: list[Poly]) -> bool:
     """Independent recheck of every clause, reconstructing the injection.
 
-    For the tuple disjunct: u != 0; c outside A; d outside B; each
-    1 + g(x - c) a nonzero non-unit; pairwise comaximal; all differences of
-    A divide u; and every x in A has some y in B with 1 + g(x-c) | m - y,
-    1 + g'(y-d) a non-unit dividing m' - x but not u.  The proof of
-    injectivity shows no y can serve two distinct x, so the matched-y sets
-    must be nonempty and pairwise disjoint: their union has as many
-    elements as their sizes add up to.  Each clause is checked once: the
-    differences over unordered pairs (divisibility ignores sign), and the
-    link 1 + g'(y-d) with its two clauses free of x once per y.
+    For the tuple disjunct: no field missing; u != 0; c outside A; d outside
+    B; each 1 + g(x - c) a nonzero non-unit; pairwise comaximal; all
+    differences of A divide u; and every x in A has some y in B with
+    1 + g(x-c) | m - y, 1 + g'(y-d) a non-unit dividing m' - x but not u.
+    The proof of injectivity shows no y can serve two distinct x, so the
+    matched-y sets must be nonempty and pairwise disjoint: their union has
+    as many elements as their sizes add up to.  Each clause is checked once:
+    the differences over unordered pairs (divisibility ignores sign), the
+    link 1 + g'(y-d) with its two clauses free of x once per y, and m
+    reduced once per modulus, since the modulus divides m - y exactly when
+    y leaves the same remainder.
     """
     a_items = sorted(set(set_a), key=Poly.sort_key)
     b_items = sorted(set(set_b), key=Poly.sort_key)
     if w.disjunct == "subset":
         return set(a_items) <= set(b_items)
-    if w.u is None or w.u.is_zero() or w.c in set(a_items) or w.d in set(b_items):
+    if (any(getattr(w, name) is None for name in w.FIELDS) or w.u.is_zero()
+            or w.c in set(a_items) or w.d in set(b_items)):
         return False
     one = Poly.one(w.u.ctx)
     moduli = [one + w.g * (x - w.c) for x in a_items]
@@ -179,7 +183,8 @@ def verify_injection(w: InjectionWitness, set_a: list[Poly], set_b: list[Poly]) 
              and not divides(link, w.u)]
     images = []
     for x, modulus in zip(a_items, moduli):
-        found = {y for y, link in links if divides(modulus, w.m - y) and divides(link, w.m2 - x)}
+        r = w.m % modulus
+        found = {y for y, link in links if y % modulus == r and divides(link, w.m2 - x)}
         if not found:
             return False
         images.append(found)

@@ -304,15 +304,27 @@ def list_gcd(ctx, f, g):
 
 
 def list_ext_gcd(ctx, f, g):
-    """Extended Euclid on code lists, one _divmod per step: the prime-field
-    _ext_gcd before its remainders were packed, kept as the oracle."""
-    r0, r1, u0, u1 = f, g, [ctx.unit], []
+    """Extended Euclid on code lists, one _divmod per step and each cofactor
+    in its own list: the prime-field _ext_gcd before its remainders were
+    packed and its two cofactors carried as one, kept as the oracle."""
+    r0, r1, u0, u1, v0, v1 = f, g, [ctx.unit], [], [], [ctx.unit]
     while r1:
         quo, rem = kernel._divmod(ctx, r0, r1)
         r0, r1 = r1, rem
         u0, u1 = u1, kernel._addsub(ctx, u0, kernel._mul(ctx, quo, u1), -1)
+        v0, v1 = v1, kernel._addsub(ctx, v0, kernel._mul(ctx, quo, v1), -1)
     scale = [kernel._inv(ctx, r0[-1])]
-    return kernel._mul(ctx, r0, scale), kernel._mul(ctx, u0, scale)
+    return tuple(kernel._mul(ctx, x, scale) for x in (r0, u0, v0))
+
+
+def division_route_v(ctx, f, g, d, u):
+    """v = (d - u*f) / g by _divmod, the route poly_ext_gcd took before
+    Euclid carried v, kept as the oracle (v = 0 for g = 0)."""
+    if not g:
+        return []
+    quo, rem = kernel._divmod(ctx, kernel._addsub(ctx, d, kernel._mul(ctx, u, f), -1), g)
+    assert rem == []
+    return quo
 
 
 # the primes of FIELDS, the largest prime below 2^16, and 2^31 - 1, whose
@@ -349,21 +361,48 @@ def test_packed_euclid_matches_list_euclid(p):
     ctx = field_ctx(p, 1)
     rng = random.Random(7000 + p)
     for f, g in euclid_pairs(ctx, rng):
-        d, u = kernel._ext_gcd(ctx, f, g)
-        assert (d, u) == list_ext_gcd(ctx, f, g), (p, len(f), len(g))
+        d, u, v = kernel._ext_gcd(ctx, f, g)
+        assert (d, u, v) == list_ext_gcd(ctx, f, g), (p, len(f), len(g))
         assert kernel._gcd(ctx, f, g) == list_gcd(ctx, f, g) == d, (p, len(f), len(g))
-        uf = kernel._mul(ctx, u, f)
-        if g:  # u*f = d mod g
-            assert kernel._divmod(ctx, kernel._addsub(ctx, uf, d, -1), g)[1] == []
-        else:
-            assert uf == d
+        bezout = kernel._addsub(ctx, kernel._mul(ctx, u, f), kernel._mul(ctx, v, g), 1)
+        assert bezout == d, (p, len(f), len(g))
+
+
+def test_ext_gcd_takes_no_inverse_series(monkeypatch):
+    """Two coprime dense polynomials of degree 83 over F_7 run Euclid packed
+    from the first step, and v comes out of it: no inverse series, where
+    the division (d - u*f) / g took one."""
+    ctx = field_ctx(7, 1)
+    rng = random.Random(83)
+    f, g = rand_poly(ctx, rng, 84), rand_poly(ctx, rng, 84)
+    while not poly_gcd(f, g).is_one():
+        g = rand_poly(ctx, rng, 84)
+    calls = []
+    inv_series = kernel._inv_series
+    monkeypatch.setattr(kernel, "_inv_series", lambda *args: calls.append(1) or inv_series(*args))
+    d, u, v = poly_ext_gcd(f, g)
+    assert d.is_one() and u * f + v * g == d
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,a", FIELDS + [(3, 7)], ids=FIELD_IDS + ["F3^7"])
+def test_ext_gcd_v_matches_division_route(p, a):
+    """v read off Euclid's cofactor u + s^K v equals (d - u*f) / g, on
+    prime fields (packed), table fields and extension fields above
+    _TABLE_MAX (F_{11^3}, F_{3^7}; a _divmod per step)."""
+    ctx = ctx_of(p, a)
+    rng = random.Random(9000 + 31 * p + a)
+    for f, g in euclid_pairs(ctx, rng):
+        d, u, v = kernel._ext_gcd(ctx, f, g)
+        assert v == division_route_v(ctx, f, g, d, u), (p, a, len(f), len(g))
 
 
 @pytest.mark.parametrize("p", EUCLID_PRIMES)
 def test_packed_euclid_reduces_slots_on_long_sequences(p, monkeypatch):
     """Euclid's sequence on operands of degree 200 runs long enough to
     overflow unreduced slots, for every slot width; the reductions (every
-    _unpack_mod call but the last two) must keep it exact."""
+    _unpack_mod call but the last two) must keep it exact, on the remainders
+    and on both halves of the cofactor u + s^K v, K = len g + 1."""
     ctx = field_ctx(p, 1)
     rng = random.Random(8000 + p)
     calls = []
@@ -372,10 +411,12 @@ def test_packed_euclid_reduces_slots_on_long_sequences(p, monkeypatch):
     for n in (200, 201):
         f, g = (list(rand_poly(ctx, rng, k).coeffs) for k in (n, 200))
         calls.clear()
-        r, u = kernel._packed_euclid(p, f, [1], g, [], True)
+        k = len(g) + 1
+        r, w = kernel._packed_euclid(p, f, [1], g, [0] * k + [1])
         assert len(calls) > 2, (p, n)
         scale = [kernel._inv(ctx, r[-1])]
-        assert (kernel._mul(ctx, r, scale), kernel._mul(ctx, u, scale)) == list_ext_gcd(ctx, f, g)
+        got = tuple(kernel._mul(ctx, x, scale) for x in (r, kernel._trim(w[:k]), w[k:]))
+        assert got == list_ext_gcd(ctx, f, g), (p, n)
 
 
 @pytest.mark.parametrize("p,a", FIELDS, ids=FIELD_IDS)

@@ -1,9 +1,12 @@
 import random
 from dataclasses import replace
+from math import prod
 
 import pytest
 
 from kummerwit.base_algebra import Poly, all_polys, field_ctx, poly_ext_gcd
+from kummerwit.base_algebra import poly as kernel
+from kummerwit.base_algebra.grammar import parse_poly
 from kummerwit.errors import SizeMismatch, UnitA, ZeroInA
 from kummerwit.witnesses import (are_comaximal, axiom_instance_check,
                                  comaximal_shift, coprime_element, delta_set,
@@ -103,6 +106,37 @@ def test_injection_witness_tuple_path(f3):
     # tampering with m must break verification
     w.m = w.m + Poly.one(f3)
     assert not verify_injection(w, a_set, b_set)
+
+
+@pytest.mark.parametrize("name", ["g", "m", "c", "d", "u", "g2", "m2"])
+def test_verify_injection_rejects_missing_field(f3, name):
+    s = Poly.gen(f3)
+    a_set = [Poly.zero(f3), Poly.one(f3)]
+    b_set = [s, s + Poly.one(f3), s * s]
+    w = injection_witness(a_set, b_set, f3)
+    assert verify_injection(w, a_set, b_set)
+    assert verify_injection(replace(w, **{name: None}), a_set, b_set) is False
+
+
+def test_verify_injection_reduces_m_once_per_modulus(monkeypatch):
+    """On the F_7, |A| = 5 input of the golden corpus the verifier divides m
+    by each modulus 1 + g(x - c) once, and divides nothing else by a modulus
+    (the per-(x, y) route divided m - y for every candidate y)."""
+    ctx = field_ctx(7, 1)
+    set_a = [parse_poly(t, ctx) for t in
+             "6*s^2+4*s+6;6*s^2+4*s+3;4*s^2+6*s+1;6*s^2+4*s+5;2*s^2+3*s".split(";")]
+    set_b = [parse_poly(t, ctx) for t in
+             "6*s^2+4*s;3*s^2+3*s+4;6*s^2+4;1*s^2;4*s^2+3*s+2;5*s^2+1*s+4".split(";")]
+    w = injection_witness(set_a, set_b, ctx)
+    moduli = [(Poly.one(ctx) + w.g * (x - w.c)).coeffs
+              for x in sorted(set_a, key=Poly.sort_key)]
+    calls = []
+    divmod_ = kernel._divmod
+    monkeypatch.setattr(kernel, "_divmod",
+                        lambda ctx, f, g, *rest: calls.append((f, g)) or divmod_(ctx, f, g, *rest))
+    assert verify_injection(w, set_a, set_b)
+    divisions = [(f, g) for f, g in calls if g in moduli and len(f) >= len(g)]
+    assert divisions == [(w.m.coeffs, t) for t in moduli]
 
 
 def test_injection_witness_randomized(f3, f7):
@@ -225,7 +259,8 @@ def test_comaximal_shift_matches_power_loop_oracle(f3, f7, f9):
 
 def old_verify_injection(w, set_a, set_b):
     """The former verifier: every clause for every ordered pair and every
-    (x, y), and pairwise disjointness of the matched-y sets."""
+    (x, y), with divides(1 + g(x - c), m - y) per pair, and pairwise
+    disjointness of the matched-y sets."""
     a_items = sorted(set(set_a), key=Poly.sort_key)
     b_items = sorted(set(set_b), key=Poly.sort_key)
     if w.disjunct == "subset":
@@ -265,32 +300,47 @@ def old_verify_injection(w, set_a, set_b):
     return True
 
 
-# (p, a, |A|, degree) of the injection inputs in perfbench's poly workload
+# (p, a, |A|, degree) of the injection inputs in perfbench's poly workload, and F_5
 _INJECT_SHAPES = [(7, 1, 5, 2), (3, 1, 4, 3), (3, 2, 2, 3), (7, 1, 3, 2), (3, 2, 2, 2),
-                  (3, 1, 2, 3), (7, 1, 2, 3)]
+                  (3, 1, 2, 3), (7, 1, 2, 3), (5, 1, 3, 2)]
 
 
 def test_verify_injection_matches_per_pair_oracle():
-    """Genuine witnesses on disjoint A, B with |B| = |A| + 1, and every
-    single-field tampering of each: same verdict from both verifiers."""
+    """Genuine witnesses on disjoint A, B with |B| = |A| + 1, as drawn and
+    with every element of B raised to degree >= deg modulus, and every
+    single-field tampering of each; m + the product of the moduli (still
+    valid), m + 1, m + m and m' + 1; and B extended by an element of degree
+    >= deg modulus congruent to an image: same verdict from both verifiers,
+    so y mod the modulus against m's remainder agrees with divides(modulus,
+    m - y)."""
     rng = random.Random(18)
     verdicts = set()
     for p, a, na, deg in _INJECT_SHAPES:
         ctx = field_ctx(p, a)
         items = rng.sample(list(all_polys(ctx, deg)), 2 * na + 1)
-        set_a, set_b = items[:na], items[na:]
-        w = injection_witness(set_a, set_b, ctx)
-        a_sorted = sorted(set_a, key=Poly.sort_key)
-        b_sorted = sorted(set_b, key=Poly.sort_key)
-        zero, one = Poly.zero(ctx), Poly.one(ctx)
-        tampered = [w, replace(w, g=w.g2, g2=w.g), replace(w, m=w.m2, m2=w.m),
-                    replace(w, c=a_sorted[0]), replace(w, d=b_sorted[-1]),
-                    replace(w, u=zero), replace(w, u=one)]
-        cases = [(t, set_a, set_b) for t in tampered]
-        cases.append((w, set_a, b_sorted[1:]))  # the image of the first x dropped
-        for t, sa, sb in cases:
-            got = verify_injection(t, sa, sb)
-            assert got == old_verify_injection(t, sa, sb), (p, a, t)
-            verdicts.add(got)
-        assert verify_injection(w, set_a, set_b)
+        zero, one, s = Poly.zero(ctx), Poly.one(ctx), Poly.gen(ctx)
+        for raised in (False, True):
+            set_a, set_b = items[:na], items[na:]
+            if raised:  # g depends on A only, so the moduli keep their degree
+                shift = s ** (injection_witness(set_a, set_b, ctx).g.degree() + 3)
+                set_b = [y + shift for y in set_b]
+            w = injection_witness(set_a, set_b, ctx)
+            a_sorted = sorted(set_a, key=Poly.sort_key)
+            b_sorted = sorted(set_b, key=Poly.sort_key)
+            moduli = [one + w.g * (x - w.c) for x in a_sorted]
+            tampered = [w, replace(w, g=w.g2, g2=w.g), replace(w, m=w.m2, m2=w.m),
+                        replace(w, c=a_sorted[0]), replace(w, d=b_sorted[-1]),
+                        replace(w, u=zero), replace(w, u=one),
+                        replace(w, m=w.m + prod(moduli, start=one)), replace(w, m=w.m + one),
+                        replace(w, m=w.m + w.m), replace(w, m2=w.m2 + one)]
+            cases = [(t, set_a, set_b) for t in tampered]
+            cases.append((w, set_a, b_sorted[1:]))  # the image of the first x dropped
+            far = b_sorted[0] + moduli[0] * s  # congruent to the first x's image
+            cases.append((w, set_a, set_b + [far]))
+            for t, sa, sb in cases:
+                got = verify_injection(t, sa, sb)
+                assert got == old_verify_injection(t, sa, sb), (p, a, raised, t)
+                verdicts.add(got)
+            assert verify_injection(w, set_a, set_b)
+            assert verify_injection(replace(w, m=w.m + prod(moduli, start=one)), set_a, set_b)
     assert verdicts == {True, False}
