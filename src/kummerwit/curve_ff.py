@@ -25,9 +25,27 @@ F nonzero.
 - A zero factor makes u = 0, -w or -w*s^N, coprime to w only for w = 1:
   x = 0, -1 or -s^N, which have that shape as well.
 So the search walks u = 0 and u = c*s^e*a^2 against w = b^2, about the
-square root of the raw pair count, and decides each candidate exactly:
-degree parity of F, then gcd(u, b) = 1 (lowest terms), then ratfunc_sqrt
-of u(u+w)(u+w*s^N), which is prime to w, so y is that root over b^3.
+square root of the raw pair count.
+
+A square in F_q[s] has even degree and a square leading coefficient, and
+in a block of candidates with deg b, e and deg a fixed both are known
+before any candidate is built.  Put du = e + 2*deg a and dw = 2*deg b: u
+has degree du and lead c, w*s^k degree dw + k and lead 1.  For k in
+{0, N}, u + w*s^k has
+- degree du and lead c when du > dw + k,
+- degree dw + k and lead 1 when du < dw + k,
+- degree du and lead c + 1 when du = dw + k and c != -1.
+As N >= 1, at most one k ties.  So F, whose factor w = b^2 has even degree
+and lead 1, has the parity of du + max(du, dw) + max(du, dw + N) and the
+square class of c^(1 + n) * (c + 1)^t, n the number of k with du > dw + k
+and t = 1 when some k ties.  The search keeps the leads c for which that
+degree is even and that lead a square, and builds no a^2 in a block with
+none (_search_leads).  At c = -1 with du in {dw, dw + N} the lead of
+u + w*s^k cancels and the rule decides nothing, so those leads are kept;
+the two-torsion x = -1 and x = -s^N are among them, and x = 0 is the
+candidate u = 0.  Every kept candidate is decided exactly: degree parity of
+F, then gcd(u, b) = 1 (lowest terms), then ratfunc_sqrt of
+u(u+w)(u+w*s^N), which is prime to w, so y is that root over b^3.
 """
 
 from __future__ import annotations
@@ -36,7 +54,7 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 from .base_algebra.fields import FieldCtx, field_ctx
 from .base_algebra.grammar import format_point
@@ -200,9 +218,11 @@ def is_torsion(pt: ECPoint, curve: CurveParams) -> bool:
 
 # -- bounded point search ------------------------------------------------------------
 
-# The most candidates a search or member walk tries; the time grows with N:
-# 37,883 (p = 3, bounds (12, 4)) took 1.9 / 4.1 / 6.6 s at N = 5 / 22 / 44, and
-# 33,097 (F_13, (4, 2)) 0.55 s at N = 3 (Python 3.11, one core of a 2-CPU machine).
+# The most candidates a search or member walk tries, counted before the
+# search's leads rule; the time grows with N and with the share the rule
+# keeps: 37,883 (p = 3, bounds (12, 4)) took 0.75 / 3.4 / 4.0 s at N = 5 / 22 / 44
+# (an even N above num_deg keeps 37,675), and 33,097 (F_13, (4, 2)) 0.05 s at
+# N = 3 and 0.8 s at N = 2 (Python 3.11, one core of a 2-CPU machine).
 SEARCH_CANDIDATES_MAX = 40_000
 
 
@@ -234,29 +254,58 @@ def point_search(curve: CurveParams, num_deg: int, den_deg: int,
 
 def _search_shard(curve: CurveParams, num_deg: int, den_deg: int,
                   shard: int, stride: int) -> list[ECPoint]:
-    """The points over the candidates shard, shard + stride, ..."""
+    """The points over the candidates shard, shard + stride, ... of the walk
+    restricted to the leads _search_leads keeps."""
     out: list[ECPoint] = []
-    for u, w, b in itertools.islice(_candidates(curve.ctx, num_deg, den_deg),
-                                    shard, None, stride):
+    walk = _candidates(curve.ctx, num_deg, den_deg, _search_leads(curve))
+    for u, w, b in itertools.islice(walk, shard, None, stride):
         out.extend(_points_from_x(curve, u, w, b))
     return out
 
 
-def _candidates(ctx: FieldCtx, num_deg: int, den_deg: int):
+def _search_leads(curve: CurveParams):
+    """leads(deg b, e, deg a): the units c of that block for which F can be a
+    square, F of even degree with a square leading coefficient, and c = -1
+    where the lead of u + w*s^k may cancel (module docstring)."""
+    N, square_leads, minus_one = curve.N, _square_leads(curve.ctx), [-curve.ctx.one()]
+
+    def leads(db: int, e: int, da: int) -> list:
+        du, dw = e + 2 * da, 2 * db
+        cancels = du in (dw, dw + N)
+        if (du + max(du, dw) + max(du, dw + N)) % 2:
+            return minus_one if cancels else []
+        return square_leads[(1 + (du > dw) + (du > dw + N)) % 2, cancels]
+    return leads
+
+
+@lru_cache(maxsize=32)
+def _square_leads(ctx: FieldCtx) -> dict:
+    """(i, j) -> the units c, in element order, with c^i * (c + 1)^j a square
+    or zero (c = -1 at j = 1, where the lead cancels)."""
+    one = ctx.one()
+    return {(i, j): [c for c in ctx.elements() if c and (c ** i * (c + one) ** j).is_square()]
+            for i in (0, 1) for j in (0, 1)}
+
+
+def _candidates(ctx: FieldCtx, num_deg: int, den_deg: int, leads=None):
     """(0, 1, 1), then the triples (c*s^e*a^2, b^2, b) within the bounds, b
     and a monic, c a unit and e in {0, 1}: by b, then e, then a, then c,
-    each polynomial in polys_of_degree order by degree."""
+    each polynomial in polys_of_degree order by degree.  Given leads, the
+    block (deg b, e, deg a) takes only the units leads(deg b, e, deg a), and
+    a block with none builds no a^2."""
     yield Poly.zero(ctx), Poly.one(ctx), Poly.one(ctx)
     units = [c for c in ctx.elements() if c]
+    leads = leads or (lambda db, e, da: units)
     for db in range(den_deg // 2 + 1):
+        blocks = [(e, da, cs) for e in (0, 1) for da in range((num_deg - e) // 2 + 1)
+                  if (cs := leads(db, e, da))]
         for b in polys_of_degree(ctx, db, monic=True):
             w = b * b
-            for e in (0, 1):
-                for da in range((num_deg - e) // 2 + 1):
-                    for a in polys_of_degree(ctx, da, monic=True):
-                        square = (a * a).shift(e)
-                        for c in units:
-                            yield square.scale(c), w, b
+            for e, da, cs in blocks:
+                for a in polys_of_degree(ctx, da, monic=True):
+                    square = (a * a).shift(e)
+                    for c in cs:
+                        yield square.scale(c), w, b
 
 
 def _candidate_count(q: int, num_deg: int, den_deg: int) -> int:
@@ -277,9 +326,11 @@ def _check_search_work(ctx: FieldCtx, num_deg: int, den_deg: int) -> None:
 
 def _points_from_x(curve: CurveParams, u: Poly, w: Poly, b: Poly) -> list[ECPoint]:
     """The points with x = u/w, w = b^2, or none when u and b have a common
-    factor.  x(x+1)(x+s^N) is u(u+w)(u+w*s^N) / w^3; the degree parity of
-    the three factors (w^3 has even degree) is tested before the gcd and
-    before any product.  The product is prime to w, so y is its root over
+    factor.  x(x+1)(x+s^N) is u(u+w)(u+w*s^N) / w^3.  The search's leads
+    rule has dropped every candidate of odd degree but the cancelling leads
+    c = -1, whose degree it cannot know; the degree parity of the three
+    factors (w^3 has even degree) is tested here, before the gcd and before
+    any product.  The product is prime to w, so y is its root over
     b*w = b^3.  With no factor zero the product is nonzero, so a root y is
     nonzero and the points come in the pair (x, y), (x, -y)."""
     ctx = curve.ctx

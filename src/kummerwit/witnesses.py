@@ -38,12 +38,12 @@ def is_nzu(f: Poly) -> bool:
 
 
 def are_comaximal(f: Poly, g: Poly) -> bool:
-    """(f) + (g) = R, certified by extended gcd."""
+    """(f) + (g) = R, certified by extended gcd: d = 1 and u*f + v*g = d,
+    the identity checked here rather than trusted from poly_ext_gcd."""
     if f.is_zero() and g.is_zero():
         return False
     d, u, v = poly_ext_gcd(f, g)
-    assert u * f + v * g == d
-    return d.is_one()
+    return d.is_one() and u * f + v * g == d
 
 
 def divides(f: Poly, g: Poly) -> bool:

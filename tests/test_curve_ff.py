@@ -160,8 +160,15 @@ def test_point_search_monotone_in_bounds(f3):
 
 
 def test_point_search_parallel_matches_serial(f3, f9):
+    """Shards stride over the walk the leads rule prunes; the odd-N cases
+    over F_3 at (4, 2) and F_9 at (2, 2) skip whole blocks."""
+    pruned = ((curve_make(f3, 7), (4, 2)), (curve_make(f9, 5), (2, 2)))
+    for curve, bounds in pruned:
+        leads = curve_ff._search_leads(curve)
+        assert not all(leads(db, e, da) for db in range(bounds[1] // 2 + 1) for e in (0, 1)
+                       for da in range((bounds[0] - e) // 2 + 1))
     for curve, bounds in ((curve_make(f3, 2), (2, 1)), (curve_make(f3, 5), (2, 1)),
-                          (curve_make(f9, 2), (1, 1))):
+                          (curve_make(f9, 2), (1, 1))) + pruned:
         serial = point_search(curve, *bounds)
         parallel = point_search(curve, *bounds, workers=2)
         assert serial == parallel and serial
@@ -279,8 +286,9 @@ def exhaustive_search(curve, num_deg, den_deg):
 # (p, a, bounds, Ns): N odd and even, below and above num_deg; over F_3 at
 # bounds (3, 2) and N = 4 there are points with deg b = 1 and with e = 1,
 # deg a = 1 (x = u/b^2, u = c*s^e*a^2); F_5 at N = 3 and F_9 at N = 4 also
-# need deg b = 1
-SEARCH_CASES = [(3, 1, (3, 2), (1, 2, 4, 5)), (5, 1, (2, 2), (1, 3)),
+# need deg b = 1; over F_5 at bounds (1, 2) and N = 3 the leads rule skips
+# the whole branches (deg b, e) = (0, 1) and (1, 0), and points remain
+SEARCH_CASES = [(3, 1, (3, 2), (1, 2, 4, 5)), (5, 1, (2, 2), (1, 3)), (5, 1, (1, 2), (3, 7)),
                 (7, 1, (1, 2), (2, 3)), (13, 1, (1, 1), (1, 2)),
                 (3, 2, (0, 2), (1, 4)), (3, 2, (1, 1), (2,)), (5, 2, (0, 1), (1, 2)),
                 (7, 2, (0, 1), (3,)), (13, 2, (0, 0), (1,))]
@@ -296,6 +304,44 @@ def test_search_matches_exhaustive_oracle(p, a, bounds, Ns):
         assert found == exhaustive_search(curve, *bounds), (p, a, N)
         for pt in found:  # y's denominator is b^3 for x's b^2
             assert pt.y.den * pt.y.den == pt.x.den ** 3
+
+
+# (p, a, bounds): the sweep of test_search_leads_drop_only_pointless_candidates
+LEADS_SWEEP = [(3, 1, (8, 2)), (5, 1, (4, 2)), (7, 1, (3, 2)), (3, 2, (2, 2)), (13, 1, (2, 2))]
+
+
+def test_search_leads_drop_only_pointless_candidates():
+    """Every candidate of the unfiltered walk that the leads rule drops gets
+    [] from _points_from_x, for odd and even N <= 12; the search walk is the
+    unfiltered one with those dropped, in order.  The sweep drops leads at
+    e = 0 and e = 1, skips whole blocks, and keeps c = -1 at both cancelling
+    degrees, du = dw and du = dw + N."""
+    dropped_e, skipped, cancelling = set(), 0, set()
+    for p, a, bounds in LEADS_SWEEP:
+        ctx = field_ctx(p, a)
+        minus_one = -ctx.one()
+        for N in (N for N in range(1, 13) if N % p):
+            curve = curve_make(ctx, N)
+            leads = curve_ff._search_leads(curve)
+            kept = iter(curve_ff._candidates(ctx, *bounds, leads))
+            nxt = next(kept)
+            for u, w, b in curve_ff._candidates(ctx, *bounds):
+                if (u, w, b) == nxt:
+                    nxt = next(kept, None)
+                else:
+                    assert curve_ff._points_from_x(curve, u, w, b) == [], (p, a, N, u, w)
+                    dropped_e.add(u.degree() % 2)  # u = c*s^e*a^2
+            assert nxt is None
+            for db in range(bounds[1] // 2 + 1):
+                for e in (0, 1):
+                    for da in range((bounds[0] - e) // 2 + 1):
+                        du, dw = e + 2 * da, 2 * db
+                        cs = leads(db, e, da)
+                        skipped += not cs
+                        if du in (dw, dw + N):
+                            assert minus_one in cs
+                            cancelling.add(du == dw)
+    assert dropped_e == {0, 1} and skipped and len(cancelling) == 2
 
 
 def test_candidate_count_matches_enumerator():

@@ -9,7 +9,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +29,18 @@ def test_golden_record(row):
         code = dispatch(list(row["argv"]))
     assert code == 0
     assert buf.getvalue().strip().splitlines() == row["output"]
+
+
+def test_golden_inject_record_under_optimized_python():
+    """python -O strips asserts; the verifier's checks are not asserts, so
+    a witness inject record replays byte for byte in that mode too."""
+    row = next(r for r in GOLDEN if r["argv"][:2] == ["witness", "inject"])
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-m", "kummerwit.cli", *row["argv"]],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "".join(line + "\n" for line in row["output"])
 
 
 def _cli_actions() -> list[list[str]]:

@@ -75,6 +75,20 @@ def test_comaximal_shift_bullets_randomized(f3, f7):
                     assert are_comaximal(shifted[i], shifted[j])
 
 
+def test_are_comaximal_refuses_a_forged_certificate(f3, monkeypatch):
+    """The Bezout identity is part of the verdict, not an assert that python
+    -O strips: a certificate claiming d = 1 for s and s(s + 1), or cofactors
+    that miss d, gives False rather than AssertionError."""
+    import kummerwit.witnesses as witnesses
+    s, one = Poly.gen(f3), Poly.one(f3)
+    d, u, v = poly_ext_gcd(s, s + one)
+    assert d.is_one() and are_comaximal(s, s + one)
+    monkeypatch.setattr(witnesses, "poly_ext_gcd", lambda f, g: (one, u, v))
+    assert are_comaximal(s, s * (s + one)) is False
+    monkeypatch.setattr(witnesses, "poly_ext_gcd", lambda f, g: (d, u, v + one))
+    assert are_comaximal(s, s + one) is False
+
+
 def test_injection_witness_worked_examples(f3):
     s = Poly.gen(f3)
     zero, one = Poly.zero(f3), Poly.one(f3)
