@@ -728,13 +728,14 @@ def crt(pairs: list[tuple[Poly, Poly]]) -> Poly:
     res = _divmod(ctx, pairs[0][0].coeffs, mod)[1]
     for r, m in pairs[1:]:
         m = m.coeffs
-        d, u, _ = _ext_gcd(ctx, _divmod(ctx, mod, m)[1], m)  # so m's cofactor stays short
-        if d != [ctx.unit]:
+        d, u = _euclid(ctx, _divmod(ctx, mod, m)[1], m, [ctx.unit], [])  # u short, v not carried
+        scale = [_inv(ctx, d[-1])]
+        if len(d) > 1:
             raise NotCoprime(f"moduli {Poly(ctx, mod)!r} and {Poly(ctx, m)!r} "
-                             f"share factor {Poly(ctx, d)!r}")
-        # x = res + mod * t with t = u*(r - res) mod m, since u*mod = 1 mod m;
+                             f"share factor {Poly(ctx, _mul(ctx, d, scale))!r}")
+        # x = res + mod * t with t = u*(r - res)/d mod m, since u*mod = d mod m;
         # deg x < deg mod + deg m, so x needs no further reduction
-        t = _divmod(ctx, _mul(ctx, u, _addsub(ctx, r.coeffs, res, -1)), m)[1]
+        t = _divmod(ctx, _mul(ctx, _mul(ctx, u, scale), _addsub(ctx, r.coeffs, res, -1)), m)[1]
         res = _addsub(ctx, res, _mul(ctx, mod, t), 1)
         mod = _mul(ctx, mod, m)
     return Poly(ctx, res)

@@ -110,7 +110,8 @@ class Cyclotomic:
         return cls(n, _cyclotomic_remainder([v], n))
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
-        assert self.conductor == other.conductor
+        if self.conductor != other.conductor:
+            raise ValueError(f"conductors {self.conductor} and {other.conductor} differ")
         return Cyclotomic(self.conductor,
                           tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 

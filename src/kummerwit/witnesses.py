@@ -15,8 +15,9 @@ CM (comaximal: an extended-gcd certificate u*f + v*g = 1).  On top of them:
 - axiom_instance_check: finite-set instances of the five arithmetic axiom
   schemes, with k modelled by canonical k-element subsets of the ring.
 
-Builders and verifiers are deliberately separate code paths: verifiers use
-only extended gcd and set operations.
+Builders and verifiers are deliberately separate code paths.  A builder is
+correct by the lemma in its docstring and does not re-check it; the verifier
+rechecks the sentence, with only extended gcd and set operations.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import prod
 
 from .base_algebra.fields import FieldCtx
 from .base_algebra.grammar import format_poly
-from .base_algebra.poly import Poly, all_polys, crt, irreducibles_stream, poly_ext_gcd, poly_gcd
+from .base_algebra.poly import Poly, all_polys, crt, irreducibles_stream, poly_ext_gcd
 from .errors import SizeMismatch, UnitA, ZeroInA
 
 
@@ -62,33 +63,29 @@ def _irreducibles_avoiding(elements: list[Poly], ctx: FieldCtx):
 
 
 def coprime_element(elements: list[Poly], ctx: FieldCtx) -> Poly:
-    """A monic irreducible dividing no nonzero member of the set."""
-    cand = next(_irreducibles_avoiding(elements, ctx))
-    assert all(a.is_zero() or poly_gcd(cand, a).is_one() for a in elements)
-    return cand
+    """A monic irreducible dividing no nonzero member of the set, hence
+    coprime to each: its only monic divisors are 1 and itself."""
+    return next(_irreducibles_avoiding(elements, ctx))
 
 
 def comaximal_shift(elements: list[Poly], a: Poly, ctx: FieldCtx) -> Poly:
     """g = a*c with c = prod_{i<j} (a_i - a_j)^4, the product of the squared
-    differences over ordered pairs.
+    differences over ordered pairs.  Each t_i = 1 + a_i*g is a nonzero
+    non-unit comaximal with a, and the t_i are pairwise comaximal:
 
-    Every 1 + a_i*g is already a non-unit: a is nonconstant (UnitA), and the
-    a_i are nonzero (ZeroInA) and distinct, so c != 0 and deg(a_i*a*c) >= 1.
-    Postconditions (certified by extended gcd): each 1 + a_i*g is a nonzero
-    non-unit, comaximal with a, and the 1 + a_i*g are pairwise comaximal.
+    - a | g, so t_i = 1 mod every prime of a: t_i is comaximal with a.
+    - A prime pi dividing t_i and t_j divides t_i - t_j = (a_i - a_j)*g.
+      Every a_i - a_j divides c, so pi | g, and then t_i = 1 mod pi, a
+      contradiction.
+    - a is nonconstant (UnitA), and the a_i are nonzero (ZeroInA) and
+      distinct, so c != 0 and deg t_i = deg(a_i*g) >= deg a >= 1.
     """
     items = sorted(set(elements), key=Poly.sort_key)
     if any(e.is_zero() for e in items):
         raise ZeroInA("the set must not contain zero")
     if a.is_zero() or a.is_constant():
         raise UnitA("a must be neither zero nor a unit")
-    g = prod(((ai - aj) ** 4 for ai, aj in combinations(items, 2)), start=a)
-    shifted = [Poly.one(ctx) + ai * g for ai in items]
-    for t in shifted:
-        assert is_nzu(t) and are_comaximal(a, t)
-    for t1, t2 in combinations(shifted, 2):
-        assert are_comaximal(t1, t2)
-    return g
+    return prod(((ai - aj) ** 4 for ai, aj in combinations(items, 2)), start=a)
 
 
 @dataclass
@@ -209,14 +206,13 @@ def gamma_plus_check(f1: list[Poly], f2: list[Poly], f3: list[Poly],
                      ctx: FieldCtx) -> bool:
     """Finite-set semantics of the addition graph: |F1| + |F2| = |F3|.
 
-    The disjointifying shift always exists and is produced by
-    disjoint_shift; equipotence between finite sets is size equality.
+    disjoint_shift gives x with F1 and F2 + x disjoint, and b -> b + x is
+    injective, so the union has |F1| + |F2| elements; equipotence between
+    finite sets is size equality.
     """
     s1, s2, s3 = set(f1), set(f2), set(f3)
     x = disjoint_shift(f1, f2, ctx)
-    union = s1 | {b + x for b in s2}
-    assert len(union) == len(s1) + len(s2)
-    return len(union) == len(s3)
+    return len(s1 | {b + x for b in s2}) == len(s3)
 
 
 @dataclass
@@ -231,19 +227,18 @@ class GammaTimesWitness:
 
 
 def gamma_times_witness(f1: list[Poly], f2: list[Poly], ctx: FieldCtx) -> GammaTimesWitness:
-    """alpha, beta comaximal non-units avoiding all intra-set differences,
-    with the product set {beta*y + alpha*x}; its size is |F1| * |F2|."""
+    """alpha, beta: the first two monic irreducibles dividing no nonzero
+    intra-set difference, so non-units comaximal with each other and with
+    every difference.  The product set {beta*y + alpha*x} has |F1| * |F2|
+    elements: beta*y + alpha*x = beta*y' + alpha*x' gives beta*(y - y') =
+    alpha*(x' - x), so alpha | y - y', forcing y = y', and then x = x'."""
     s1 = sorted(set(f1), key=Poly.sort_key)
     s2 = sorted(set(f2), key=Poly.sort_key)
     if not s1 or not s2:
         raise ValueError("gamma_times_witness needs nonempty sets")
     diffs = [a - b for grp in (s1, s2) for a in grp for b in grp if a != b]
     alpha, beta = islice(_irreducibles_avoiding(diffs, ctx), 2)
-    assert is_nzu(alpha) and is_nzu(beta) and are_comaximal(alpha, beta)
-    for diff in diffs:
-        assert are_comaximal(alpha, diff) and are_comaximal(beta, diff)
     products = {beta * y + alpha * x for x in s1 for y in s2}
-    assert len(products) == len(s1) * len(s2)
     return GammaTimesWitness(alpha, beta, sorted(products, key=Poly.sort_key))
 
 

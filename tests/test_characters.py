@@ -85,6 +85,15 @@ def test_cyclotomic_root_sums():
     assert Cyclotomic.root_power(12, 12) == Cyclotomic.integer(12, 1)
 
 
+def test_cyclotomic_add_refuses_mixed_conductors():
+    """A sum of elements of different cyclotomic fields raises, under python
+    -O too, rather than zipping coefficient tuples of different lengths."""
+    with pytest.raises(ValueError, match="conductors 3 and 5 differ"):
+        Cyclotomic.integer(3, 1) + Cyclotomic.root_power(5, 1)
+    with pytest.raises(ValueError, match="conductors 12 and 6 differ"):
+        Cyclotomic.zero(12) + Cyclotomic.zero(6)
+
+
 @lru_cache(maxsize=None)
 def power_reduction_table(n):
     """x^j mod Phi_n as integer vectors for 0 <= j < n, built one
@@ -357,3 +366,13 @@ def test_unit_group_lift_matches_prime_power_branch():
         assert gens == tuple(zip(old, [order for *_, order in comps])), m
     for x in range(1, 20):  # m = 1 needs no case
         assert multiplicative_order(x, 1) == 1
+
+
+def test_primitive_root_lifts_to_g_plus_p():
+    """5, the least primitive root mod 40487, has order 40486 mod 40487^2, so
+    the generator mod p^k is 5 + p; unit_group never reaches this branch."""
+    p = 40487
+    assert characters._primitive_root(p, 1) == 5
+    assert multiplicative_order(5, p * p) == p - 1
+    assert characters._primitive_root(p, 2) == 5 + p
+    assert multiplicative_order(5 + p, p * p) == p * (p - 1)

@@ -43,6 +43,37 @@ def test_golden_inject_record_under_optimized_python():
     assert proc.stdout == "".join(line + "\n" for line in row["output"])
 
 
+_REPLAY = """
+import contextlib, io, json, sys
+from kummerwit.cli import dispatch
+records = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    records.append([code, out.getvalue(), err.getvalue()])
+json.dump({"optimize": sys.flags.optimize, "records": records}, sys.stdout)
+"""
+
+
+def test_golden_corpus_under_optimized_python():
+    """Every golden record replays byte for byte (exit code, stdout, and no
+    stderr) under python -O, in one subprocess: no output rests on an
+    assert."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", _REPLAY],
+                          input=json.dumps([row["argv"] for row in GOLDEN]),
+                          capture_output=True, text=True, timeout=600,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    got = json.loads(proc.stdout)
+    assert got["optimize"] == 1
+    want = [[0, "".join(line + "\n" for line in row["output"]), ""] for row in GOLDEN]
+    assert len(got["records"]) == len(want) == 79
+    for row, rec, exp in zip(GOLDEN, got["records"], want):
+        assert rec == exp, row["argv"]
+
+
 def _cli_actions() -> list[list[str]]:
     """[command, action] for every action of every subcommand, [command]
     for a subcommand without an action."""

@@ -30,6 +30,7 @@ from kummerwit.base_algebra import (FF, Poly, crt, factor, field_ctx, is_irreduc
                                     poly_ext_gcd, poly_gcd)
 from kummerwit.base_algebra import poly as kernel
 
+from kummerwit.errors import NotCoprime
 from tests.field_oracle import TupleField
 
 FIELDS = [(p, a) for p in (3, 5, 7, 13, 257) for a in (1, 2, 3)] + [(31, 2), (11, 3)]
@@ -434,6 +435,68 @@ def test_crt_residues(p, a):
         for r, m in zip(residues, moduli):
             assert odivmod(x, m)[1] == odivmod(r, m)[1], (p, a, count, deg)
         assert x.is_zero() or x.degree() < sum(m.degree() for m in moduli)
+
+
+def ext_gcd_crt(pairs):
+    """crt by _ext_gcd, whose v it drops: the route crt took before its
+    Euclid carried u alone, kept as the oracle, NotCoprime text included."""
+    ctx, mod = pairs[0][1].ctx, pairs[0][1].coeffs
+    res = kernel._divmod(ctx, pairs[0][0].coeffs, mod)[1]
+    for r, m in pairs[1:]:
+        m = m.coeffs
+        d, u, _ = kernel._ext_gcd(ctx, kernel._divmod(ctx, mod, m)[1], m)
+        if d != [ctx.unit]:
+            raise NotCoprime(f"moduli {Poly(ctx, mod)!r} and {Poly(ctx, m)!r} "
+                             f"share factor {Poly(ctx, d)!r}")
+        t = kernel._divmod(ctx, kernel._mul(ctx, u, kernel._addsub(ctx, r.coeffs, res, -1)), m)[1]
+        res = kernel._addsub(ctx, res, kernel._mul(ctx, mod, t), 1)
+        mod = kernel._mul(ctx, mod, m)
+    return Poly(ctx, res)
+
+
+def crt_outcome(solve, pairs):
+    try:
+        return solve(pairs)
+    except NotCoprime as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p,a", FIELDS + [(3, 7)], ids=FIELD_IDS + ["F3^7"])
+def test_crt_matches_ext_gcd_route(p, a):
+    """crt scales u by the inverse of Euclid's last remainder, a constant,
+    and makes a shared factor monic only to name it: the same solution, or
+    the same NotCoprime text, as the _ext_gcd route, on moduli that are not
+    monic, with and without a shared factor (not monic either) of degree 1
+    to 3 in the first and last modulus."""
+    ctx = ctx_of(p, a)
+    rng = random.Random(6000 * p + a)
+    outcomes = set()
+    for count, deg in ((2, 1), (3, 3), (4, 12)):
+        for shared in (False, True):
+            moduli = [rand_poly(ctx, rng, deg + 1 + rng.randrange(3)) for _ in range(count)]
+            if shared:
+                common = rand_poly(ctx, rng, 2 + rng.randrange(3))
+                moduli[0], moduli[-1] = omul(moduli[0], common), omul(moduli[-1], common)
+            residues = [rand_poly(ctx, rng, rng.randrange(0, 2 * deg + 3)) for _ in moduli]
+            pairs = list(zip(residues, moduli))
+            got = crt_outcome(crt, pairs)
+            assert got == crt_outcome(ext_gcd_crt, pairs), (p, a, count, deg, shared)
+            outcomes.add(type(got))
+    assert outcomes == {Poly, str}
+
+
+def test_crt_names_a_shared_factor_monic():
+    """2s + 2 and s^2 - 1 over F_3 share s + 1, which Euclid leaves as a
+    multiple that is not monic; the message names it monic, in either
+    order."""
+    ctx = field_ctx(3, 1)
+    s, one, two = Poly.gen(ctx), Poly.one(ctx), Poly.const(ctx, 2)
+    with pytest.raises(NotCoprime) as exc:
+        crt([(one, two * s + two), (s, s * s - one)])
+    assert str(exc.value) == "moduli 2*s+2 and 1*s^2+2 share factor 1*s+1"
+    with pytest.raises(NotCoprime) as exc:
+        crt([(one, s * s - one), (s, two * s + two)])
+    assert str(exc.value) == "moduli 1*s^2+2 and 2*s+2 share factor 1*s+1"
 
 
 @pytest.mark.parametrize("p,a", FIELDS, ids=FIELD_IDS)

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -56,23 +57,63 @@ def test_comaximal_shift_examples(f3):
         comaximal_shift([one], Poly.zero(f3), f3)
 
 
-def test_comaximal_shift_bullets_randomized(f3, f7):
+def assert_shift_bullets(items, a, ctx):
+    """The lemma of comaximal_shift, certified by extended gcd: each
+    1 + a_i*g a nonzero non-unit comaximal with a, and pairwise comaximal."""
+    g = comaximal_shift(items, a, ctx)
+    shifted = [Poly.one(ctx) + ai * g for ai in items]
+    assert all(is_nzu(t) and are_comaximal(a, t) for t in shifted)
+    for t1, t2 in combinations(shifted, 2):
+        assert are_comaximal(t1, t2)
+
+
+def test_comaximal_shift_bullets_randomized(f3, f7, f9):
+    """Small sets over F_3 and F_7, and the shapes of the witness inject
+    slots over F_9 and F_{3^7}: up to 5 elements of degree 2 to 3."""
     rng = random.Random(21)
     for ctx in (f3, f7):
         nonzero_pool = [p for p in all_polys(ctx, 2) if not p.is_zero()]
         for _ in range(25):
             items = rng.sample(nonzero_pool, rng.randrange(1, 4))
             a = rand_poly(ctx, rng, 3, nonzero=True)
-            if a.is_constant():
-                continue
-            g = comaximal_shift(items, a, ctx)
-            one = Poly.one(ctx)
-            shifted = [one + ai * g for ai in items]
-            assert all(is_nzu(t) for t in shifted)
-            assert all(are_comaximal(a, t) for t in shifted)
-            for i in range(len(shifted)):
-                for j in range(i + 1, len(shifted)):
-                    assert are_comaximal(shifted[i], shifted[j])
+            if not a.is_constant():
+                assert_shift_bullets(items, a, ctx)
+    for ctx, cases in ((f9, 8), (field_ctx(3, 7), 3)):
+        for size in range(1, 6):
+            for _ in range(cases):
+                items = {Poly(ctx, [rng.randrange(ctx.q) for _ in range(rng.randrange(2, 4))]
+                              + [rng.randrange(1, ctx.q)]) for _ in range(size)}
+                a = Poly(ctx, [rng.randrange(ctx.q), rng.randrange(1, ctx.q)])
+                assert_shift_bullets(sorted(items, key=Poly.sort_key), a, ctx)
+
+
+def test_builders_take_no_certificate(f3, f7, f9, monkeypatch):
+    """comaximal_shift, coprime_element and gamma_times_witness are correct
+    by the lemmas in their docstrings and call no extended gcd: with
+    poly_ext_gcd and are_comaximal raising, they return the same values."""
+    import kummerwit.witnesses as witnesses
+    rng = random.Random(77)
+    cases = []
+    for ctx in (f3, f7, f9):
+        pool = [p for p in all_polys(ctx, 2) if not p.is_zero()]
+        for _ in range(6):
+            items = rng.sample(pool, rng.randrange(1, 5))
+            other = rng.sample(pool, rng.randrange(1, 5))
+            a = Poly.gen(ctx) * rand_poly(ctx, rng, 2, nonzero=True)
+            cases.append((ctx, items, other, a))
+
+    def build():
+        return [(comaximal_shift(items, a, ctx), coprime_element(items + other, ctx),
+                 gamma_times_witness(items, other, ctx)) for ctx, items, other, a in cases]
+
+    expected = build()
+
+    def refuse(*args):
+        raise AssertionError("a builder asked for a certificate")
+
+    monkeypatch.setattr(witnesses, "poly_ext_gcd", refuse)
+    monkeypatch.setattr(witnesses, "are_comaximal", refuse)
+    assert build() == expected
 
 
 def test_are_comaximal_refuses_a_forged_certificate(f3, monkeypatch):
@@ -203,7 +244,12 @@ def test_gamma_times_randomized(f3, f7):
             f2 = rng.sample(pool, rng.randrange(1, 5))
             w = gamma_times_witness(f1, f2, ctx)
             assert len(w.product_set) == len(set(f1)) * len(set(f2))
-            assert are_comaximal(w.alpha, w.beta)
+            assert is_nzu(w.alpha) and is_nzu(w.beta) and are_comaximal(w.alpha, w.beta)
+            for grp in (f1, f2):
+                for x, y in combinations(grp, 2):
+                    assert are_comaximal(w.alpha, x - y) and are_comaximal(w.beta, x - y)
+            products = [w.beta * y + w.alpha * x for x in f1 for y in f2]
+            assert len(set(products)) == len(products)
             done += 1
     assert done >= 50
 
