@@ -214,6 +214,12 @@ def factor_place_in_tower(place: Place, r: int, n: int,
     satisfy sum(e_i * f_i) = r^n.  Raises WorkBound when deg(pi) * r^n
     exceeds TOWER_DEGREE_MAX (deg = 1 at infinity).  The split is the
     module docstring's, level by level.
+
+    The sum holds by induction on the level: at infinity and s it is e = r^n.
+    Else every e is 1, and the degrees of level i's factors and of those
+    composed to level n from below sum to deg(pi) * r^n, since each h is
+    replaced by factors of h(s^r) whose product is h(s^r): g and _edf's
+    split of h(s^r) / g in (a), _edf's split in (b), h(s^r) itself in (c).
     """
     check_tower_factor(place.degree(), r, n, ctx)
     if n == 0:
@@ -236,10 +242,8 @@ def factor_place_in_tower(place: Place, r: int, n: int,
             else:  # (c), irreducible at every level
                 done.append(h.compose_monomial(r ** (n - i)))
         level = above
-    out = [(Place(g), 1, g.degree() // place.degree())
-           for g in sorted(done + level, key=Poly.sort_key)]
-    assert sum(e * f for _, e, f in out) == r ** n
-    return out
+    return [(Place(g), 1, g.degree() // place.degree())
+            for g in sorted(done + level, key=Poly.sort_key)]
 
 
 def boundedness_probe(place: Place, r: int, ell: int, n_max: int,

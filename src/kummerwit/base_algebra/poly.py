@@ -403,6 +403,8 @@ def _addsub(ctx: FieldCtx, f, g, sign: int) -> list:
 
 def _add(ctx: FieldCtx, x: int, y: int, sign: int) -> int:
     """x + sign * y for codes."""
+    if ctx.a == 1:
+        return (x + sign * y) % ctx.p
     return (_addsub(ctx, (x,), (y,), sign) or [0])[0]
 
 
@@ -410,8 +412,10 @@ def _times(ctx: FieldCtx, x: int, y: int) -> int:
     """x * y for codes."""
     if ctx.a == 1:
         return x * y % ctx.p
+    if not x or not y:
+        return 0
     tables = _zech(ctx)
-    if tables is None or not x or not y:
+    if tables is None:
         return _mul(ctx, (x,), (y,))[0]
     log, exp, _ = tables
     return exp[(log[x] + log[y]) % len(exp)]

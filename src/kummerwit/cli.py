@@ -237,7 +237,7 @@ def cmd_witness(args) -> int:
     if args.action == "shift":
         elems = _split_polys(args.set, ctx)
         a = parse_poly(args.a_elem, ctx)
-        g = witnesses.comaximal_shift(elems, a, ctx)
+        g = witnesses.comaximal_shift(elems, a)
         _emit({"set": [format_poly(e) for e in elems], "a": format_poly(a),
                "g": format_poly(g)}, args.format)
         return 0

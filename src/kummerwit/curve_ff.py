@@ -43,14 +43,28 @@ degree is even and that lead a square, and builds no a^2 in a block with
 none (_search_leads).  At c = -1 with du in {dw, dw + N} the lead of
 u + w*s^k cancels and the rule decides nothing, so those leads are kept;
 the two-torsion x = -1 and x = -s^N are among them, and x = 0 is the
-candidate u = 0.  Every kept candidate is decided exactly: degree parity of
-F, then gcd(u, b) = 1 (lowest terms), then ratfunc_sqrt of
+candidate u = 0.
+
+The sieve then drops a lead c of a pair (b, a) before its candidate is
+built.  The search takes the root of P = u(u+w)(u+w*s^N), and a square in
+F_q[s] is a square or zero at every place s = alpha, so a candidate with
+P(alpha) a nonzero non-square has no point.  With t = u(alpha) =
+c*alpha^e*a(alpha)^2 and W = b(alpha)^2, P(alpha) = t(t+W)(t+W*alpha^N).
+W is taken once per b, alpha^e*a(alpha)^2 once per field and block (e,
+deg a), and a row per (b, alpha) marks the t with P(alpha) a nonzero
+non-square, so a lead costs one table read per place (_search_sieve).
+Evaluating u and w inside the candidate test instead was measured slower
+than no test, because nothing was shared between candidates.  At most
+SIEVE_PLACES places are tried, in code order; fields above poly._TABLE_MAX
+with a > 1 are not sieved.  Every kept candidate is decided exactly: degree
+parity of F, then gcd(u, b) = 1 (lowest terms), then ratfunc_sqrt of
 u(u+w)(u+w*s^N), which is prime to w, so y is that root over b^3.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -59,7 +73,8 @@ from functools import lru_cache, partial
 from .base_algebra.fields import FieldCtx, field_ctx
 from .base_algebra.grammar import format_point
 from .base_algebra.intarith import is_prime
-from .base_algebra.poly import DEGREE_MAX, Poly, poly_gcd, polys_of_degree
+from .base_algebra.poly import (DEGREE_MAX, Poly, _add, _times, _zech, poly_gcd,
+                                polys_of_degree)
 from .base_algebra.ratfunc import RatFunc, ratfunc_sqrt
 from .errors import BadModulus, BadN, OffCurve, WorkBound
 
@@ -219,10 +234,11 @@ def is_torsion(pt: ECPoint, curve: CurveParams) -> bool:
 # -- bounded point search ------------------------------------------------------------
 
 # The most candidates a search or member walk tries, counted before the
-# search's leads rule; the time grows with N and with the share the rule
-# keeps: 37,883 (p = 3, bounds (12, 4)) took 0.75 / 3.4 / 4.0 s at N = 5 / 22 / 44
-# (an even N above num_deg keeps 37,675), and 33,097 (F_13, (4, 2)) 0.05 s at
-# N = 3 and 0.8 s at N = 2 (Python 3.11, one core of a 2-CPU machine).
+# search's leads rule and sieve; the time grows with N and with the share they
+# keep: 37,883 (p = 3, bounds (12, 4)) took 0.58 / 2.3 / 2.6 s at N = 5 / 22 / 44
+# (an even N above num_deg keeps 37,675 past the leads rule, and F_3 has three
+# places to sieve at), and 33,097 (F_13, (4, 2)) 4 ms at N = 3 and 30 ms at
+# N = 2 (min of 3, Python 3.11, one core of a 2-CPU machine).
 SEARCH_CANDIDATES_MAX = 40_000
 
 
@@ -234,8 +250,9 @@ def point_search(curve: CurveParams, num_deg: int, den_deg: int,
     Only the candidates of the forced shape are tried (module docstring).
     Only the bounds, the candidate cap (WorkBound) and workers, in
     [1, os.cpu_count()], are checked; found points are on the curve by
-    construction.  Shard i of `workers` processes takes the candidates i,
-    i + workers, ... (see _candidates); the merged points are sorted.
+    construction.  Shard i of `workers` processes builds the candidates of
+    the (b, a) pairs i, i + workers, ... (see _candidates); the merged
+    points are sorted.
     """
     if num_deg < 0 or den_deg < 0:
         raise ValueError("bounds must be >= 0")
@@ -254,13 +271,11 @@ def point_search(curve: CurveParams, num_deg: int, den_deg: int,
 
 def _search_shard(curve: CurveParams, num_deg: int, den_deg: int,
                   shard: int, stride: int) -> list[ECPoint]:
-    """The points over the candidates shard, shard + stride, ... of the walk
-    restricted to the leads _search_leads keeps."""
-    out: list[ECPoint] = []
-    walk = _candidates(curve.ctx, num_deg, den_deg, _search_leads(curve))
-    for u, w, b in itertools.islice(walk, shard, None, stride):
-        out.extend(_points_from_x(curve, u, w, b))
-    return out
+    """The points over the candidates of the (b, a) pairs shard,
+    shard + stride, ... of the walk that _search_leads and _search_sieve keep."""
+    walk = _candidates(curve.ctx, num_deg, den_deg, _search_leads(curve),
+                       _search_sieve(curve), shard, stride)
+    return [pt for u, w, b in walk for pt in _points_from_x(curve, u, w, b)]
 
 
 def _search_leads(curve: CurveParams):
@@ -287,25 +302,124 @@ def _square_leads(ctx: FieldCtx) -> dict:
             for i in (0, 1) for j in (0, 1)}
 
 
-def _candidates(ctx: FieldCtx, num_deg: int, den_deg: int, leads=None):
+# The most places s = alpha, alpha in code order, at which _search_sieve tests
+# a candidate.  Each place keeps about half of what reaches it, and a place
+# costs a row of q entries per b: near the cap 4 / 8 / 12 / 16 / 24 places took
+# 157 / 31 / 16 / 17 / 17 ms over F_13 (N = 2, bounds (4, 2)), 41 / 9.8 / 6.4 /
+# 7.3 / 8.6 ms over F_27 and 45 / 8.6 / 8.2 / 8.9 / 9.5 ms over F_31 (N = 2,
+# (2, 2)) (min of 3, Python 3.11, one core of a 2-CPU machine).
+SIEVE_PLACES = 12
+
+
+def _search_sieve(curve: CurveParams):
+    """sieve(b) -> keep(e, da, cs): for each monic a of degree da, in
+    polys_of_degree order, the leads c in cs for which P = u(u+w)(u+w*s^N),
+    u = c*s^e*a^2 and w = b^2, is zero or a square at each of the first
+    SIEVE_PLACES places s = alpha (module docstring); None for a field above
+    poly._TABLE_MAX, which is not sieved.  w's values are taken once per b
+    and the a's once per field and block (_sieve_lifts), so a lead costs one
+    row read per place."""
+    ctx = curve.ctx
+    if ctx.a > 1 and _zech(ctx) is None:
+        return None
+    key, n, combine = _sieve_keys(ctx)
+    alphas = list(itertools.islice(ctx.elements(), SIEVE_PLACES))
+    alpha_n = [(x ** curve.N).code for x in alphas]
+
+    def sieve(b: Poly):
+        rows = []
+        for x, xn in zip(alphas, alpha_n):
+            bx = b.evaluate(x).code
+            w = _times(ctx, bx, bx)
+            rows.append(_sieve_row(ctx, w, _times(ctx, w, xn)))
+
+        def keep(e: int, da: int, cs: list):
+            for lifts in _sieve_lifts(ctx, e, da):
+                kept = cs
+                for i, k in lifts:
+                    r = rows[i]
+                    kept = [c for c in kept if not r[combine(key[c.code], k) % n]]
+                    if not kept:
+                        break
+                yield kept
+        return keep
+    return sieve
+
+
+def _sieve_keys(ctx: FieldCtx):
+    """(key, n, combine): a nonzero code's key is its residue mod n = p for
+    a = 1, and its Zech logarithm mod n = q - 1 for table fields, so that
+    combine(key c, key A) % n is the key of c*A."""
+    if ctx.a == 1:
+        return range(ctx.p), ctx.p, operator.mul
+    log, exp, _ = ctx.logs()
+    return log, len(exp), operator.add
+
+
+@lru_cache(maxsize=32)
+def _sieve_lifts(ctx: FieldCtx, e: int, da: int) -> list:
+    """For each monic a of degree da, in polys_of_degree order, the pairs
+    (i, key of alpha^e * a(alpha)^2) at the sieve's places alpha = code i
+    where that value is nonzero.  A place's values come one coefficient at a
+    time, the next one varying fastest."""
+    key = _sieve_keys(ctx)[0]
+    cols = []
+    for x in range(min(ctx.q, SIEVE_PLACES)):
+        vals, power = [0], ctx.unit
+        for _ in range(da):
+            terms = [_times(ctx, c, power) for c in range(ctx.q)]
+            vals = [_add(ctx, v, t, 1) for v in vals for t in terms]
+            power = _times(ctx, power, x)
+        shift = x if e else ctx.unit
+        monic = [_add(ctx, v, power, 1) for v in vals]
+        cols.append([key[y] if (y := _times(ctx, _times(ctx, v, v), shift)) else None
+                     for v in monic])
+    return [[(i, k) for i, k in enumerate(ks) if k is not None] for ks in zip(*cols)]
+
+
+@lru_cache(maxsize=256)
+def _sieve_row(ctx: FieldCtx, w: int, v: int) -> list:
+    """For each key of t, in order, whether t(t + w)(t + v) is a nonzero
+    non-square.  For a = 1 the key is t; for table fields t = g^k, and the
+    product has logarithm 3k + log(1 + w/t) + log(1 + v/t), None at a zero."""
+    if ctx.a == 1:
+        p = ctx.p
+        squares = {x * x % p for x in range(p)}
+        return [t * (t + w) * (t + v) % p not in squares for t in range(p)]
+    log, exp, zech = ctx.logs()
+    n = len(exp)
+    lw, lv = ([zech[(log[x] - k) % n] for k in range(n)] if x else [0] * n for x in (w, v))
+    return [z is not None and y is not None and (k + z + y) % 2 == 1
+            for k, z, y in zip(range(n), lw, lv)]
+
+
+def _candidates(ctx: FieldCtx, num_deg: int, den_deg: int, leads=None, sieve=None,
+                shard: int = 0, stride: int = 1):
     """(0, 1, 1), then the triples (c*s^e*a^2, b^2, b) within the bounds, b
     and a monic, c a unit and e in {0, 1}: by b, then e, then a, then c,
     each polynomial in polys_of_degree order by degree.  Given leads, the
     block (deg b, e, deg a) takes only the units leads(deg b, e, deg a), and
-    a block with none builds no a^2."""
-    yield Poly.zero(ctx), Poly.one(ctx), Poly.one(ctx)
+    a block with none builds no a^2.  Given a sieve, the pair (b, a) takes
+    only the units sieve(b)(e, deg a, units) gives for a, and a pair with
+    none builds no a^2.  The walk holds (0, 1, 1) when shard is 0 and the
+    (b, a) pairs shard, shard + stride, ..."""
+    if shard == 0:
+        yield Poly.zero(ctx), Poly.one(ctx), Poly.one(ctx)
     units = [c for c in ctx.elements() if c]
     leads = leads or (lambda db, e, da: units)
+    sieve = sieve or (lambda b: lambda e, da, cs: itertools.repeat(cs))
+    pairs = itertools.count(-shard)
     for db in range(den_deg // 2 + 1):
         blocks = [(e, da, cs) for e in (0, 1) for da in range((num_deg - e) // 2 + 1)
                   if (cs := leads(db, e, da))]
         for b in polys_of_degree(ctx, db, monic=True):
-            w = b * b
+            w, keep = b * b, sieve(b)
             for e, da, cs in blocks:
-                for a in polys_of_degree(ctx, da, monic=True):
-                    square = (a * a).shift(e)
-                    for c in cs:
-                        yield square.scale(c), w, b
+                for a, kept in zip(polys_of_degree(ctx, da, monic=True), keep(e, da, cs)):
+                    if next(pairs) % stride == 0 and kept:
+                        square = (a * a).shift(e)
+                        for c in kept:
+                            yield square.scale(c), w, b
 
 
 def _candidate_count(q: int, num_deg: int, den_deg: int) -> int:

@@ -138,7 +138,10 @@ def family_grow(pt: ECPoint, curve: CurveParams, n_target: int) -> tuple[Poly, F
 
 
 def polynomial_in_powers(f: Poly, n: int) -> Poly:
-    """Monic fbar != 0 with f * fbar in F_q[s^n]; 1 for a constant f (no factor)."""
+    """Monic fbar != 0 with f * fbar in F_q[s^n]; 1 for a constant f (no
+    factor).  f divides the multiple: its factors h^mult are pairwise
+    coprime, and h^mult divides qh(s^n)^k, as h divides qh(s^n) n times
+    for h = s and p^v times else (module docstring)."""
     if f.is_zero():
         raise ZeroInput("f must be nonzero")
     if n < 1:
@@ -152,16 +155,15 @@ def polynomial_in_powers(f: Poly, n: int) -> Poly:
         # least k with h^mult dividing qh(s^n)^k; h = s has multiplicity n
         k = -(-mult // (p_part if h.coeffs[0] else n))
         multiple = multiple * qh_n ** k
-    quot, rem = divmod(multiple, f)
-    assert rem.is_zero(), "complement construction must divide exactly"
-    return quot.monic()
+    return (multiple // f).monic()
 
 
 def _minimal_poly_of_root_power(h: Poly, n: int) -> Poly:
     """Minimal polynomial over F_q of beta = alpha^n, alpha a root of
     irreducible h: the product of X - beta^(q^i) over the Frobenius orbit of
-    beta, multiplied out in F_q[s]/(h).  Frobenius fixes the product, so its
-    coefficients are constants."""
+    beta, multiplied out in F_q[s]/(h).  Frobenius x -> x^q permutes the
+    orbit, so it fixes each coefficient, and the elements of the field
+    F_q[s]/(h) that it fixes are F_q: each reduced coefficient is a constant."""
     ctx, m = h.ctx, h.coeffs
     minv = _barrett(ctx, m)  # one inverse series of h for every power
     beta = _powmod(ctx, (Poly.gen(ctx) % h).coeffs, n, m, minv)
@@ -173,5 +175,4 @@ def _minimal_poly_of_root_power(h: Poly, n: int) -> Poly:
     coeffs = [Poly.one(ctx)]  # low to high, each reduced mod h
     for b in orbit:  # times X - b
         coeffs = [lo - (b * c) % h for lo, c in zip([zero] + coeffs, coeffs + [zero])]
-    assert all(c.is_constant() for c in coeffs), "orbit product must lie in F_q[X]"
     return Poly(ctx, [c.coeffs[0] if c else 0 for c in coeffs])

@@ -68,7 +68,7 @@ def coprime_element(elements: list[Poly], ctx: FieldCtx) -> Poly:
     return next(_irreducibles_avoiding(elements, ctx))
 
 
-def comaximal_shift(elements: list[Poly], a: Poly, ctx: FieldCtx) -> Poly:
+def comaximal_shift(elements: list[Poly], a: Poly) -> Poly:
     """g = a*c with c = prod_{i<j} (a_i - a_j)^4, the product of the squared
     differences over ordered pairs.  Each t_i = 1 + a_i*g is a nonzero
     non-unit comaximal with a, and the t_i are pairwise comaximal:
@@ -141,8 +141,8 @@ def injection_witness(set_a: list[Poly], set_b: list[Poly], ctx: FieldCtx) -> In
     if u.is_constant():
         u = u * s  # keep u a nonzero non-unit even when all differences are units
     b_images = b_items[: len(a_items)]
-    g = comaximal_shift([ai - c for ai in a_items], s, ctx)
-    g2 = comaximal_shift([bi - d for bi in b_images], u, ctx)
+    g = comaximal_shift([ai - c for ai in a_items], s)
+    g2 = comaximal_shift([bi - d for bi in b_images], u)
     m = crt([(bi, one + g * (ai - c)) for ai, bi in zip(a_items, b_images)])
     m2 = crt([(ai, one + g2 * (bi - d)) for ai, bi in zip(a_items, b_images)])
     return InjectionWitness("tuple", g=g, m=m, c=c, d=d, u=u, g2=g2, m2=m2)

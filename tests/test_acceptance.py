@@ -203,7 +203,7 @@ def test_criterion_07_witness_suite():
         a = rand_poly(ctx3, rng, 3, nonzero=True)
         if a.is_constant():
             continue
-        g = comaximal_shift(items, a, ctx3)
+        g = comaximal_shift(items, a)
         one = Poly.one(ctx3)
         shifted = [one + ai * g for ai in set(items)]
         ok &= all(is_nzu(t) and are_comaximal(a, t) for t in shifted)

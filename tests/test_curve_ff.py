@@ -159,16 +159,21 @@ def test_point_search_monotone_in_bounds(f3):
                           RatFunc.zero(f3)) in large
 
 
-def test_point_search_parallel_matches_serial(f3, f9):
-    """Shards stride over the walk the leads rule prunes; the odd-N cases
-    over F_3 at (4, 2) and F_9 at (2, 2) skip whole blocks."""
+def test_point_search_parallel_matches_serial(f3, f7, f9):
+    """Shards stride over the (b, a) pairs of the walk the leads rule and
+    the sieve prune; the odd-N cases over F_3 at (4, 2) and F_9 at (2, 2)
+    skip whole blocks, and the sieve drops candidates over F_7 at (3, 2)."""
     pruned = ((curve_make(f3, 7), (4, 2)), (curve_make(f9, 5), (2, 2)))
     for curve, bounds in pruned:
         leads = curve_ff._search_leads(curve)
         assert not all(leads(db, e, da) for db in range(bounds[1] // 2 + 1) for e in (0, 1)
                        for da in range((bounds[0] - e) // 2 + 1))
+    sieved = (curve_make(f7, 4), (3, 2))
+    leads = curve_ff._search_leads(sieved[0])
+    assert (sum(1 for _ in curve_ff._candidates(f7, *sieved[1], leads, curve_ff._search_sieve(sieved[0])))
+            < sum(1 for _ in curve_ff._candidates(f7, *sieved[1], leads)))
     for curve, bounds in ((curve_make(f3, 2), (2, 1)), (curve_make(f3, 5), (2, 1)),
-                          (curve_make(f9, 2), (1, 1))) + pruned:
+                          (curve_make(f9, 2), (1, 1)), sieved) + pruned:
         serial = point_search(curve, *bounds)
         parallel = point_search(curve, *bounds, workers=2)
         assert serial == parallel and serial
@@ -342,6 +347,61 @@ def test_search_leads_drop_only_pointless_candidates():
                             assert minus_one in cs
                             cancelling.add(du == dw)
     assert dropped_e == {0, 1} and skipped and len(cancelling) == 2
+
+
+def test_search_sieve_drops_only_pointless_candidates():
+    """Over LEADS_SWEEP and F_25, for every N <= 12 prime to p, the sieved
+    walk is the leads walk with candidates removed in order, each removed
+    candidate gets [] from _points_from_x, and every field drops some."""
+    dropping = set()
+    for p, a, bounds in LEADS_SWEEP + [(5, 2, (2, 0))]:
+        ctx = field_ctx(p, a)
+        for N in (N for N in range(1, 13) if N % p):
+            curve = curve_make(ctx, N)
+            leads = curve_ff._search_leads(curve)
+            kept = iter(curve_ff._candidates(ctx, *bounds, leads, curve_ff._search_sieve(curve)))
+            nxt = next(kept)
+            for u, w, b in curve_ff._candidates(ctx, *bounds, leads):
+                if (u, w, b) == nxt:
+                    nxt = next(kept, None)
+                else:
+                    assert curve_ff._points_from_x(curve, u, w, b) == [], (p, a, N, u, w)
+                    dropping.add((p, a))
+            assert nxt is None
+    assert len(dropping) == len(LEADS_SWEEP) + 1
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+def test_sieve_tables_match_evaluate(p, a):
+    """The sieve's scalar tables against FF: the key of c*A is
+    combine(key c, key A) % n; _sieve_lifts holds, at each place alpha with
+    a nonzero value, the key of alpha^e * a(alpha)^2 by Poly.evaluate; and
+    _sieve_row marks the keys of the t with t(t + w)(t + v) a nonzero
+    non-square."""
+    ctx = field_ctx(p, a)
+    key, n, combine = curve_ff._sieve_keys(ctx)
+    units = [c for c in ctx.elements() if c]
+    for c in units:
+        for y in units:
+            assert key[(c * y).code] == combine(key[c.code], key[y.code]) % n
+    alphas = list(ctx.elements())[:curve_ff.SIEVE_PLACES]
+    for e in (0, 1):
+        for da in range(3):
+            lifts = curve_ff._sieve_lifts(ctx, e, da)
+            monic = list(polys_of_degree(ctx, da, monic=True))
+            assert len(lifts) == len(monic)
+            for f, pairs in zip(monic, lifts):
+                assert pairs == [(i, key[v.code]) for i, x in enumerate(alphas)
+                                 if (v := x ** e * f.evaluate(x) ** 2)]
+    t_of_key = sorted(units, key=lambda t: key[t.code])
+    assert [key[t.code] for t in t_of_key] == list(range(1 if a == 1 else 0, n))
+    if a == 1:
+        t_of_key.insert(0, ctx.zero())
+    elems = list(ctx.elements())
+    for w in elems:
+        for v in random.Random(p).sample(elems, min(ctx.q, 5)) + [ctx.zero(), w]:
+            row = curve_ff._sieve_row(ctx, w.code, v.code)
+            assert row == [bool(f := t * (t + w) * (t + v)) and not f.is_square() for t in t_of_key]
 
 
 def test_candidate_count_matches_enumerator():

@@ -325,7 +325,9 @@ def polynomial_in_powers_by_valuation(f, n):
     for h, mult in factor(f):
         qh_n = _minimal_poly_of_root_power(h, n).compose_monomial(n)
         multiple = multiple * qh_n ** -(-mult // poly_valuation(qh_n, h))
-    return (multiple // f).monic()
+    quot, rem = divmod(multiple, f)
+    assert rem.is_zero(), "f must divide the multiple"
+    return quot.monic()
 
 
 @pytest.mark.parametrize("p,a", [(3, 1), (5, 1), (3, 2)])
