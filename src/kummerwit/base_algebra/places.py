@@ -55,7 +55,7 @@ from ..errors import BadEll, WorkBound, ZeroInput
 from .fields import FieldCtx
 from .grammar import format_place
 from .intarith import is_prime, multiplicative_order
-from .poly import Poly, _edf, is_irreducible, poly_ext_gcd, poly_gcd, poly_valuation
+from .poly import Poly, _edf, _split_off, is_irreducible, poly_ext_gcd, poly_gcd, poly_valuation
 from .ratfunc import RatFunc
 
 
@@ -106,14 +106,6 @@ def valuation(x: RatFunc, place: Place) -> int:
     if place.is_infinite:
         return x.v_infinity()
     return poly_valuation(x.num, place.poly) - poly_valuation(x.den, place.poly)
-
-
-def _split_off(f: Poly, pi: Poly) -> tuple[int, Poly]:
-    """(v, g mod pi) for f = pi^v * g with pi not dividing g; f nonzero."""
-    v, (f, r) = 0, divmod(f, pi)
-    while not r:
-        v, (f, r) = v + 1, divmod(f, pi)
-    return v, r
 
 
 class ResidueField:

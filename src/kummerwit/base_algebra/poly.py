@@ -700,13 +700,15 @@ def poly_valuation(f: Poly, pi: Poly) -> int:
         raise ZeroInput("valuation of zero is undefined")
     if pi.is_constant():
         raise ValueError("valuation needs a nonconstant pi")
-    v = 0
-    while True:
-        q, r = divmod(f, pi)
-        if not r.is_zero():
-            return v
-        v += 1
-        f = q
+    return _split_off(f, pi)[0]
+
+
+def _split_off(f: Poly, pi: Poly) -> tuple[int, Poly]:
+    """(v, g mod pi) for f = pi^v * g with pi not dividing g; f nonzero."""
+    v, (f, r) = 0, divmod(f, pi)
+    while not r:
+        v, (f, r) = v + 1, divmod(f, pi)
+    return v, r
 
 
 def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:

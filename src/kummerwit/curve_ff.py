@@ -233,12 +233,12 @@ def is_torsion(pt: ECPoint, curve: CurveParams) -> bool:
 
 # -- bounded point search ------------------------------------------------------------
 
-# The most candidates a search or member walk tries, counted before the
-# search's leads rule and sieve; the time grows with N and with the share they
-# keep: 37,883 (p = 3, bounds (12, 4)) took 0.58 / 2.3 / 2.6 s at N = 5 / 22 / 44
-# (an even N above num_deg keeps 37,675 past the leads rule, and F_3 has three
-# places to sieve at), and 33,097 (F_13, (4, 2)) 4 ms at N = 3 and 30 ms at
-# N = 2 (min of 3, Python 3.11, one core of a 2-CPU machine).
+# The most candidates a search tries, counted before its leads rule and
+# sieve; the time grows with N and with the share they keep: 37,883 (p = 3,
+# bounds (12, 4)) took 0.58 / 2.3 / 2.6 s at N = 5 / 22 / 44 (an even N above
+# num_deg keeps 37,675 past the leads rule, and F_3 has three places to sieve
+# at), and 33,097 (F_13, (4, 2)) 4 ms at N = 3 and 30 ms at N = 2 (min of 3,
+# Python 3.11, one core of a 2-CPU machine).
 SEARCH_CANDIDATES_MAX = 40_000
 
 
@@ -430,9 +430,9 @@ def _candidate_count(q: int, num_deg: int, den_deg: int) -> int:
 
 
 def _check_search_work(ctx: FieldCtx, num_deg: int, den_deg: int) -> None:
-    """Raise WorkBound above SEARCH_CANDIDATES_MAX candidates.  For num_deg >= 0
-    a bound b alone gives over q^(b // 2), so b // 2 past the cap's bit length is refused."""
-    if ((num_deg >= 0 and max(num_deg, den_deg) // 2 > SEARCH_CANDIDATES_MAX.bit_length())
+    """Raise WorkBound above SEARCH_CANDIDATES_MAX candidates, bounds >= 0.  A
+    bound b alone gives over q^(b // 2), so b // 2 past the cap's bit length is refused."""
+    if (max(num_deg, den_deg) // 2 > SEARCH_CANDIDATES_MAX.bit_length()
             or _candidate_count(ctx.q, num_deg, den_deg) > SEARCH_CANDIDATES_MAX):
         raise WorkBound(f"bounds ({num_deg}, {den_deg}) over F_{ctx.q} exceed the "
                         f"search cap of {SEARCH_CANDIDATES_MAX} candidates")

@@ -6,17 +6,14 @@ y^2 * lambda = x * (x + lambda) * (x + lambda * s^N); scaling a curve point
 (x0, y0) by lambda lands (lambda*x0, lambda*y0) in that equation, so enough
 multiples of a non-torsion point force the family beyond any target size.
 
-Conversely, family_members finds the members as scaled curve points.  For
+Conversely, family_members reads the members off the point search.  For
 lambda != 0 of degree d, x = lambda*X and y = lambda*Y show that x is a
-member exactly when X is the x-coordinate of a point (X, Y) on
-y^2 = x(x+1)(x+s^N) and lambda*Y is a polynomial.
-- Write X = u/w in lowest terms, w monic.  The point search's proof
-  (curve_ff) gives w = b^2 and u in {0} and {c*s^e*a^2}, b and a monic; the
-  zero factors X = 0, -1, -s^N have that shape too.
-- x = lambda*u/w is a polynomial and gcd(u, w) = 1, so w divides lambda.
-- Y = a*z/b^3 with z^2 = c*s^e*(u+w)(u+w*s^N), and z is coprime to b, so
-  lambda*Y is a polynomial only if b^3 divides lambda.
-Hence deg w <= 2*floor(d/3) and deg u <= deg_bound - d + 2*floor(d/3).
+member exactly when (X, Y) is a point on y^2 = x(x+1)(x+s^N) with lambda*X
+and lambda*Y polynomials.  The search's points have X = u/b^2 and Y = z/b^3
+in lowest terms (curve_ff), so both are polynomials exactly when Y.den =
+b^3 divides lambda.  Then deg b^2 <= 2*floor(d/3) and deg u <= deg_bound -
+d + 2*floor(d/3), the bounds of the search; for a negative numerator bound
+only x = 0 is left.
 
 polynomial_in_powers(f, n) returns a monic complement fbar with
 f * fbar in F_q[s^n], built from the minimal polynomials of the n-th powers
@@ -39,7 +36,7 @@ from math import gcd
 from .base_algebra.grammar import format_poly
 from .base_algebra.poly import DEGREE_MAX, Poly, _barrett, _powmod, factor, poly_lcm
 from .base_algebra.ratfunc import RatFunc, ratfunc_sqrt
-from .curve_ff import CurveParams, ECPoint, _add_step, _candidates, _check_search_work, is_torsion
+from .curve_ff import CurveParams, ECPoint, _add_step, is_torsion, point_search
 from .errors import DistinctnessFailure, TorsionPoint, WorkBound, ZeroInput
 
 
@@ -79,24 +76,22 @@ def membership_witness(x: Poly, lam: Poly, curve: CurveParams):
 
 def family_members(lam: Poly, curve: CurveParams, deg_bound: int) -> FamilyResult:
     """All ring elements of degree <= deg_bound in C_lambda, with witnesses:
-    each member is lam*u/w for a point-search candidate (u, w) within the
-    bounds proved in the module docstring, w dividing lam, and each distinct
-    such x is decided once by membership_witness; WorkBound above the search cap."""
+    each member is lambda*X for a point (X, Y) that point_search finds within
+    the bounds of the module docstring, with Y.den dividing lambda, and each
+    distinct such x is decided once by membership_witness, which fixes the
+    witness's sign; WorkBound above the search cap."""
     if deg_bound < 0:
         raise ValueError("deg_bound must be >= 0")
-    ctx = curve.ctx
-    if lam.is_zero():
-        zero = Poly.zero(ctx)
+    d = lam.degree()
+    if lam.is_zero() or deg_bound < d - 2 * (d // 3):  # x = 0 alone, witnessed by y = 0
+        zero = Poly.zero(curve.ctx)
         return FamilyResult(lam, curve.N, deg_bound, [zero], {zero: zero})
-    den_deg = 2 * (lam.degree() // 3)
-    num_deg = deg_bound - lam.degree() + den_deg
-    _check_search_work(ctx, num_deg, den_deg)
+    den_deg = 2 * (d // 3)
     found: dict = {}
-    for u, w, _ in _candidates(ctx, num_deg, den_deg):
-        cofactor, rem = divmod(lam, w)
-        if rem:
+    for pt in point_search(curve, deg_bound - d + den_deg, den_deg):
+        if lam % pt.y.den:
             continue
-        x = cofactor * u
+        x = lam // pt.x.den * pt.x.num
         if x.degree() <= deg_bound and x not in found:
             found[x] = membership_witness(x, lam, curve)
     members = sorted((x for x, y in found.items() if y is not None), key=Poly.sort_key)
@@ -110,7 +105,12 @@ def family_grow(pt: ECPoint, curve: CurveParams, n_target: int) -> tuple[Poly, F
     lambda is the lcm of the denominators of P, 2P, ..., n_target*P, that
     is of the y-denominators: at a pole of x, v(x + 1) = v(x + s^N) = v(x)
     < 0, so 2v(y) = 3v(x) < 2v(x) and x.den divides y.den.  The member bound
-    is the largest degree of the scaled x-coordinates.
+    is the largest degree of the scaled x-coordinates.  So each kP is a
+    point whose y.den divides lambda, and lambda*x(kP) is a member
+    (family_members).  kP = +-jP for j < k <= n_target would make P torsion,
+    so the x(kP) are distinct and a family of fewer than n_target members
+    means P is torsion (is_torsion certifies only two-torsion for even N):
+    DistinctnessFailure.
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
@@ -128,12 +128,11 @@ def family_grow(pt: ECPoint, curve: CurveParams, n_target: int) -> tuple[Poly, F
     lam = Poly.one(ctx)
     for mp in multiples:
         lam = poly_lcm(lam, mp.y.den)
-    scaled = [lam // mp.x.den * mp.x.num for mp in multiples]  # lam*x, a polynomial
-    bound = max((sx.degree() for sx in scaled if sx), default=0)
+    bound = max((lam // mp.x.den * mp.x.num).degree() for mp in multiples)
     result = family_members(lam, curve, bound)
-    for sx in scaled:
-        assert sx in result.witnesses, "scaled multiple missing from the family"
-    assert len(result.members) >= n_target, "family smaller than the target size"
+    if len(result.members) < n_target:
+        raise DistinctnessFailure(f"the family holds {len(result.members)} members, "
+                                  f"fewer than {n_target}; the point is torsion")
     return lam, result
 
 

@@ -7,8 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from kummerwit import curve_ff, kummer_local, rank_engine, witnesses
-from kummerwit.base_algebra import (field_ctx, parse_place, parse_poly, parse_ratfunc,
+from kummerwit import curve_ff, family, kummer_local, rank_engine, witnesses
+from kummerwit.base_algebra import (Poly, field_ctx, parse_place, parse_poly, parse_ratfunc,
                                     places)
 from kummerwit.base_algebra.poly import DEGREE_MAX
 from kummerwit.base_algebra.places import TOWER_DEGREE_MAX
@@ -163,6 +163,25 @@ def test_verify_library_error_names_its_stage(capsys, monkeypatch):
                      "detail": "search refused"}]
 
 
+def test_family_short_of_target_is_an_error(capsys, monkeypatch):
+    """A family below --target means the point is torsion: family grow exits
+    2 with one error: line, and verify names DistinctnessFailure as its
+    failed stage (reached on N = 5, r = 23, whose search finds non-torsion
+    points)."""
+    def short(lam, curve, bound):
+        zero = Poly.zero(curve.ctx)
+        return family.FamilyResult(lam, curve.N, bound, [zero], {zero: zero})
+    monkeypatch.setattr(family, "family_members", short)
+    assert dispatch(["family", "grow", "-p", "3", "-N", "2", "--point", "(1*s; 1*s^2+1*s)",
+                     "--target", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: DistinctnessFailure: ") and err.count("\n") == 1
+    monkeypatch.setattr(rank_engine, "find_r", lambda p, count: [23])
+    code, recs = run_cli(capsys, "verify", "--suite", "quick", "-p", "3",
+                         "--num-deg", "6", "--den-deg", "2")
+    assert code == 1 and recs[0]["failed_stage"] == "DistinctnessFailure", recs
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["rank", "-p", "4", "-a", "1", "-q", "7", "-r", "11", "-n", "0"])
@@ -256,9 +275,9 @@ def test_golden_and_benchmark_moduli_under_balance_cap(capsys):
 
 
 def _search_bounds(args) -> list[tuple[int, int, int]]:
-    """(q, num_deg, den_deg) of every point search and member walk whose
-    bounds parsed args fix: curve search, each stabilize level, family
-    members and verify's search."""
+    """(q, num_deg, den_deg) of every point search whose bounds parsed args
+    fix: curve search, each stabilize level, family members and verify's
+    search."""
     action = getattr(args, "action", None)
     if args.command not in ("curve", "family", "verify"):
         return []

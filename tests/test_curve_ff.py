@@ -405,8 +405,8 @@ def test_sieve_tables_match_evaluate(p, a):
 
 
 def test_candidate_count_matches_enumerator():
-    """The closed form against len(_candidates), num_deg below 0 included
-    (family_members' walk can ask for it); 425 at the golden p = 3, (6, 2)."""
+    """The closed form against len(_candidates), num_deg below 0 included,
+    where the walk holds (0, 1, 1) alone; 425 at the golden p = 3, (6, 2)."""
     for p, a in ((3, 1), (5, 1), (3, 2)):
         ctx = field_ctx(p, a)
         for num_deg in range(-2, 5):

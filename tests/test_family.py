@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from kummerwit import family
+from kummerwit import curve_ff, family
 from kummerwit.base_algebra import (FF, Poly, RatFunc, all_polys, factor, field_ctx,
                                     irreducibles, parse_point)
-from kummerwit.base_algebra.poly import poly_lcm, poly_valuation
+from kummerwit.base_algebra.poly import poly_lcm, poly_valuation, polys_of_degree
 from kummerwit.curve_ff import ECPoint, curve_make, ec_mul, is_torsion, point_search
 from kummerwit.errors import DistinctnessFailure, TorsionPoint, ZeroInput
 from kummerwit.family import (_minimal_poly_of_root_power, family_grow, family_members,
@@ -106,8 +106,11 @@ def exhaustive_members(lam, curve, deg_bound):
 # with and without square and cube factors, some not monic, and lambda = 0;
 # the cube cases over F_3 (s^3, (s+1)^3, 2s^3, s^4+s^3), F_5 ((s+3)^3, 4(s+1)^3),
 # F_7 ((s+1)^3) and F_9 (s^3, code 5 * s^3) have members lambda*u/b^2 with
-# deg b = 1: over F_5, 4s^3+2s^2 = (s+3)^3 * 4s^2/(s+3)^2
+# deg b = 1: over F_5, 4s^3+2s^2 = (s+3)^3 * 4s^2/(s+3)^2; s(s+1)^2 and
+# s^2(s+1)^2 over F_3 have a square factor but no cube factor
 FAMILY_CASES = [(3, 1, 2, [], 3), (3, 1, 2, [2], 4), (3, 1, 1, [0, 1], 4),
+                (3, 1, 2, [0, 1, 2, 1], 3), (3, 1, 1, [0, 1, 2, 1], 4),
+                (3, 1, 2, [0, 0, 1, 2, 1], 4),
                 (3, 1, 2, [1, 2, 1], 4), (3, 1, 4, [0, 0, 0, 1], 1),
                 (3, 1, 4, [1, 0, 0, 1], 4), (3, 1, 4, [0, 0, 0, 2], 2),
                 (3, 1, 5, [0, 0, 0, 0, 1], 4), (3, 1, 4, [0, 0, 0, 1, 1], 2),
@@ -134,7 +137,7 @@ def test_members_match_exhaustive_walk(p, a, N, lam_codes, deg_bound):
 def test_members_decided_once_within_the_cube_bound(monkeypatch):
     """Each x family_members decides is decided once, and x/lambda in lowest
     terms has a denominator dividing c^2, c^3 the largest cube dividing
-    lambda: the walk keeps only lambda*u/w with w dividing lambda."""
+    lambda: only the points (X, Y) with Y.den dividing lambda are kept."""
     for p, a, N, lam_codes, deg_bound in FAMILY_CASES:
         ctx = field_ctx(p, a)
         lam = Poly(ctx, lam_codes)
@@ -152,16 +155,37 @@ def test_members_decided_once_within_the_cube_bound(monkeypatch):
             assert not (cube_root * cube_root) % RatFunc(x, lam).den, (lam, x)
 
 
+def test_members_with_no_numerator_room_search_nothing(f3, monkeypatch):
+    """deg_bound below deg lambda - 2*floor(deg lambda / 3) leaves x = 0
+    alone, found without walking a single b."""
+    walked = []
+
+    def spy(ctx, d, monic=False):
+        for b in polys_of_degree(ctx, d, monic):
+            walked.append(b)
+            yield b
+    monkeypatch.setattr(curve_ff, "polys_of_degree", spy)
+    res = family_members(Poly.monomial(f3, 12), curve_make(f3, 2), 0)
+    zero = Poly.zero(f3)
+    assert (res.members, res.witnesses, walked) == ([zero], {zero: zero}, [])
+
+
 @pytest.mark.parametrize("target", [1, 2, 3])
 def test_family_grow_targets(f3, target):
+    """The members hold the scaled multiples lambda*x(kP), k <= target, as
+    family_grow's docstring proves, each with its witness."""
     E2 = curve_make(f3, 2)
-    lam, res = family_grow(sample_point(f3), E2, target)
+    pt = sample_point(f3)
+    lam, res = family_grow(pt, E2, target)
     assert len(res.members) >= target
     assert lam == Poly.one(f3)  # the sample point and its small multiples are integral
     sN = Poly.monomial(f3, 2)
     for x in res.members:
         y = res.witnesses[x]
         assert y * y * lam == x * (x + lam) * (x + lam * sN)
+    for k in range(1, target + 1):
+        kx = ec_mul(k, pt, E2).x
+        assert lam // kx.den * kx.num in res.witnesses, k
 
 
 def test_lambda_from_y_denominators(f3):

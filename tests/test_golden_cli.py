@@ -6,6 +6,7 @@ order shows up here first.
 """
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -72,6 +73,15 @@ def test_golden_corpus_under_optimized_python():
     assert len(got["records"]) == len(want) == 79
     for row, rec, exp in zip(GOLDEN, got["records"], want):
         assert rec == exp, row["argv"]
+
+
+def test_no_assert_statements_in_src():
+    """python -O deletes asserts, so no check in src/ may be one: a lemma's
+    check is proved (proof in the docstring, check in a test) or raises."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    found = [f"{path.relative_to(src)}:{node.lineno}" for path in sorted(src.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def _cli_actions() -> list[list[str]]:
