@@ -132,9 +132,14 @@ class Cyclotomic:
 def unit_group(m: int):
     """((generators, orders), lambda, dlog table) for (Z/m)^x.
 
-    Generators come from the standard structure of (Z/p^k)^x, lifted by the
-    Chinese Remainder Theorem; construction is verified by checking that the
-    generated products enumerate all phi(m) units without collision.
+    (Z/m)^x is the product, by the Chinese Remainder Theorem, of the groups
+    (Z/p^k)^x over the prime powers p^k || m.  For odd p that group is
+    cyclic of order phi(p^k), generated by a primitive root g mod p, or by
+    g + p when g^(p-1) = 1 mod p^2 (_primitive_root); (Z/4)^x = <3>, and
+    (Z/2^k)^x = <-1> x <5> with orders 2 and 2^(k-2) for k >= 3.  Each
+    generator is lifted to 1 modulo the other prime powers, so the
+    products g_1^e_1 ... g_j^e_j, 0 <= e_i < d_i, run over the phi(m) units
+    once each: the dlog table has no collision and misses no unit.
     Raises WorkBound above UNIT_GROUP_MAX.
     """
     if m < 3:
@@ -156,23 +161,16 @@ def unit_group(m: int):
     # g lifted to g mod pk and 1 mod m/pk; at m = pk (m // pk = 1) the lift is g itself
     gens = [(1 + m // pk * pow(m // pk, -1, pk) * (g - 1)) % m for pk, g, _ in comps]
     orders = [order for _, _, order in comps]
-    # dlog table doubles as the construction check: running products, one
-    # multiplication per entry, each generator's exponent in turn
+    # running products, one multiplication per entry, each generator's
+    # exponent in turn
     dlog: dict[int, tuple[int, ...]] = {1: ()}
     for g, d in zip(gens, orders):
         table: dict[int, tuple[int, ...]] = {}
         for val, exps in dlog.items():
             for e in range(d):
-                if val in table:
-                    raise ArithmeticError(f"unit group construction collision mod {m}")
                 table[val] = exps + (e,)
                 val = val * g % m
         dlog = table
-    if len(dlog) != euler_phi(m):
-        raise ArithmeticError(f"unit group construction incomplete mod {m}")
-    for g, d in zip(gens, orders):
-        if multiplicative_order(g, m) != d:
-            raise ArithmeticError(f"generator order mismatch mod {m}")
     exponent = lcm(*orders) if orders else 1
     return tuple(zip(gens, orders)), exponent, dlog
 
@@ -322,6 +320,14 @@ def is_balanced_fast(x: int, m: int, below=None):
     - m a prime = 3 mod 4 and (x/m) = 1: not balanced;
     - m = y*z with y an odd prime dividing z and x not balanced mod z:
       not balanced.
+
+    The ladder lemma behind the third: take an odd chi mod z with chi(x) =
+    1 and a nonzero half sum (module docstring).  It lifts to chi' mod yz,
+    chi'(k) = chi(k mod z), and the units agree because y | z.  The range
+    0 < k < yz/2 is (y - 1)/2 full periods of length z, each summing to 0
+    (chi is not principal), plus one half period, which sums to chi's half
+    sum.  So chi' is odd, chi'(x) = 1 and its half sum is nonzero: x is
+    unbalanced mod yz.
 
     below(x, z) decides the smaller modulus z: is_balanced_fast itself by
     default; BalanceRouter passes its cached, oracle-backed decision.

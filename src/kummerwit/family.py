@@ -13,7 +13,9 @@ and lambda*Y polynomials.  The search's points have X = u/b^2 and Y = z/b^3
 in lowest terms (curve_ff), so both are polynomials exactly when Y.den =
 b^3 divides lambda.  Then deg b^2 <= 2*floor(d/3) and deg u <= deg_bound -
 d + 2*floor(d/3), the bounds of the search; for a negative numerator bound
-only x = 0 is left.
+only x = 0 is left.  The witness is y = lambda*Y, up to sign: y^2*lambda =
+lambda^3*Y^2 = lambda^3*X(X+1)(X+s^N) = x(x+lambda)(x+lambda*s^N), so no
+second square root is taken.
 
 polynomial_in_powers(f, n) returns a monic complement fbar with
 f * fbar in F_q[s^n], built from the minimal polynomials of the n-th powers
@@ -76,10 +78,11 @@ def membership_witness(x: Poly, lam: Poly, curve: CurveParams):
 
 def family_members(lam: Poly, curve: CurveParams, deg_bound: int) -> FamilyResult:
     """All ring elements of degree <= deg_bound in C_lambda, with witnesses:
-    each member is lambda*X for a point (X, Y) that point_search finds within
-    the bounds of the module docstring, with Y.den dividing lambda, and each
-    distinct such x is decided once by membership_witness, which fixes the
-    witness's sign; WorkBound above the search cap."""
+    each member is x = lambda*X for a point (X, Y) that point_search finds
+    within the bounds of the module docstring, with Y.den dividing lambda,
+    and its witness is y = +-lambda*Y (module docstring), of the sign that
+    ratfunc_sqrt, and so membership_witness, would return: the leading
+    coefficient of least code.  WorkBound above the search cap."""
     if deg_bound < 0:
         raise ValueError("deg_bound must be >= 0")
     d = lam.degree()
@@ -93,9 +96,9 @@ def family_members(lam: Poly, curve: CurveParams, deg_bound: int) -> FamilyResul
             continue
         x = lam // pt.x.den * pt.x.num
         if x.degree() <= deg_bound and x not in found:
-            found[x] = membership_witness(x, lam, curve)
-    members = sorted((x for x, y in found.items() if y is not None), key=Poly.sort_key)
-    return FamilyResult(lam, curve.N, deg_bound, members, {x: found[x] for x in members})
+            y = lam // pt.y.den * pt.y.num
+            found[x] = min(y, -y, key=lambda f: f.coeffs[-1:])
+    return FamilyResult(lam, curve.N, deg_bound, sorted(found, key=Poly.sort_key), found)
 
 
 def family_grow(pt: ECPoint, curve: CurveParams, n_target: int) -> tuple[Poly, FamilyResult]:

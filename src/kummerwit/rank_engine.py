@@ -6,7 +6,12 @@ mod e, of the index phi(e)/ord(p^a mod e).  Balance checks route through
 the Legendre shortcuts first, then propagate not-balanced verdicts up
 prime-power ladders (m = y*z with y | z, is_balanced_fast asking the router
 about z), and only then fall back to the coset count of is_balanced;
-results are cached per (x, e).  rank_formula validates the parameters.
+results are cached per (x, e).  rank_formula validates the parameters and
+refuses oversized ones (WorkBound) before any balance decision.
+
+rank_constancy_check answers for every level of the tower at once: the
+rank at level n is the rank at level 0 for all n exactly when p is
+unbalanced mod r and mod q*r (the proof is in its docstring).
 """
 
 from __future__ import annotations
@@ -16,8 +21,20 @@ from math import gcd
 
 from .base_algebra.intarith import (euler_phi, is_prime, multiplicative_order,
                                     primes_from)
-from .characters import is_balanced, is_balanced_fast, legendre_symbol
-from .errors import BadModulus, NotCoprime, SearchExhausted
+from .characters import (BALANCE_MODULUS_MAX, is_balanced, is_balanced_fast,
+                         legendre_symbol)
+from .errors import BadModulus, NotCoprime, SearchExhausted, WorkBound
+
+# The most bits q*r^n may have: at 509-512 bits rank_formula decided four
+# triples in 0.23-0.43 s, and with no cap rank_formula(3, 1, 7, 11, n) took
+# 0.13 / 1.1 / 12.4 / 142 s at n = 100 / 200 / 400 / 800 (Python 3.11, one
+# core of a 2-CPU machine): the ladder decides every divisor, so no other
+# cap is met.
+RANK_MODULUS_BITS_MAX = 512
+# The largest q or r: phi(q) and ord(p^a mod q) factor q and q - 1 by trial
+# division, which grows with sqrt(q); at n = 0 a prime q near 10^12 or 2^40
+# took 0.09-0.11 s, and one near 10^14 took 1.1 s (same machine).
+RANK_PRIME_MAX = 2 ** 40
 
 
 def find_r(p: int, count: int) -> list[int]:
@@ -102,6 +119,22 @@ def _validate_params(p: int, a: int, q: int, r: int, n: int):
         raise ValueError("n must be >= 0")
 
 
+def _check_work(q: int, r: int, n: int):
+    """WorkBound for a level whose divisors are too large to decide.  Above
+    level 0, q*r is a squarefree composite divisor, which neither Legendre
+    shortcut nor the ladder decides, so only the coset count, capped at
+    BALANCE_MODULUS_MAX, can; refusing it here spares the trial division of
+    q*r that comes first."""
+    if q > RANK_PRIME_MAX or r > RANK_PRIME_MAX:
+        raise WorkBound(f"q = {q} or r = {r} exceeds the prime cap {RANK_PRIME_MAX}")
+    # r >= 3, so n >= RANK_MODULUS_BITS_MAX alone gives too many bits
+    if n >= RANK_MODULUS_BITS_MAX or (q * r ** n).bit_length() > RANK_MODULUS_BITS_MAX:
+        raise WorkBound(f"q*r^n for n = {n} exceeds the cap of "
+                        f"{RANK_MODULUS_BITS_MAX} bits")
+    if n and q * r > BALANCE_MODULUS_MAX:
+        raise WorkBound(f"modulus q*r = {q * r} exceeds the balance cap {BALANCE_MODULUS_MAX}")
+
+
 def rank_formula(p: int, a: int, q: int, r: int, n: int,
                  router: BalanceRouter | None = None) -> RankReport:
     """Divisor-sum rank over the tower level F_{p^a}(t^(r^-n)): each divisor
@@ -109,6 +142,7 @@ def rank_formula(p: int, a: int, q: int, r: int, n: int,
     _validate_params(p, a, q, r, n)
     if gcd(p, q * r) != 1:
         raise NotCoprime(f"p = {p} divides q*r^n")
+    _check_work(q, r, n)
     router = router or BalanceRouter()
     divisors = sorted(q ** i * r ** j for i in (0, 1) for j in range(n + 1))
     entries: list[DivisorEntry] = []
@@ -125,11 +159,21 @@ def rank_formula(p: int, a: int, q: int, r: int, n: int,
     return RankReport(p, a, q, r, n, entries, rank)
 
 
-def rank_constancy_check(p: int, a: int, q: int, r: int, n_max: int,
+def rank_constancy_check(p: int, a: int, q: int, r: int,
                          router: BalanceRouter | None = None) -> tuple[int, bool, bool]:
-    """(C, ok_constant, ok_bound): C is the rank at n = 0, ok_constant says the
-    rank is the same for all 0 <= n <= n_max, ok_bound says C <= q - 1."""
+    """(C, constant, bounded): C is the rank at n = 0, constant says the rank
+    is C at every level n >= 0, bounded says C <= q - 1.
+
+    Level n adds only the divisors r^n and q*r^n to those of level n - 1,
+    and each contributes its index phi(e)/ord(p^a mod e) >= 1 exactly when
+    p is balanced mod e.  By the ladder lemma (is_balanced_fast) with y = r,
+    p unbalanced mod r and mod q*r is unbalanced mod every r^j and q*r^j,
+    j >= 1.  So the rank is constant at every level exactly when p is
+    unbalanced mod r and mod q*r, which is when rank(1) = rank(0), whatever
+    a is: for every n_max >= 1 the level loop up to n_max gives the same
+    answer.  Level 1's caps apply (WorkBound)."""
     router = router or BalanceRouter()
-    ranks = [rank_formula(p, a, q, r, n, router).rank for n in range(n_max + 1)]
-    c = ranks[0]
-    return c, all(v == c for v in ranks), c <= q - 1
+    c = rank_formula(p, a, q, r, 0, router).rank
+    _check_work(q, r, 1)
+    constant = not (router.balanced(p, r) or router.balanced(p, q * r))
+    return c, constant, c <= q - 1

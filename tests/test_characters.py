@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from functools import lru_cache
@@ -144,13 +145,16 @@ def test_enumeration_counts():
 
 
 def test_unit_group_verified_structure():
-    for m in (7, 8, 9, 12, 15, 16, 24, 45, 77):
-        gens, exponent, dlog = unit_group(m)
-        phi = len(dlog)
-        assert phi == sum(1 for k in range(1, m) if math.gcd(k, m) == 1)
-        for g, d in gens:
-            assert pow(g, d, m) == 1
-        assert exponent % max(d for _, d in gens) == 0
+    """The structure theorem unit_group's docstring states, checked on every
+    m below 2000: the dlog table's keys are the phi(m) units, every exponent
+    tuple appears (so each once), and each generator has its stated order."""
+    for m in range(3, 2000):
+        gens, exponent, dlog = unit_group.__wrapped__(m)
+        assert sorted(dlog) == [k for k in range(1, m) if math.gcd(k, m) == 1], m
+        orders = [d for _, d in gens]
+        assert sorted(dlog.values()) == sorted(itertools.product(*map(range, orders))), m
+        assert all(multiplicative_order(g, m) == d for g, d in gens), m
+        assert exponent == math.lcm(*orders)
 
 
 def test_unit_group_cap_and_bounded_caches():

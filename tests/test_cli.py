@@ -10,13 +10,14 @@ import pytest
 from kummerwit import curve_ff, family, kummer_local, rank_engine, witnesses
 from kummerwit.base_algebra import (Poly, field_ctx, parse_place, parse_poly, parse_ratfunc,
                                     places)
+from kummerwit.base_algebra.intarith import is_prime
 from kummerwit.base_algebra.poly import DEGREE_MAX
 from kummerwit.base_algebra.places import TOWER_DEGREE_MAX
 from kummerwit.characters import BALANCE_MODULUS_MAX, UNIT_GROUP_MAX
 from kummerwit.cli import build_parser, dispatch
 from kummerwit.curve_ff import SEARCH_CANDIDATES_MAX, _candidate_count
 from kummerwit.errors import WorkBound
-from kummerwit.rank_engine import find_q, find_r
+from kummerwit.rank_engine import RANK_MODULUS_BITS_MAX, RANK_PRIME_MAX, find_q, find_r
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +123,21 @@ def test_verify_quick(capsys):
     assert code == 0
     assert recs[0]["ok"] is True
     assert recs[0]["rank"] == {"C_a": 1, "bounded": True, "constant": True}
+
+
+@pytest.mark.parametrize("suite", ["quick", "full"])
+def test_verify_decides_the_rank_at_level_zero_only(capsys, monkeypatch, suite):
+    """The rank stage computes the formula once, at n = 0; constancy at
+    every level comes from two balance decisions (rank_constancy_check)."""
+    levels = []
+    formula = rank_engine.rank_formula
+
+    def spy(p, a, q, r, n, router=None):
+        levels.append(n)
+        return formula(p, a, q, r, n, router)
+    monkeypatch.setattr(rank_engine, "rank_formula", spy)
+    code, recs = run_cli(capsys, "verify", "--suite", suite, "-p", "3")
+    assert code == 0 and recs[0]["rank"]["constant"] is True and levels == [0]
 
 
 def _verify_quick_record(capsys) -> dict:
@@ -247,15 +263,16 @@ def _golden_and_benchmark_argvs(workload: str) -> list[list[str]]:
 
 
 def _balance_moduli(args) -> list[int]:
-    """The largest modulus parsed args can hand is_balanced: m itself, or
-    q*r^n, of which every modulus the rank formula decides is a divisor."""
+    """The largest modulus parsed args can hand is_balanced: m itself,
+    q*r^n, of which every modulus the rank formula decides is a divisor, or
+    for verify q*r, the larger of its two constancy decisions."""
     if args.command == "balanced":
         return [args.m]
     if args.command == "rank":
         return [args.q * args.r ** args.n]
     if args.command == "verify":
         r = find_r(args.p, 1)[0]
-        return [find_q(args.p, r) * r ** (2 if args.suite == "quick" else 4)]
+        return [find_q(args.p, r) * r]
     return []
 
 
@@ -272,6 +289,42 @@ def test_golden_and_benchmark_moduli_under_balance_cap(capsys):
     assert time.perf_counter() - start < 0.5
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: WorkBound: ") and "balance cap" in err, err
+
+
+def _next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("p,q,r,n,cap", [
+    (3, 7, 11, 1000, "512 bits"),                   # unbounded before the cap
+    (3, 7, 11, 148, "512 bits"),                    # 7*11^148 has 515 bits
+    (3, _next_prime(2 ** 40), 11, 0, "prime cap"),
+    (3, 7, _next_prime(2 ** 40), 0, "prime cap"),
+    (5, 3, _next_prime(10 ** 7 // 3), 1, "balance cap"),
+    (3, _next_prime(2 ** 39), _next_prime(_next_prime(2 ** 39) + 1), 1, "balance cap"),
+])
+def test_rank_refuses_oversized_levels_at_once(capsys, p, q, r, n, cap):
+    """rank exits 2 before any balance decision when q*r^n has more than
+    RANK_MODULUS_BITS_MAX bits, when q or r exceeds RANK_PRIME_MAX, or above
+    level 0 when q*r, which only the coset count decides, exceeds its cap."""
+    start = time.perf_counter()
+    assert dispatch(["rank", "-p", str(p), "-a", "1", "-q", str(q), "-r", str(r),
+                     "-n", str(n)]) == 2
+    assert time.perf_counter() - start < 0.2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: WorkBound: ") and cap in err, err
+
+
+def test_rank_cap_boundary(capsys):
+    """7*11^147 has 512 bits, the most the cap allows, and is decided; the
+    balance workload's largest q*r^n, 3*43^4, is far below it."""
+    assert (7 * 11 ** 147).bit_length() == RANK_MODULUS_BITS_MAX
+    assert RANK_PRIME_MAX == 2 ** 40 and (3 * 43 ** 4).bit_length() < 25
+    code, recs = run_cli(capsys, "rank", "-p", "3", "-a", "1", "-q", "7", "-r", "11",
+                         "-n", "147")
+    assert code == 0 and recs[0]["rank"] == 1 and len(recs[0]["divisors"]) == 296
 
 
 def _search_bounds(args) -> list[tuple[int, int, int]]:

@@ -135,9 +135,13 @@ def test_members_match_exhaustive_walk(p, a, N, lam_codes, deg_bound):
 
 
 def test_members_decided_once_within_the_cube_bound(monkeypatch):
-    """Each x family_members decides is decided once, and x/lambda in lowest
-    terms has a denominator dividing c^2, c^3 the largest cube dividing
-    lambda: only the points (X, Y) with Y.den dividing lambda are kept."""
+    """Each member's x/lambda in lowest terms has a denominator dividing
+    c^2, c^3 the largest cube dividing lambda: only the points (X, Y) with
+    Y.den dividing lambda are kept.  The witness is lambda*Y, so
+    membership_witness, and its square root, is never called."""
+    def no_root(*args):
+        raise AssertionError("membership_witness called")
+    monkeypatch.setattr(family, "membership_witness", no_root)
     for p, a, N, lam_codes, deg_bound in FAMILY_CASES:
         ctx = field_ctx(p, a)
         lam = Poly(ctx, lam_codes)
@@ -146,12 +150,9 @@ def test_members_decided_once_within_the_cube_bound(monkeypatch):
         cube_root = Poly.one(ctx)
         for h, mult in factor(lam):
             cube_root = cube_root * h ** (mult // 3)
-        decided = []
-        monkeypatch.setattr(family, "membership_witness",
-                            lambda x, *args: decided.append(x) or membership_witness(x, *args))
-        family_members(lam, curve_make(ctx, N), deg_bound)
-        assert len(decided) == len(set(decided))
-        for x in decided:
+        res = family_members(lam, curve_make(ctx, N), deg_bound)
+        assert res.members
+        for x in res.members:
             assert not (cube_root * cube_root) % RatFunc(x, lam).den, (lam, x)
 
 

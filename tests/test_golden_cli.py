@@ -84,6 +84,20 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_every_cap_is_named_in_readme():
+    """Each public module-level *_MAX constant under src/ is a cap a user can
+    meet, so README names it."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    caps = sorted(target.id for path in (root / "src").rglob("*.py")
+                  for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)
+                  for target in node.targets
+                  if isinstance(target, ast.Name) and target.id.endswith("_MAX")
+                  and not target.id.startswith("_"))
+    assert len(caps) >= 7
+    readme = (root / "README.md").read_text()
+    assert [cap for cap in caps if cap not in readme] == []
+
+
 def _cli_actions() -> list[list[str]]:
     """[command, action] for every action of every subcommand, [command]
     for a subcommand without an action."""
