@@ -24,6 +24,8 @@ Z(k) = log(1 + g^k), so that g^i + g^j = g^(i + Z(j - i)) (Lidl and
 Niederreiter, Finite Fields, ch. 2 and 9).  The tables hold O(q) ints; they
 are built on first use, without FF (whose table-field powers read them),
 and kept on the context, which field_ctx builds once per field and process.
+poly's kernel reads them for the table fields, and curve_ff's point search
+in every field it searches (FieldCtx.logs says why those are small).
 FF.sqrt keeps the power of a non-square that Tonelli-Shanks needs on the
 context (Cohen, A Course in Computational Algebraic Number Theory, 1.5.1).
 """
@@ -117,7 +119,11 @@ class FieldCtx:
         and g the first element of order m: exp[k] is the code of g^k for
         0 <= k < m, log[code] its k (None for 0), and zech[k] = log(1 + g^k)
         (None for k = m/2, where 1 + g^k = 0).  poly's kernel and FF read them
-        for table fields (a > 1, q <= poly._TABLE_MAX) and for no other field."""
+        for table fields (a > 1, q <= poly._TABLE_MAX) only.  curve_ff's point
+        search reads them in every field it searches, prime fields included:
+        a nonzero value is a square exactly when its logarithm is even.  A
+        search has at least q candidates, so its cap SEARCH_CANDIDATES_MAX
+        refuses every field with q > 40,000 before the tables are built."""
         if self._logs is None:
             self._logs = _log_tables(self)
         return self._logs

@@ -54,17 +54,18 @@ W is taken once per b, alpha^e*a(alpha)^2 once per field and block (e,
 deg a), and a row per (b, alpha) marks the t with P(alpha) a nonzero
 non-square, so a lead costs one table read per place (_search_sieve).
 Evaluating u and w inside the candidate test instead was measured slower
-than no test, because nothing was shared between candidates.  At most
-SIEVE_PLACES places are tried, in code order; fields above poly._TABLE_MAX
-with a > 1 are not sieved.  Every kept candidate is decided exactly: degree
-parity of F, then gcd(u, b) = 1 (lowest terms), then ratfunc_sqrt of
-u(u+w)(u+w*s^N), which is prime to w, so y is that root over b^3.
+than no test, because nothing was shared between candidates.  Both rules
+key a nonzero value by its discrete logarithm (FieldCtx.logs), in every
+field: with q - 1 even it is a square exactly when its logarithm is even,
+and c*A has the logarithm log c + log A mod q - 1.  At most SIEVE_PLACES
+places are tried, in code order.  Every kept candidate is decided exactly:
+degree parity of F, then gcd(u, b) = 1 (lowest terms), then ratfunc_sqrt
+of u(u+w)(u+w*s^N), which is prime to w, so y is that root over b^3.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -73,8 +74,7 @@ from functools import lru_cache, partial
 from .base_algebra.fields import FieldCtx, field_ctx
 from .base_algebra.grammar import format_point
 from .base_algebra.intarith import is_prime
-from .base_algebra.poly import (DEGREE_MAX, Poly, _add, _times, _zech, poly_gcd,
-                                polys_of_degree)
+from .base_algebra.poly import DEGREE_MAX, Poly, _add, _times, poly_gcd, polys_of_degree
 from .base_algebra.ratfunc import RatFunc, ratfunc_sqrt
 from .errors import BadModulus, BadN, OffCurve, WorkBound
 
@@ -234,11 +234,14 @@ def is_torsion(pt: ECPoint, curve: CurveParams) -> bool:
 # -- bounded point search ------------------------------------------------------------
 
 # The most candidates a search tries, counted before its leads rule and
-# sieve; the time grows with N and with the share they keep: 37,883 (p = 3,
-# bounds (12, 4)) took 0.58 / 2.3 / 2.6 s at N = 5 / 22 / 44 (an even N above
-# num_deg keeps 37,675 past the leads rule, and F_3 has three places to sieve
-# at), and 33,097 (F_13, (4, 2)) 4 ms at N = 3 and 30 ms at N = 2 (min of 3,
-# Python 3.11, one core of a 2-CPU machine).
+# sieve; the time grows with N and with the share they keep.  At the cap a
+# first search in a process took 0.54 / 2.1 / 2.8 s over F_3 at N = 5 / 22 /
+# 44 (bounds (12, 4), 37,883 candidates: an even N above num_deg keeps
+# 37,675 past the leads rule, and F_3 has three places to sieve at), 6 / 28
+# ms over F_13 at N = 3 / 2 ((4, 2)), and 0.3-0.55 s at N = 2 over F_39989
+# and F_{199^2} ((0, 0)) and F_{3^9} ((1, 0)), building the logarithm tables
+# included (min of 2-3, Python 3.11, one core of a 2-CPU machine).  A search
+# has at least q candidates, so no field above the cap builds those tables.
 SEARCH_CANDIDATES_MAX = 40_000
 
 
@@ -296,9 +299,12 @@ def _search_leads(curve: CurveParams):
 @lru_cache(maxsize=32)
 def _square_leads(ctx: FieldCtx) -> dict:
     """(i, j) -> the units c, in element order, with c^i * (c + 1)^j a square
-    or zero (c = -1 at j = 1, where the lead cancels)."""
-    one = ctx.one()
-    return {(i, j): [c for c in ctx.elements() if c and (c ** i * (c + one) ** j).is_square()]
+    or zero: i*k + j*Z(k) even, for k = log c and Z(k) = log(c + 1), or
+    c = -1 at j = 1, where the lead cancels (Z(k) is None)."""
+    log, _, zech = ctx.logs()
+    units = [(c, log[c.code]) for c in ctx.elements() if c]
+    return {(i, j): [c for c, k in units
+                     if (z := zech[k] if j else 0) is None or (i * k + z) % 2 == 0]
             for i in (0, 1) for j in (0, 1)}
 
 
@@ -315,14 +321,11 @@ def _search_sieve(curve: CurveParams):
     """sieve(b) -> keep(e, da, cs): for each monic a of degree da, in
     polys_of_degree order, the leads c in cs for which P = u(u+w)(u+w*s^N),
     u = c*s^e*a^2 and w = b^2, is zero or a square at each of the first
-    SIEVE_PLACES places s = alpha (module docstring); None for a field above
-    poly._TABLE_MAX, which is not sieved.  w's values are taken once per b
-    and the a's once per field and block (_sieve_lifts), so a lead costs one
-    row read per place."""
+    SIEVE_PLACES places s = alpha (module docstring).  w's values are taken
+    once per b and the a's once per field and block (_sieve_lifts), so a
+    lead costs one row read per place."""
     ctx = curve.ctx
-    if ctx.a > 1 and _zech(ctx) is None:
-        return None
-    key, n, combine = _sieve_keys(ctx)
+    log, n = ctx.logs()[0], ctx.q - 1
     alphas = list(itertools.islice(ctx.elements(), SIEVE_PLACES))
     alpha_n = [(x ** curve.N).code for x in alphas]
 
@@ -338,7 +341,7 @@ def _search_sieve(curve: CurveParams):
                 kept = cs
                 for i, k in lifts:
                     r = rows[i]
-                    kept = [c for c in kept if not r[combine(key[c.code], k) % n]]
+                    kept = [c for c in kept if not r[(log[c.code] + k) % n]]
                     if not kept:
                         break
                 yield kept
@@ -346,23 +349,13 @@ def _search_sieve(curve: CurveParams):
     return sieve
 
 
-def _sieve_keys(ctx: FieldCtx):
-    """(key, n, combine): a nonzero code's key is its residue mod n = p for
-    a = 1, and its Zech logarithm mod n = q - 1 for table fields, so that
-    combine(key c, key A) % n is the key of c*A."""
-    if ctx.a == 1:
-        return range(ctx.p), ctx.p, operator.mul
-    log, exp, _ = ctx.logs()
-    return log, len(exp), operator.add
-
-
 @lru_cache(maxsize=32)
 def _sieve_lifts(ctx: FieldCtx, e: int, da: int) -> list:
     """For each monic a of degree da, in polys_of_degree order, the pairs
-    (i, key of alpha^e * a(alpha)^2) at the sieve's places alpha = code i
+    (i, log of alpha^e * a(alpha)^2) at the sieve's places alpha = code i
     where that value is nonzero.  A place's values come one coefficient at a
     time, the next one varying fastest."""
-    key = _sieve_keys(ctx)[0]
+    log = ctx.logs()[0]
     cols = []
     for x in range(min(ctx.q, SIEVE_PLACES)):
         vals, power = [0], ctx.unit
@@ -372,25 +365,21 @@ def _sieve_lifts(ctx: FieldCtx, e: int, da: int) -> list:
             power = _times(ctx, power, x)
         shift = x if e else ctx.unit
         monic = [_add(ctx, v, power, 1) for v in vals]
-        cols.append([key[y] if (y := _times(ctx, _times(ctx, v, v), shift)) else None
+        cols.append([log[y] if (y := _times(ctx, _times(ctx, v, v), shift)) else None
                      for v in monic])
     return [[(i, k) for i, k in enumerate(ks) if k is not None] for ks in zip(*cols)]
 
 
 @lru_cache(maxsize=256)
-def _sieve_row(ctx: FieldCtx, w: int, v: int) -> list:
-    """For each key of t, in order, whether t(t + w)(t + v) is a nonzero
-    non-square.  For a = 1 the key is t; for table fields t = g^k, and the
-    product has logarithm 3k + log(1 + w/t) + log(1 + v/t), None at a zero."""
-    if ctx.a == 1:
-        p = ctx.p
-        squares = {x * x % p for x in range(p)}
-        return [t * (t + w) * (t + v) % p not in squares for t in range(p)]
+def _sieve_row(ctx: FieldCtx, w: int, v: int) -> bytes:
+    """For each k < q - 1, whether t(t + w)(t + v) is a nonzero non-square at
+    t = g^k: the product has logarithm 3k + log(1 + w/t) + log(1 + v/t), and
+    no logarithm at a zero."""
     log, exp, zech = ctx.logs()
     n = len(exp)
     lw, lv = ([zech[(log[x] - k) % n] for k in range(n)] if x else [0] * n for x in (w, v))
-    return [z is not None and y is not None and (k + z + y) % 2 == 1
-            for k, z, y in zip(range(n), lw, lv)]
+    return bytes(z is not None and y is not None and (k + z + y) % 2
+                 for k, z, y in zip(range(n), lw, lv))
 
 
 def _candidates(ctx: FieldCtx, num_deg: int, den_deg: int, leads=None, sieve=None,

@@ -4,13 +4,14 @@ import pytest
 
 from kummerwit.base_algebra import Poly, RatFunc, field_ctx, parse_point
 from kummerwit import curve_ff
+from kummerwit.base_algebra.fields import FieldCtx
 from kummerwit.base_algebra.poly import all_polys, poly_gcd, polys_of_degree
 from kummerwit.base_algebra.ratfunc import poly_subs_monomial
 from kummerwit.curve_ff import (CurveParams, ECPoint, curve_make,
                                 ec_add, ec_mul, ec_neg, is_on_curve, is_torsion,
                                 j_invariant, point_search, stabilization_probe,
                                 two_torsion)
-from kummerwit.errors import BadN, OffCurve
+from kummerwit.errors import BadN, OffCurve, WorkBound
 from kummerwit.family import family_grow
 from tests.test_ratfunc import squarefree_sqrt
 
@@ -292,11 +293,13 @@ def exhaustive_search(curve, num_deg, den_deg):
 # bounds (3, 2) and N = 4 there are points with deg b = 1 and with e = 1,
 # deg a = 1 (x = u/b^2, u = c*s^e*a^2); F_5 at N = 3 and F_9 at N = 4 also
 # need deg b = 1; over F_5 at bounds (1, 2) and N = 3 the leads rule skips
-# the whole branches (deg b, e) = (0, 1) and (1, 0), and points remain
+# the whole branches (deg b, e) = (0, 1) and (1, 0), and points remain;
+# F_{11^3} and F_1031 at (0, 0) are sieved in fields above 1024 elements
 SEARCH_CASES = [(3, 1, (3, 2), (1, 2, 4, 5)), (5, 1, (2, 2), (1, 3)), (5, 1, (1, 2), (3, 7)),
                 (7, 1, (1, 2), (2, 3)), (13, 1, (1, 1), (1, 2)),
                 (3, 2, (0, 2), (1, 4)), (3, 2, (1, 1), (2,)), (5, 2, (0, 1), (1, 2)),
-                (7, 2, (0, 1), (3,)), (13, 2, (0, 0), (1,))]
+                (7, 2, (0, 1), (3,)), (13, 2, (0, 0), (1,)),
+                (11, 3, (0, 0), (2,)), (1031, 1, (0, 0), (1, 2))]
 
 
 @pytest.mark.parametrize("p,a,bounds,Ns", SEARCH_CASES,
@@ -349,12 +352,17 @@ def test_search_leads_drop_only_pointless_candidates():
     assert dropped_e == {0, 1} and skipped and len(cancelling) == 2
 
 
+# (p, a, bounds) sieved beside LEADS_SWEEP: F_25, a field above the kernel's
+# table fields (F_{11^3}) and a prime field above 1024 (F_1031)
+SIEVE_SWEEP = LEADS_SWEEP + [(5, 2, (2, 0)), (11, 3, (0, 0)), (1031, 1, (0, 0))]
+
+
 def test_search_sieve_drops_only_pointless_candidates():
-    """Over LEADS_SWEEP and F_25, for every N <= 12 prime to p, the sieved
-    walk is the leads walk with candidates removed in order, each removed
-    candidate gets [] from _points_from_x, and every field drops some."""
+    """Over SIEVE_SWEEP, for every N <= 12 prime to p, the sieved walk is
+    the leads walk with candidates removed in order, each removed candidate
+    gets [] from _points_from_x, and every field drops some."""
     dropping = set()
-    for p, a, bounds in LEADS_SWEEP + [(5, 2, (2, 0))]:
+    for p, a, bounds in SIEVE_SWEEP:
         ctx = field_ctx(p, a)
         for N in (N for N in range(1, 13) if N % p):
             curve = curve_make(ctx, N)
@@ -368,40 +376,63 @@ def test_search_sieve_drops_only_pointless_candidates():
                     assert curve_ff._points_from_x(curve, u, w, b) == [], (p, a, N, u, w)
                     dropping.add((p, a))
             assert nxt is None
-    assert len(dropping) == len(LEADS_SWEEP) + 1
+    assert len(dropping) == len(SIEVE_SWEEP)
 
 
-@pytest.mark.parametrize("p,a", [(3, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+def test_search_over_cap_field_builds_no_tables():
+    """Over F_q with q > SEARCH_CANDIDATES_MAX even bounds (0, 0) give q
+    candidates, so the search refuses before FieldCtx.logs builds its
+    O(q) tables; this bounds the fields whose tables a search builds."""
+    ctx = FieldCtx(40009, 1)  # fresh, not field_ctx's cached context
+    assert ctx.q > curve_ff.SEARCH_CANDIDATES_MAX
+    with pytest.raises(WorkBound):
+        point_search(curve_make(ctx, 1), 0, 0)
+    assert ctx._logs is None
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (7, 1), (13, 1), (3, 2), (5, 2), (11, 3), (1031, 1)])
 def test_sieve_tables_match_evaluate(p, a):
-    """The sieve's scalar tables against FF: the key of c*A is
-    combine(key c, key A) % n; _sieve_lifts holds, at each place alpha with
-    a nonzero value, the key of alpha^e * a(alpha)^2 by Poly.evaluate; and
-    _sieve_row marks the keys of the t with t(t + w)(t + v) a nonzero
-    non-square."""
+    """The search's scalar tables against FF, keyed by the logarithms of
+    FieldCtx.logs: the log of c*A is log c + log A mod q - 1; _sieve_lifts
+    holds, at each place alpha with a nonzero value, the log of
+    alpha^e * a(alpha)^2 by Poly.evaluate; _sieve_row marks the k with
+    t(t + w)(t + v) a nonzero non-square at t = g^k; and _square_leads keeps
+    the units c, in order, with c^i * (c + 1)^j a square or zero.  Over
+    F_{11^3} (above the kernel's table fields) and F_1031, units, w, v and k
+    are sampled."""
     ctx = field_ctx(p, a)
-    key, n, combine = curve_ff._sieve_keys(ctx)
-    units = [c for c in ctx.elements() if c]
-    for c in units:
-        for y in units:
-            assert key[(c * y).code] == combine(key[c.code], key[y.code]) % n
-    alphas = list(ctx.elements())[:curve_ff.SIEVE_PLACES]
-    for e in (0, 1):
-        for da in range(3):
+    log, exp, _ = ctx.logs()
+    n, rng, small = ctx.q - 1, random.Random(p), ctx.q < 100
+    elems = list(ctx.elements())
+    units = elems[1:]
+    sample = units if small else rng.sample(units, 40)
+    for c in sample:
+        for y in sample:
+            assert log[(c * y).code] == (log[c.code] + log[y.code]) % n
+    alphas = elems[:curve_ff.SIEVE_PLACES]
+    for e in (0, 1):  # over F_{11^3}, da = 1 has about q^2 candidates, past the search cap
+        for da in range(3 if small else 1 if a > 1 else 2):
             lifts = curve_ff._sieve_lifts(ctx, e, da)
             monic = list(polys_of_degree(ctx, da, monic=True))
             assert len(lifts) == len(monic)
-            for f, pairs in zip(monic, lifts):
-                assert pairs == [(i, key[v.code]) for i, x in enumerate(alphas)
-                                 if (v := x ** e * f.evaluate(x) ** 2)]
-    t_of_key = sorted(units, key=lambda t: key[t.code])
-    assert [key[t.code] for t in t_of_key] == list(range(1 if a == 1 else 0, n))
-    if a == 1:
-        t_of_key.insert(0, ctx.zero())
-    elems = list(ctx.elements())
-    for w in elems:
-        for v in random.Random(p).sample(elems, min(ctx.q, 5)) + [ctx.zero(), w]:
+            ms = range(len(monic)) if small else rng.sample(range(len(monic)), min(len(monic), 40))
+            for m in ms:
+                assert lifts[m] == [(i, log[v.code]) for i, x in enumerate(alphas)
+                                    if (v := x ** e * monic[m].evaluate(x) ** 2)]
+    one = ctx.one()
+    for (i, j), cs in curve_ff._square_leads(ctx).items():
+        assert cs == sorted(cs) and cs[0]
+        kept = set(cs)
+        for c in units if small else sample + [-one]:
+            assert (c in kept) == (c ** i * (c + one) ** j).is_square(), (c, i, j)
+    ws = elems if small else rng.sample(elems, 2) + [ctx.zero()]
+    ks = range(n) if small else rng.sample(range(n), 60)
+    for w in ws:
+        for v in rng.sample(elems, min(ctx.q, 5 if small else 2)) + [ctx.zero(), w]:
             row = curve_ff._sieve_row(ctx, w.code, v.code)
-            assert row == [bool(f := t * (t + w) * (t + v)) and not f.is_square() for t in t_of_key]
+            assert type(row) is bytes and len(row) == n
+            assert [row[k] for k in ks] == [bool(f := t * (t + w) * (t + v)) and not f.is_square()
+                                            for t in (elems[exp[k]] for k in ks)]
 
 
 def test_candidate_count_matches_enumerator():

@@ -84,6 +84,19 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_kernel_table_switches_stay_in_base_algebra():
+    """Which fields compute on Zech logarithms is the kernel's decision, so
+    no module outside base_algebra/ imports or reads its switches."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    switches = {"_zech", "_TABLE_MAX", "_TABLE_LONG_DIVISION_MAX", "_LOG_SCHOOLBOOK"}
+    found = [f"{path.relative_to(src)}:{node.lineno}" for path in sorted(src.rglob("*.py"))
+             if "base_algebra" not in path.parts
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and switches & {a.name for a in node.names}
+             or isinstance(node, ast.Attribute) and node.attr in switches]
+    assert found == []
+
+
 def test_every_cap_is_named_in_readme():
     """Each public module-level *_MAX constant under src/ is a cap a user can
     meet, so README names it."""
