@@ -295,7 +295,7 @@ def cmd_verify(args) -> int:
     """One-shot pipeline: prime search, rank constancy, point search, family
     growth, witness suite.  Any stage failure short-circuits with a diagnostic.
     The rank stage's "constant" covers every level of the tower, from the
-    rank at level 0 and two balance decisions (rank_constancy_check)."""
+    rank at level 0 and the order rule at r and q*r (rank_constancy_check)."""
     p = args.p
     quick = args.suite == "quick"
     record: dict = {"p": p, "suite": args.suite}

@@ -28,11 +28,12 @@ from kummerwit.curve_ff import (ECPoint, curve_make, ec_add, ec_mul, ec_neg,
 from kummerwit.errors import ZeroInput
 from kummerwit.family import family_grow
 from kummerwit.kummer_local import KummerCase, kummer_case, verify_descent_lemma
-from kummerwit.rank_engine import BalanceRouter, find_q, find_r, rank_formula
+from kummerwit.rank_engine import find_q, find_r, rank_formula
 from kummerwit.witnesses import (are_comaximal, axiom_instance_check,
                                  comaximal_shift, gamma_times_witness,
                                  injection_witness, is_nzu, verify_injection)
 from tests.test_poly import rand_poly
+from tests.test_rank_engine import _rank_by
 
 
 def report(num: str, name: str, ok: bool) -> bool:
@@ -42,23 +43,18 @@ def report(num: str, name: str, ok: bool) -> bool:
 
 def test_criterion_01_rank_constancy():
     start = time.monotonic()
-    router = BalanceRouter()
-    ranks = [rank_formula(3, 1, 7, 11, n, router).rank for n in range(5)]
+    ranks = [rank_formula(3, 1, 7, 11, n).rank for n in range(5)]
     ok = ranks == [1, 1, 1, 1, 1]
-    ranks_a2 = [rank_formula(3, 2, 7, 11, n, router).rank for n in range(5)]
+    ranks_a2 = [rank_formula(3, 2, 7, 11, n).rank for n in range(5)]
     ok &= ranks_a2 == [2, 2, 2, 2, 2]
-    c_values = [rank_formula(3, a, 7, 11, 0, router).rank for a in range(1, 13)]
+    c_values = [rank_formula(3, a, 7, 11, 0).rank for a in range(1, 13)]
     ok &= all(c <= 6 for c in c_values)
 
-    # the fast Legendre path must agree with the pure character-oracle path
+    # the order rule must agree with the pure character-oracle path
     # wherever the exhaustive scan is desk-sized (divisors up to 77)
-    class OracleOnly:
-        def balanced(self, x, e):
-            return is_balanced(x, e)
-
     for n in (0, 1):
-        ok &= rank_formula(3, 1, 7, 11, n, OracleOnly()).rank == ranks[n]
-        ok &= rank_formula(3, 2, 7, 11, n, OracleOnly()).rank == ranks_a2[n]
+        ok &= _rank_by(is_balanced, 3, 1, 7, 11, n) == ranks[n]
+        ok &= _rank_by(is_balanced, 3, 2, 7, 11, n) == ranks_a2[n]
     elapsed = time.monotonic() - start
     ok &= elapsed < 10.0
     assert report("01", "rank constancy", ok), (ranks, ranks_a2, c_values, elapsed)

@@ -128,13 +128,13 @@ def test_verify_quick(capsys):
 @pytest.mark.parametrize("suite", ["quick", "full"])
 def test_verify_decides_the_rank_at_level_zero_only(capsys, monkeypatch, suite):
     """The rank stage computes the formula once, at n = 0; constancy at
-    every level comes from two balance decisions (rank_constancy_check)."""
+    every level comes from two order-rule decisions (rank_constancy_check)."""
     levels = []
     formula = rank_engine.rank_formula
 
-    def spy(p, a, q, r, n, router=None):
+    def spy(p, a, q, r, n):
         levels.append(n)
-        return formula(p, a, q, r, n, router)
+        return formula(p, a, q, r, n)
     monkeypatch.setattr(rank_engine, "rank_formula", spy)
     code, recs = run_cli(capsys, "verify", "--suite", suite, "-p", "3")
     assert code == 0 and recs[0]["rank"]["constant"] is True and levels == [0]
@@ -302,19 +302,38 @@ def _next_prime(n: int) -> int:
     (3, 7, 11, 148, "512 bits"),                    # 7*11^148 has 515 bits
     (3, _next_prime(2 ** 40), 11, 0, "prime cap"),
     (3, 7, _next_prime(2 ** 40), 0, "prime cap"),
-    (5, 3, _next_prime(10 ** 7 // 3), 1, "balance cap"),
-    (3, _next_prime(2 ** 39), _next_prime(_next_prime(2 ** 39) + 1), 1, "balance cap"),
 ])
 def test_rank_refuses_oversized_levels_at_once(capsys, p, q, r, n, cap):
-    """rank exits 2 before any balance decision when q*r^n has more than
-    RANK_MODULUS_BITS_MAX bits, when q or r exceeds RANK_PRIME_MAX, or above
-    level 0 when q*r, which only the coset count decides, exceeds its cap."""
+    """rank exits 2 before any order is taken when q*r^n has more than
+    RANK_MODULUS_BITS_MAX bits, or when q or r exceeds RANK_PRIME_MAX."""
     start = time.perf_counter()
     assert dispatch(["rank", "-p", str(p), "-a", "1", "-q", str(q), "-r", str(r),
                      "-n", str(n)]) == 2
     assert time.perf_counter() - start < 0.2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: WorkBound: ") and cap in err, err
+
+
+@pytest.mark.parametrize("p,q,r,n", [
+    (5, 3, _next_prime(10 ** 7 // 3), 1),
+    (3, _next_prime(2 ** 39), _next_prime(_next_prime(2 ** 39) + 1), 1),
+    (5, 3, 3333331, 23),
+])
+def test_rank_decides_levels_past_the_balance_cap(capsys, p, q, r, n):
+    """Orders decide every divisor, so q*r above BALANCE_MODULUS_MAX (the
+    first two) no longer bounds rank.  (5, 1, 3, 3333331, 23), with q*r just
+    below it, took over 30 s by coset counts; its record is the one they
+    gave: only e = 3 is balanced, with index 1, and every e > 3 has index 10."""
+    start = time.perf_counter()
+    code, recs = run_cli(capsys, "rank", "-p", str(p), "-a", "1", "-q", str(q), "-r", str(r),
+                         "-n", str(n))
+    assert code == 0 and time.perf_counter() - start < 0.5
+    if r == 3333331:
+        divisors = sorted(q ** i * r ** j for i in (0, 1) for j in range(n + 1))
+        assert recs == [{"schema": 1, "p": 5, "a": 1, "q": 3, "r": r, "n": 23, "rank": 1,
+                         "divisors": [{"e": e, "balanced": e == 3, "excluded": e == 1,
+                                       "index": 0 if e == 1 else 1 if e == 3 else 10}
+                                      for e in divisors]}]
 
 
 def test_rank_cap_boundary(capsys):

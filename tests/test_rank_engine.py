@@ -2,11 +2,21 @@ from math import gcd
 
 import pytest
 
-from kummerwit.base_algebra.intarith import is_prime
+from kummerwit import rank_engine
+from kummerwit.base_algebra.intarith import euler_phi, is_prime, multiplicative_order
 from kummerwit.characters import is_balanced, legendre_symbol
 from kummerwit.errors import BadModulus, NotCoprime, SearchExhausted
 from kummerwit.rank_engine import (BalanceRouter, find_q, find_r,
                                    rank_constancy_check, rank_formula)
+
+
+def _rank_by(decide, p, a, q, r, n):
+    """The divisor-sum rank with each divisor e > 2 of q*r^n decided by
+    decide(p, e), ascending, and its index phi(e)/ord(p^a mod e) found by
+    trial division: the reference for rank_formula's order rule."""
+    divisors = sorted(q ** i * r ** j for i in (0, 1) for j in range(n + 1))
+    return sum(euler_phi(e) // multiplicative_order(pow(p, a, e), e)
+               for e in divisors if e > 2 and decide(p, e))
 
 
 def test_legendre_examples():
@@ -73,23 +83,16 @@ def test_rank_errors():
 
 def test_rank_monotone_in_a_along_divisibility():
     router = BalanceRouter()
-    ranks = {a: rank_formula(3, a, 7, 11, 1, router).rank for a in (1, 2, 3, 6)}
+    ranks = {a: rank_formula(3, a, 7, 11, 1).rank for a in (1, 2, 3, 6)}
+    assert ranks == {a: _rank_by(router.balanced, 3, a, 7, 11, 1) for a in ranks}
     for a in (1, 2, 3):
         assert ranks[a] <= ranks[6]
     assert ranks[1] <= ranks[2] and ranks[1] <= ranks[3]
 
 
-class OracleOnly:
-    """Every balance decision by the coset count alone: no shortcut, no ladder."""
-
-    def balanced(self, x, e):
-        return is_balanced(x, e)
-
-
 def test_rank_constancy_check():
-    router = BalanceRouter()
-    assert rank_constancy_check(3, 1, 7, 11, router) == (1, True, True)
-    assert rank_constancy_check(3, 2, 7, 11, router) == (2, True, True)
+    assert rank_constancy_check(3, 1, 7, 11) == (1, True, True)
+    assert rank_constancy_check(3, 2, 7, 11) == (2, True, True)
     assert rank_constancy_check(3, 6, 7, 11) == (6, True, True)
     # (3/5) = -1, so 3 is balanced mod 5 and level 1 adds phi(5)/ord(3 mod 5) = 1
     assert [rank_formula(3, 1, 7, 5, n).rank for n in (0, 1)] == [1, 2]
@@ -97,9 +100,9 @@ def test_rank_constancy_check():
 
 
 def _levels_constant(p, q, r, n_max):
-    """The level loop: the rank is the same at every level 0..n_max."""
-    router = OracleOnly()
-    ranks = [rank_formula(p, 1, q, r, n, router).rank for n in range(n_max + 1)]
+    """The level loop, every divisor decided by the coset count: the rank is
+    the same at every level 0..n_max."""
+    ranks = [_rank_by(is_balanced, p, 1, q, r, n) for n in range(n_max + 1)]
     return all(v == ranks[0] for v in ranks)
 
 
@@ -142,12 +145,13 @@ def test_ladder_lemma_on_the_coset_count():
 
 
 def test_fast_routing_equals_pure_oracle_for_small_divisors():
-    # same rank whether balance is decided by the shortcut router or by the
-    # character oracle alone, on tuples whose divisors stay below 200
+    # same rank whether balance is decided by the order rule, by the shortcut
+    # router or by the coset count alone, on tuples whose divisors stay below 200
     for p, a, q, r, n in ((3, 1, 5, 7, 1), (3, 1, 5, 11, 1),
                           (5, 1, 3, 7, 1), (3, 1, 13, 11, 1)):
         assert rank_formula(p, a, q, r, n).rank == \
-            rank_formula(p, a, q, r, n, OracleOnly()).rank
+            _rank_by(BalanceRouter().balanced, p, a, q, r, n) == \
+            _rank_by(is_balanced, p, a, q, r, n)
 
 
 def test_shared_router_matches_oracle_up_to_500():
@@ -162,8 +166,38 @@ def test_shared_router_matches_oracle_up_to_500():
 
 def test_router_cache_and_goingup_propagation():
     router = BalanceRouter()
-    rank_formula(3, 1, 7, 11, 4, router)
-    # only the base composite 77 should have needed the full character scan
+    assert _rank_by(router.balanced, 3, 1, 7, 11, 4) == rank_formula(3, 1, 7, 11, 4).rank
+    # on the divisors of 7*11^4, only the base composite 77 should have
+    # needed the full character scan
     assert router.oracle_calls == 1
     assert router.cache[(3 % 847, 847)] is False
     assert router.cache[(3 % 14641, 14641)] is False
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the rank path called a balance predicate")
+
+
+def test_order_rule_matches_the_coset_count(monkeypatch):
+    """The order rule decides every e = q^i * r^j <= 2*10^4 as the coset count
+    does, for p in {3, 5, 7, 11, 13} and distinct odd primes q, r < 60; and
+    the rank path answers with both balance predicates made to raise."""
+    primes = [x for x in range(3, 60, 2) if is_prime(x)]
+    rule: dict[tuple[int, int], bool] = {}
+    for p in (3, 5, 7, 11, 13):
+        for q in primes:
+            for r in primes:
+                if len({p, q, r}) < 3:
+                    continue
+                n = 0
+                while r ** (n + 1) <= 2 * 10 ** 4:
+                    n += 1
+                for d in rank_formula(p, 1, q, r, n).divisors:
+                    if 2 < d.e <= 2 * 10 ** 4:
+                        assert rule.setdefault((p, d.e), d.balanced) == d.balanced, (p, d.e)
+    assert all(is_balanced(p, e) == verdict for (p, e), verdict in rule.items())
+    assert (len(rule), sum(rule.values())) == (1735, 507)
+    monkeypatch.setattr(rank_engine, "is_balanced", _raise)
+    monkeypatch.setattr(rank_engine, "is_balanced_fast", _raise)
+    assert rank_formula(3, 1, 7, 11, 4).rank == 1
+    assert rank_constancy_check(3, 1, 7, 5) == (1, False, True)
