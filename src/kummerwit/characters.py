@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import add, mul
 
-from .base_algebra.intarith import euler_phi, factorint, is_prime, multiplicative_order
+from .base_algebra.intarith import euler_phi, factorint, is_prime
 from .errors import BadModulus, NotCoprime, WorkBound
 
 # The largest modulus whose unit group (a dlog table of phi(m) entries) is
@@ -176,14 +176,9 @@ def unit_group(m: int):
 
 
 def _primitive_root(p: int, k: int) -> int:
-    target = p - 1
-    g = next(x for x in range(2, p) if multiplicative_order(x, p) == target)
-    if k == 1:
-        return g
-    # g or g + p generates (Z/p^k)^x
-    if multiplicative_order(g, p * p) == p * (p - 1):
-        return g
-    return g + p
+    cofactors = [(p - 1) // ell for ell in factorint(p - 1)]
+    g = next(x for x in range(2, p) if all(pow(x, c, p) != 1 for c in cofactors))
+    return g + p if k > 1 and pow(g, p - 1, p * p) == 1 else g
 
 
 class Character:

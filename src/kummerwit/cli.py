@@ -43,7 +43,7 @@ def _emit(record: dict, fmt: str):
 
 
 def _ctx(args):
-    return field_ctx(args.p, getattr(args, "a", 1) or 1)
+    return field_ctx(args.p, args.a)
 
 
 def _split_polys(text: str, ctx) -> list[Poly]:
@@ -294,8 +294,8 @@ def cmd_tower(args) -> int:
 def cmd_verify(args) -> int:
     """One-shot pipeline: prime search, rank constancy, point search, family
     growth, witness suite.  Any stage failure short-circuits with a diagnostic.
-    The rank stage's "constant" covers every level of the tower, from the
-    rank at level 0 and the order rule at r and q*r (rank_constancy_check)."""
+    The rank stage's "constant" covers every level of the tower, read off
+    one level-1 report (rank_constancy_check)."""
     p = args.p
     quick = args.suite == "quick"
     record: dict = {"p": p, "suite": args.suite}

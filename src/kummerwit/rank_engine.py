@@ -24,9 +24,13 @@ those of conductor r^k have 1 - chi(q).  So p is balanced mod e exactly when
 the right side counting only when i = 1 and j >= 1.  Orders decide each term:
 -1 is in <p> exactly when every component order of p is even, all with one
 2-adic valuation; in the cyclic (Z/q)^x and (Z/r^j)^x a subgroup holds -1
-exactly when its order is even; and for j >= 2, ord(x mod r^j) is o = ord(x mod
-r^(j-1)) or r*o, as x^o is 1 mod r^j or not (x^o = 1 + r^(j-1)*t gives x^(r*o)
-= 1 mod r^j).
+exactly when its order is even; and ord(x mod r^j) = o * r^max(0, j - v),
+where o = ord(x mod r) and v = v_r(x^o - 1), by lifting the exponent (Ireland
+& Rosen, ch. 4): v_l(y^m - 1) = v + v_l(m) for an odd prime l and v_l(y - 1) =
+v >= 1.  Indeed 1 + y + ... + y^(m-1) is m mod l, and y = 1 + l^v * t, l not
+dividing t, gives y^l - 1 = l^(v+1) * t mod l^(v+2), as l | C(l, 2) and 3v >=
+v + 2; induct on v_l(m).  So the order mod l^j, the least multiple o*m of o
+with v + v_l(m) >= j, has m = l^max(0, j - v).
 
 rank_constancy_check answers for every level at once: the rank is the same at
 every level exactly when p is unbalanced mod r and mod q*r (its docstring).
@@ -41,14 +45,14 @@ from .base_algebra.intarith import factorint, is_prime, primes_from
 from .characters import is_balanced, is_balanced_fast, legendre_symbol
 from .errors import BadModulus, NotCoprime, SearchExhausted, WorkBound
 
-# The most bits q*r^n may have; the report holds 2n + 2 divisors.  At 507-512
-# bits rank_formula decided four triples in 0.04-0.13 s; with no cap the
-# entries of (3, 1, 7, 11, n) took 0.02 / 0.17 / 2.1 / 26 s at n = 100 / 200 /
-# 400 / 800, mostly the order lifts (Python 3.11, one core of a 2-CPU machine).
+# The most bits q*r^n may have: it bounds the report (2n + 2 divisors).  With
+# no cap the record of (3, 1, 7, 11, n) held 41 KB / 0.76 MB / 2.9 MB at n =
+# 147 / 800 / 1600, decided in 3 / 26 / 70 ms, and four triples at 507-512 bits
+# took 1-4 ms (Python 3.11, one core of a 2-CPU machine).
 RANK_MODULUS_BITS_MAX = 512
 # The largest q or r: q - 1 and r - 1 are factored by trial division, which
-# grows with sqrt(q); at n = 0 a q near 10^12 or 2^40 with (q - 1)/2 prime
-# took 0.05 s, and one near 10^14 took 0.45 s (same machine).
+# grows with sqrt(q); a q with (q - 1)/2 prime took 0.03 s near 10^12 or 2^40,
+# at n = 0 and in rank_constancy_check, and 0.3 s near 10^14 (same machine).
 RANK_PRIME_MAX = 2 ** 40
 
 
@@ -155,11 +159,11 @@ def _orders(xs, ell: int, n: int) -> list[list[int]]:
         for f in factors:
             while o % f == 0 and pow(x, o // f, ell) == 1:
                 o //= f
-        row = [1, o]
-        for j in range(2, n + 1):
-            o *= 1 if pow(x, o, ell ** j) == 1 else ell
+        d, row = pow(x, o, ell ** n) - 1, [1]
+        for j in range(1, n + 1):  # past j = v_ell(x^o - 1), one more ell per level
+            o *= ell if d % ell ** j else 1
             row.append(o)
-        out.append(row[:n + 1])
+        out.append(row)
     return out
 
 
@@ -206,8 +210,9 @@ def rank_constancy_check(p: int, a: int, q: int, r: int) -> tuple[int, bool, boo
     and mod q*r is unbalanced mod every r^j and q*r^j, j >= 1.  So the rank
     is constant at every level exactly when p is unbalanced mod r and mod
     q*r, whatever a is, and for every n_max >= 1 the level loop up to n_max
-    agrees.  The order rule decides both among level 1's entries, which
-    level 0's caps cover (q*r < 2^81)."""
-    c = rank_formula(p, a, q, r, 0).rank
-    constant = not any(d.balanced for d in _divisor_entries(p, a, q, r, 1) if d.e % r == 0)
+    agrees.  One level-1 report, within level 0's caps (q*r < 2^81), gives C
+    (entries 1 and q) and constancy (entries r and q*r)."""
+    divisors = rank_formula(p, a, q, r, 1).divisors
+    c = sum(d.index for d in divisors if d.balanced and d.e % r)
+    constant = not any(d.balanced for d in divisors if d.e % r == 0)
     return c, constant, c <= q - 1

@@ -126,18 +126,25 @@ def test_verify_quick(capsys):
 
 
 @pytest.mark.parametrize("suite", ["quick", "full"])
-def test_verify_decides_the_rank_at_level_zero_only(capsys, monkeypatch, suite):
-    """The rank stage computes the formula once, at n = 0; constancy at
-    every level comes from two order-rule decisions (rank_constancy_check)."""
-    levels = []
-    formula = rank_engine.rank_formula
+def test_verify_reads_every_level_off_one_report(capsys, monkeypatch, suite):
+    """The rank stage computes the formula once, at n = 1, and takes no other
+    divisor entries: C and constancy at every level are read off that one
+    report (rank_constancy_check)."""
+    levels, entries = [], []
+    formula, divisor_entries = rank_engine.rank_formula, rank_engine._divisor_entries
 
     def spy(p, a, q, r, n):
         levels.append(n)
         return formula(p, a, q, r, n)
+
+    def entries_spy(p, a, q, r, n):
+        entries.append(n)
+        return divisor_entries(p, a, q, r, n)
     monkeypatch.setattr(rank_engine, "rank_formula", spy)
+    monkeypatch.setattr(rank_engine, "_divisor_entries", entries_spy)
     code, recs = run_cli(capsys, "verify", "--suite", suite, "-p", "3")
-    assert code == 0 and recs[0]["rank"]["constant"] is True and levels == [0]
+    assert code == 0 and recs[0]["rank"]["constant"] is True
+    assert levels == entries == [1]
 
 
 def _verify_quick_record(capsys) -> dict:
@@ -423,6 +430,23 @@ def test_zero_denominator_literal_exit_2(capsys, argv):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
     assert "zero denominator" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "search", "-p", "3", "-N", "2"],
+    ["kummer", "case", "-p", "7", "-l", "3", "--place", "1*s", "--b", "3"],
+    ["family", "members", "-p", "3", "-N", "2", "--lambda", "1*s"],
+    ["witness", "coprime", "-p", "3", "--set", "1*s;1*s+1"],
+    ["tower", "factor", "-p", "3", "--place", "1*s+2", "-r", "11", "-n", "1"],
+])
+def test_extension_degree_zero_exit_2(capsys, argv):
+    # -a 0 names no field: refused, where the same command with -a 1 answers
+    assert dispatch(argv + ["-a", "1"]) == 0
+    capsys.readouterr()
+    assert dispatch(argv + ["-a", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "a = 0" in err
 
 
 def test_tsv_format(capsys):

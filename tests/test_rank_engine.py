@@ -1,9 +1,10 @@
+import time
 from math import gcd
 
 import pytest
 
 from kummerwit import rank_engine
-from kummerwit.base_algebra.intarith import euler_phi, is_prime, multiplicative_order
+from kummerwit.base_algebra.intarith import euler_phi, factorint, is_prime, multiplicative_order
 from kummerwit.characters import is_balanced, legendre_symbol
 from kummerwit.errors import BadModulus, NotCoprime, SearchExhausted
 from kummerwit.rank_engine import (BalanceRouter, find_q, find_r,
@@ -201,3 +202,54 @@ def test_order_rule_matches_the_coset_count(monkeypatch):
     monkeypatch.setattr(rank_engine, "is_balanced_fast", _raise)
     assert rank_formula(3, 1, 7, 11, 4).rank == 1
     assert rank_constancy_check(3, 1, 7, 5) == (1, False, True)
+
+
+def _orders_by_levels(xs, ell, n):
+    """[ord(x mod ell^j) for j = 0..n], lifted one level at a time: x^o is 1
+    mod ell^j or the order gains a factor ell (the closed form's reference)."""
+    factors = factorint(ell - 1) if n else {}
+    out = []
+    for x in xs:
+        o = ell - 1
+        for f in factors:
+            while o % f == 0 and pow(x, o // f, ell) == 1:
+                o //= f
+        row = [1, o]
+        for j in range(2, n + 1):
+            o *= 1 if pow(x, o, ell ** j) == 1 else ell
+            row.append(o)
+        out.append(row[:n + 1])
+    return out
+
+
+def test_orders_closed_form_matches_the_level_loop():
+    """Lifting the exponent gives every order row the level loop gives, for
+    every odd prime ell < 200, every x in [2, 60) prime to ell and n up to 8."""
+    rows = 0
+    for ell in (x for x in range(3, 200, 2) if is_prime(x)):
+        xs = [x for x in range(2, 60) if x % ell]
+        for n in (0, 1, 2, 3, 5, 8):
+            assert rank_engine._orders(xs, ell, n) == _orders_by_levels(xs, ell, n), (ell, n)
+            rows += len(xs)
+    assert rows == 15276
+
+
+# four triples at 507-512 bits, and a q*r^n past the old balance cap
+_LARGE_TRIPLES = ((5, 1, 3, 7, 181), (5, 1, 7, 3, 318), (3, 1, 13, 43, 93),
+                  (3, 1, 7, 11, 147), (5, 1, 3, 3333331, 23))
+
+
+def test_orders_closed_form_keeps_the_large_records(monkeypatch):
+    """The closed form decides each large triple in under 0.05 s, with the
+    record the level loop gives."""
+    records = []
+    for triple in _LARGE_TRIPLES:
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            report = rank_formula(*triple)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.05, (triple, best)
+        records.append(report.as_record())
+    monkeypatch.setattr(rank_engine, "_orders", _orders_by_levels)
+    assert [rank_formula(*triple).as_record() for triple in _LARGE_TRIPLES] == records
